@@ -24,28 +24,32 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import serialize
 from .chain import CouplingProfile, engineered_couplings, validate_profile, one_excitation_hamiltonian
 from .dynamics import (
     NumericFailure,
     analytic_center_to_end,
-    center_to_end_amplitude,
     eigendecompose,
+    transition_amplitudes,
 )
 from .robustness import (
     SwapPerturbation,
-    SweepRow,
     adjacent_swap_sweep,
-    entanglement_at_t0,
     feasibility,
     noise_sweep,
     perturb,
-    resource_from_report,
+    resource_from_profile,
+    sweep_row,
 )
 from .search import SearchProblem, minimize
-from .teleport import expected_fidelity, teleport
+from .teleport import teleport
 
 OUT_DIR_ENV = "BELLCHAIN_OUT_DIR"
+
+# Longest --t-grid accepted; the whole grid is evaluated in one call.
+MAX_GRID_POINTS = 100_000
 
 
 def _odd_n(value) -> int:
@@ -63,7 +67,7 @@ def _resolve_out(raw: str) -> Path:
     return path
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str) -> np.ndarray:
     parts = str(text).split(":")
     if len(parts) != 3:
         raise ValueError(f"t-grid must be lo:hi:step, got {text!r}")
@@ -71,12 +75,16 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"t-grid must be numeric lo:hi:step, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError(f"t-grid bounds and step must be finite, got {text!r}")
     if step <= 0:
         raise ValueError(f"t-grid step must be positive, got {step}")
     if hi < lo:
         raise ValueError(f"t-grid must have hi >= lo, got {text!r}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + k * step for k in range(count)]
+    steps = (hi - lo) / step + 1e-9  # inf when hi - lo overflows
+    if not steps < MAX_GRID_POINTS:
+        raise ValueError(f"t-grid {text!r} has more than {MAX_GRID_POINTS} points")
+    return lo + np.arange(math.floor(steps) + 1) * step
 
 
 def _profile_from_args(args) -> CouplingProfile:
@@ -105,6 +113,31 @@ def _load_config(path: str) -> dict:
     return data
 
 
+def _config_default(dest: str, value, kwargs: dict):
+    """Convert a config value the way argparse converts the flag's text.
+
+    argparse passes non-string defaults through unchecked, so a value of
+    the wrong JSON type would otherwise fail deep inside a handler.
+    """
+    if value is None or kwargs.get("action") == "store_true":
+        return value
+    nargs, choices = kwargs.get("nargs"), kwargs.get("choices")
+    convert = kwargs.get("type", str)
+    items = value if nargs and isinstance(value, list) else [value]
+    try:
+        # str() of a bool, list or object could pass as flag text
+        if len(items) != (nargs or 1) or any(isinstance(v, (bool, list, dict)) for v in items):
+            raise ValueError
+        converted = [convert(str(v)) for v in items]
+        if choices and any(v not in choices for v in converted):
+            raise ValueError
+    except ValueError:
+        expected = f"one of {choices}" if choices else convert.__name__
+        expected = f"a list of {nargs} x {expected}" if nargs else expected
+        raise ValueError(f"config value for {dest} must be {expected}, got {value!r}") from None
+    return converted if nargs else converted[0]
+
+
 def _build_parser(config: dict) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellchain",
@@ -115,7 +148,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     def add(p, *flags, dest=None, required=False, **kwargs):
         dest = dest or flags[0].lstrip("-").replace("-", "_")
         if dest in config:
-            kwargs["default"] = config[dest]
+            kwargs["default"] = _config_default(dest, config[dest], kwargs)
             required = False
         p.add_argument(*flags, dest=dest, required=required, **kwargs)
 
@@ -124,7 +157,6 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     add(p, "--mu", type=float, default=1.0, help="coupling scale")
     add(p, "--format", choices=["json", "csv"], default="json")
     add(p, "--out", required=True)
-    p.add_argument("--config", help="JSON file with flag defaults")
 
     p = sub.add_parser("evolve", help="center-to-end amplitude over a time grid")
     add(p, "--profile", help="profile JSON (overrides --n/--mu)")
@@ -132,7 +164,6 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     add(p, "--mu", type=float, default=1.0)
     add(p, "--t-grid", required=True, help="lo:hi:step")
     add(p, "--out", required=True, help="CSV output path")
-    p.add_argument("--config", help="JSON file with flag defaults")
 
     p = sub.add_parser("teleport", help="run the teleportation protocol")
     add(p, "--a-re", type=float, default=1.0)
@@ -145,13 +176,11 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     add(p, "--mode", choices=["enumerate", "sample"], default="enumerate")
     add(p, "--seed", type=int, default=None)
     add(p, "--out", required=True, help="report JSON path")
-    p.add_argument("--config", help="JSON file with flag defaults")
 
     p = sub.add_parser("feasibility", help="chain-length bound for a coupling ceiling")
     add(p, "--mu", type=float, required=True)
     add(p, "--gmax", type=float, required=True)
     add(p, "--out", required=True, help="report JSON path")
-    p.add_argument("--config", help="JSON file with flag defaults")
 
     p = sub.add_parser("perturb", help="score perturbed profiles at the readout time")
     add(p, "--profile", help="profile JSON (overrides --n/--mu)")
@@ -163,7 +192,6 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     add(p, "--seed", type=int, default=0)
     add(p, "--adjacent", action="store_true", help="baseline plus every adjacent swap")
     add(p, "--out", required=True, help="CSV output path")
-    p.add_argument("--config", help="JSON file with flag defaults")
 
     p = sub.add_parser("search", help="search for alternative entangling profiles")
     add(p, "--n", type=int, required=True)
@@ -175,8 +203,9 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     add(p, "--d-lo", type=float, default=0.05)
     add(p, "--d-hi", type=float, default=4.0)
     add(p, "--out", required=True, help="result JSON path")
-    p.add_argument("--config", help="JSON file with flag defaults")
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="JSON file with flag defaults")
     return parser
 
 
@@ -206,10 +235,10 @@ def _cmd_evolve(args) -> tuple[dict, Path, int | None]:
     t_grid = _parse_grid(args.t_grid)
     engineered = len(validate_profile(profile)) == 0
     eig = eigendecompose(one_excitation_hamiltonian(profile))
+    (amps,) = transition_amplitudes(eig, [0], (profile.n_sites - 1) // 2, t_grid)
 
     rows = []
-    for t in t_grid:
-        amp = center_to_end_amplitude(eig, t)
+    for t, amp in zip(t_grid.tolist(), amps.tolist()):
         cells = [
             serialize.format_float(t),
             serialize.format_float(amp.real),
@@ -250,7 +279,7 @@ def _cmd_teleport(args) -> tuple[dict, Path, int | None]:
         if args.n is None:
             raise ValueError("need either --resource or --n")
         profile = _profile_from_args(args)
-        resource = resource_from_report(entanglement_at_t0(profile))
+        resource = resource_from_profile(profile)
 
     mode = str(args.mode)
     seed = None if args.seed is None else int(args.seed)
@@ -282,20 +311,6 @@ def _cmd_feasibility(args) -> tuple[dict, Path, int | None]:
     return params, out, None
 
 
-def _swap_row(profile: CouplingProfile, i: int, j: int) -> SweepRow:
-    swapped = perturb(profile, SwapPerturbation(i, j))
-    report = entanglement_at_t0(swapped)
-    resource = resource_from_report(report)
-    s = 1.0 / math.sqrt(2.0)
-    return SweepRow(
-        trial=0,
-        param=float(i),
-        concurrence=report.concurrence,
-        residual_norm=report.residual_norm,
-        expected_fidelity=expected_fidelity(teleport(s, s, resource)),
-    )
-
-
 def _cmd_perturb(args) -> tuple[dict, Path, int | None]:
     profile = _profile_from_args(args)
     modes = [args.swap is not None, args.sigma is not None, bool(args.adjacent)]
@@ -305,7 +320,8 @@ def _cmd_perturb(args) -> tuple[dict, Path, int | None]:
     master_seed: int | None = None
     if args.swap is not None:
         i, j = (int(v) for v in args.swap)
-        rows = [_swap_row(profile, i, j)]
+        swapped = perturb(profile, SwapPerturbation(i, j))
+        rows = [sweep_row(swapped, trial=0, param=float(i))]
         mode_params = {"mode": "swap", "i": i, "j": j}
     elif args.sigma is not None:
         sigma = float(args.sigma)
@@ -373,7 +389,7 @@ def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         config_path = _extract_config_path(argv)
-        config = _load_config(config_path) if config_path else {}
+        parser = _build_parser(_load_config(config_path) if config_path else {})
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -381,7 +397,6 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    parser = _build_parser(config)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -14,6 +14,11 @@ transfer amplitude equal to the closed form
 
 whose modulus peaks at t0 = pi/mu with value 1/sqrt(2) at both ends
 simultaneously: a Bell pair between sites 1 and N.
+
+Every site-to-site amplitude comes from one spectral kernel,
+``transition_amplitudes``: <i| exp(-iHt) |j> for a few rows i over a
+grid of times.  Only ``evolve``, which propagates a whole state, builds
+its own phases.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ ANTISYMMETRIC = "antisymmetric"
 
 _NORM_ATOL = 1e-12
 
+# Largest (times x eigenvalues) phase block the kernel builds at once,
+# so a long grid on a long chain costs a bounded amount of extra memory.
+_PHASE_BLOCK_ENTRIES = 1 << 16
+
 
 class NumericFailure(RuntimeError):
     """Eigensolver did not converge; carries the matrix dimension."""
@@ -45,6 +54,11 @@ def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _check_normalized(norm_sq: float, what: str) -> None:
+    if abs(norm_sq - 1.0) > _NORM_ATOL:
+        raise ValueError(f"{what} not normalized: sum |a|^2 = {norm_sq!r}")
 
 
 @dataclass(frozen=True)
@@ -75,9 +89,7 @@ class SiteAmplitudeState:
         amps = _frozen_array(self.amplitudes, complex)
         if amps.ndim != 1 or len(amps) == 0:
             raise ValueError("amplitudes must be a nonempty 1-D vector")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > _NORM_ATOL:
-            raise ValueError(f"state not normalized: sum |a|^2 = {norm_sq!r}")
+        _check_normalized(float(np.sum(np.abs(amps) ** 2)), "state")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -167,22 +179,38 @@ def evolve(eig: EigenSystem, initial: SiteAmplitudeState, t: float) -> SiteAmpli
     return SiteAmplitudeState(eig.eigenvectors @ (phases * coeffs))
 
 
-def _transition_amplitude(eig: EigenSystem, i: int, j: int, t: float) -> complex:
-    """<i| exp(-iHt) |j> via the spectral sum (0-based site indices)."""
-    weights = eig.eigenvectors[i, :] * eig.eigenvectors[j, :]
-    return complex(np.sum(weights * np.exp(-1j * eig.eigenvalues * t)))
+def transition_amplitudes(
+    eig: EigenSystem, rows, column: int, times
+) -> list[np.ndarray]:
+    """<i| exp(-iHt) |column> over the grid ``times``, one array per row i.
+
+    Sites are 0-based.  The sum over eigenstates is one matrix-vector
+    product per row, exp(-i t lambda) @ (u_i * u_column); grids longer
+    than one phase block are evaluated block by block.
+    """
+    times = np.asarray(times, dtype=float)
+    block = _PHASE_BLOCK_ENTRIES // eig.dimension or 1
+    if len(times) > block:
+        pieces = [
+            transition_amplitudes(eig, rows, column, times[start : start + block])
+            for start in range(0, len(times), block)
+        ]
+        return [np.concatenate(row) for row in zip(*pieces)]
+    u = eig.eigenvectors
+    phases = np.exp(-1j * np.outer(times, eig.eigenvalues))
+    return [phases @ (u[i] * u[column]) for i in rows]
 
 
 def center_to_end_amplitude(eig: EigenSystem, t: float) -> complex:
     """<1| exp(-iHt) |center> for an odd chain."""
     if eig.dimension % 2 == 0:
         raise ValueError("center-to-end amplitude needs an odd chain")
-    return _transition_amplitude(eig, 0, (eig.dimension - 1) // 2, t)
+    return complex(transition_amplitudes(eig, [0], (eig.dimension - 1) // 2, [t])[0][0])
 
 
 def end_to_end_amplitude(eig: EigenSystem, t: float) -> complex:
     """<1| exp(-iHt) |M> between the first and last sites."""
-    return _transition_amplitude(eig, 0, eig.dimension - 1, t)
+    return complex(transition_amplitudes(eig, [0], eig.dimension - 1, [t])[0][0])
 
 
 def analytic_center_to_end(n_sites: int, mu: float, t: float) -> complex:

@@ -175,7 +175,12 @@ def feasibility(mu: float, g_max: float) -> FeasibilityReport:
         raise ValueError(f"mu must be positive, got {mu}")
     if not g_max > 0:
         raise ValueError(f"g_max must be positive, got {g_max}")
-    n_max = math.floor(8.0 * g_max / mu)
+    ratio = 8.0 * g_max / mu
+    # From 2**53 on every double is an integer, so the floor below would
+    # no longer be an exact chain length (and inf has none at all).
+    if not ratio < 2.0**53:
+        raise ValueError(f"8*g_max/mu = {ratio!r} is too large for an exact chain-length bound")
+    n_max = math.floor(ratio)
     return FeasibilityReport(
         mu=mu,
         g_max=g_max,
@@ -185,7 +190,8 @@ def feasibility(mu: float, g_max: float) -> FeasibilityReport:
     )
 
 
-def _sweep_row(profile: CouplingProfile, trial: int, param: float) -> SweepRow:
+def sweep_row(profile: CouplingProfile, trial: int, param: float) -> SweepRow:
+    """Score one (already perturbed) profile at the readout time pi/mu."""
     report = entanglement_at_t0(profile)
     resource = resource_from_report(report)
     s = 1.0 / math.sqrt(2.0)
@@ -214,7 +220,7 @@ def noise_sweep(
     rows = []
     for k in range(trials):
         spec = NoisePerturbation(sigma=sigma, seed=int(trial_seeds[k]))
-        rows.append(_sweep_row(perturb(profile, spec), trial=k, param=sigma))
+        rows.append(sweep_row(perturb(profile, spec), trial=k, param=sigma))
     return rows
 
 
@@ -224,8 +230,8 @@ def adjacent_swap_sweep(profile: CouplingProfile) -> list[SweepRow]:
     Row 0 (param 0) is the unperturbed profile; row i scores the profile
     with couplings i and i+1 exchanged, param = i.
     """
-    rows = [_sweep_row(profile, trial=0, param=0.0)]
+    rows = [sweep_row(profile, trial=0, param=0.0)]
     for i in range(1, len(profile.couplings)):
         swapped = perturb(profile, SwapPerturbation(i, i + 1))
-        rows.append(_sweep_row(swapped, trial=i, param=float(i)))
+        rows.append(sweep_row(swapped, trial=i, param=float(i)))
     return rows

@@ -10,6 +10,9 @@ over the free couplings (Nelder-Mead with bounds) and the readout time
 
 A returned profile carries mu = pi / best_time, so its nominal readout
 time is exactly the time the search found.
+
+Both end amplitudes come from ``dynamics.transition_amplitudes``, the
+package's one spectral kernel, over the whole scan grid at once.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 import scipy.optimize
 
 from .chain import CouplingProfile, one_excitation_hamiltonian
-from .dynamics import EigenSystem, center_excited_state, eigendecompose, evolve
+from .dynamics import EigenSystem, eigendecompose, transition_amplitudes
 
 CONVERGED_TOL = 1e-10
 
@@ -78,19 +81,14 @@ def mirror_profile(free: np.ndarray, n_sites: int, mu: float = 1.0) -> CouplingP
 def objective(profile: CouplingProfile, t: float) -> float:
     """Squared deviation of both end probabilities from 1/2 at time t."""
     eig = eigendecompose(one_excitation_hamiltonian(profile))
-    state = evolve(eig, center_excited_state(profile.n_sites), t)
-    p_first = abs(state.amplitudes[0]) ** 2
-    p_last = abs(state.amplitudes[-1]) ** 2
-    return (p_first - 0.5) ** 2 + (p_last - 0.5) ** 2
+    return float(_objective_on_grid(eig, np.array([t]))[0])
 
 
 def _objective_on_grid(eig: EigenSystem, t_grid: np.ndarray) -> np.ndarray:
     center = (eig.dimension - 1) // 2
-    w_first = eig.eigenvectors[0, :] * eig.eigenvectors[center, :]
-    w_last = eig.eigenvectors[-1, :] * eig.eigenvectors[center, :]
-    phases = np.exp(-1j * np.outer(t_grid, eig.eigenvalues))
-    p_first = np.abs(phases @ w_first) ** 2
-    p_last = np.abs(phases @ w_last) ** 2
+    amp_first, amp_last = transition_amplitudes(eig, [0, eig.dimension - 1], center, t_grid)
+    p_first = np.abs(amp_first) ** 2
+    p_last = np.abs(amp_last) ** 2
     return (p_first - 0.5) ** 2 + (p_last - 0.5) ** 2
 
 

@@ -17,7 +17,7 @@ from ._version import __version__
 from .chain import CouplingProfile
 from .robustness import FeasibilityReport, SweepRow
 from .search import SearchProblem, SearchResult
-from .teleport import EntangledResource, TeleportRecord
+from .teleport import EntangledResource, TeleportRecord, expected_fidelity
 
 
 def format_float(value: float) -> str:
@@ -149,9 +149,7 @@ def teleport_report(
             }
             for r in records
         ],
-        "expected_fidelity": sum(
-            r.probability * r.fidelity for r in records if r.fidelity is not None
-        ),
+        "expected_fidelity": expected_fidelity(records),
         "seed": seed,
     }
 

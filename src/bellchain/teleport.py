@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_NORM_ATOL = 1e-12
+from .dynamics import _check_normalized, _frozen_array
+
 _UNITARY_ATOL = 1e-10
 _ZERO_PROB = 1e-15
 
@@ -30,7 +31,6 @@ MAX_REGISTER_QUBITS = 12
 SENDER = "At"
 NODE_A = "A"
 NODE_B = "B"
-NODE_B_ANCILLA = "Bt"
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -48,23 +48,11 @@ _CNOT = np.array(
 _CORRECTIONS = {"00": "X", "01": "I", "10": "ZX", "11": "Z"}
 
 
-def _frozen(values) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
-    arr.setflags(write=False)
-    return arr
-
-
-def _check_qubit_norm(a: complex, b: complex, what: str) -> None:
-    norm_sq = abs(a) ** 2 + abs(b) ** 2
-    if abs(norm_sq - 1.0) > _NORM_ATOL:
-        raise ValueError(f"{what} not normalized: |a|^2 + |b|^2 = {norm_sq!r}")
-
-
-def _check_unitary(matrix: np.ndarray, dim: int) -> np.ndarray:
+def _check_unitary(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
-    if m.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-    defect = np.max(np.abs(m.conj().T @ m - np.eye(dim)))
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    defect = np.max(np.abs(m.conj().T @ m - np.eye(2)))
     if defect > _UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     return m
@@ -88,15 +76,13 @@ class QubitRegisterState:
             raise ValueError(
                 f"register size {len(labels)} outside 1..{MAX_REGISTER_QUBITS}"
             )
-        amps = _frozen(self.amplitudes)
+        amps = _frozen_array(self.amplitudes, complex)
         if amps.shape != (2 ** len(labels),):
             raise ValueError(
                 f"{len(labels)} qubits need {2 ** len(labels)} amplitudes, "
                 f"got shape {amps.shape}"
             )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > _NORM_ATOL:
-            raise ValueError(f"register state not normalized: {norm_sq!r}")
+        _check_normalized(float(np.sum(np.abs(amps) ** 2)), "register state")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -119,7 +105,7 @@ class EntangledResource:
     alpha10: complex
 
     def __post_init__(self) -> None:
-        _check_qubit_norm(self.alpha01, self.alpha10, "resource")
+        _check_normalized(abs(self.alpha01) ** 2 + abs(self.alpha10) ** 2, "resource")
         object.__setattr__(self, "alpha01", complex(self.alpha01))
         object.__setattr__(self, "alpha10", complex(self.alpha10))
 
@@ -151,7 +137,7 @@ def prepare_phi1(a: complex, b: complex, resource: EntangledResource) -> QubitRe
     Register order (At, A, B); any global phase on the inputs is the
     caller's to drop.
     """
-    _check_qubit_norm(a, b, "input qubit")
+    _check_normalized(abs(a) ** 2 + abs(b) ** 2, "input qubit")
     amps = np.kron(np.array([a, b], dtype=complex), resource.as_vector())
     return QubitRegisterState(labels=(SENDER, NODE_A, NODE_B), amplitudes=amps)
 
@@ -179,10 +165,9 @@ def apply_gate(
     Parameters
     ----------
     state : QubitRegisterState
-    gate : one of CNOT, H, X, Z, U1, U2
-        CNOT takes (control, target).  U1 and U2 take an explicit 2x2 or
-        4x4 ``matrix`` (checked unitary to 1e-10); for U2 the first named
-        qubit is the most significant index of the matrix basis.
+    gate : one of CNOT, H, X, Z, U1
+        CNOT takes (control, target).  U1 takes an explicit 2x2 ``matrix``
+        (checked unitary to 1e-10).
     qubits : qubit labels the gate acts on
 
     Returns a new register state; all other qubits are untouched.
@@ -202,11 +187,7 @@ def apply_gate(
     elif gate == "U1":
         if len(qubits) != 1 or matrix is None:
             raise ValueError("U1 takes one qubit and a 2x2 matrix")
-        op = _check_unitary(matrix, 2)
-    elif gate == "U2":
-        if len(qubits) != 2 or matrix is None:
-            raise ValueError("U2 takes two qubits and a 4x4 matrix")
-        op = _check_unitary(matrix, 4)
+        op = _check_unitary(matrix)
     else:
         raise ValueError(f"unknown gate {gate!r}")
 
@@ -317,36 +298,3 @@ def teleport(
 def expected_fidelity(records: list[TeleportRecord]) -> float:
     """Probability-weighted fidelity over the measurement branches."""
     return sum(r.probability * r.fidelity for r in records if r.fidelity is not None)
-
-
-def prepare_gate_state(
-    a: complex,
-    b: complex,
-    chi: np.ndarray,
-    u_aa: np.ndarray,
-    u_bb: np.ndarray,
-    resource: EntangledResource,
-) -> QubitRegisterState:
-    """Pre-measurement state for teleporting a two-qubit unitary.
-
-    Builds (a|0>+b|1>)_At x resource_AB x chi_Bt on the register
-    (At, A, B, Bt), then applies u_aa on (At, A) and u_bb on (Bt, B);
-    in each pair the first label is the most significant matrix index.
-    Only this state preparation is provided; the measurement schedule
-    that completes gate teleportation is out of scope.
-    """
-    _check_qubit_norm(a, b, "input qubit")
-    chi_vec = np.asarray(chi, dtype=complex)
-    if chi_vec.shape != (2,):
-        raise ValueError(f"chi must be a single-qubit amplitude pair, got {chi_vec.shape}")
-    _check_qubit_norm(chi_vec[0], chi_vec[1], "chi")
-
-    amps = np.kron(
-        np.kron(np.array([a, b], dtype=complex), resource.as_vector()), chi_vec
-    )
-    state = QubitRegisterState(
-        labels=(SENDER, NODE_A, NODE_B, NODE_B_ANCILLA), amplitudes=amps
-    )
-    state = apply_gate(state, "U2", SENDER, NODE_A, matrix=u_aa)
-    state = apply_gate(state, "U2", NODE_B_ANCILLA, NODE_B, matrix=u_bb)
-    return state

@@ -145,6 +145,33 @@ class TestEvolve:
     def test_needs_profile_or_n(self, tmp_path):
         assert run(["evolve", "--t-grid", "0:1:1", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("0:inf:1", "finite"),
+            ("nan:1:0.1", "finite"),
+            ("0:1:nan", "finite"),
+            ("0:1e12:1e-3", "points"),
+            ("-1e308:1e308:1", "points"),
+            (f"0:{cli.MAX_GRID_POINTS}:1", "points"),
+        ],
+    )
+    def test_unusable_grid_is_a_one_line_argument_error(self, tmp_path, capsys, grid, message):
+        out = tmp_path / "x.csv"
+        assert run(["evolve", "--n", "5", f"--t-grid={grid}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_grid_matches_the_scalar_formula(self):
+        assert cli._parse_grid("0.1:0.7:0.05").tolist() == [0.1 + k * 0.05 for k in range(13)]
+
+    def test_grid_at_the_point_cap_is_accepted(self):
+        grid = cli._parse_grid(f"0:{cli.MAX_GRID_POINTS - 1}:1")
+        assert len(grid) == cli.MAX_GRID_POINTS
+        assert grid[-1] == cli.MAX_GRID_POINTS - 1
+
 
 class TestTeleport:
     def test_chain_resource_is_faithful(self, tmp_path):
@@ -265,6 +292,13 @@ class TestFeasibility:
         assert payload["n_max"] == 584000
         assert payload["degenerate"] is False
         assert payload["t0"] == pytest.approx(math.pi / 1e4)
+
+    def test_unrepresentable_bound_is_a_one_line_argument_error(self, tmp_path, capsys):
+        out = tmp_path / "bound.json"
+        assert run(["feasibility", "--mu", "1e-300", "--gmax", "1e300", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestPerturb:
@@ -413,6 +447,35 @@ class TestConfigAndEnvironment:
         )
         assert code == 2
         assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"n": [1]}, {"n": "abc"}, {"n": 9, "mu": "fast"}, {"n": True}, {"n": 9, "format": "xml"}],
+    )
+    def test_config_value_of_wrong_type_is_an_argument_error(self, tmp_path, capsys, config):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "x.json"
+        assert run(["couplings", "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config value for") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_config_values_convert_like_flag_text(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n": "9", "swap": [2, 4]}))
+        from_config = tmp_path / "config.csv"
+        from_flags = tmp_path / "flags.csv"
+        assert run(["perturb", "--config", str(config_path), "--out", str(from_config)]) == 0
+        assert run(["perturb", "--n", "9", "--swap", "2", "4", "--out", str(from_flags)]) == 0
+        assert from_config.read_bytes() == from_flags.read_bytes()
+
+    def test_config_list_needs_nargs_entries(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"swap": [2]}))
+        code = run(["perturb", "--n", "9", "--config", str(config_path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "swap" in capsys.readouterr().err
 
     def test_missing_config_file_is_an_io_error(self, tmp_path):
         code = run(

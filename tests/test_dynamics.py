@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellchain.chain import (
+    CouplingProfile,
     TridiagonalHamiltonian,
     engineered_couplings,
     full_hilbert_hamiltonian,
@@ -31,7 +32,9 @@ from bellchain.dynamics import (
     eigendecompose,
     end_to_end_amplitude,
     evolve,
+    transition_amplitudes,
 )
+from bellchain import dynamics
 from oracles import dense_propagate, end_pair_density, wootters_concurrence
 
 SQRT2 = math.sqrt(2.0)
@@ -223,6 +226,35 @@ class TestTransferAmplitudes:
             full = center_to_end_amplitude(eig_full, float(t))
             half = end_to_end_amplitude(eig_half, float(t))
             assert abs(full - half / SQRT2) < 1e-10
+
+
+class TestTransitionAmplitudes:
+    def test_matches_full_state_propagation(self):
+        profile = CouplingProfile(7, 1.0, (0.9, 1.3, 1.1, 1.1, 1.3, 0.7))
+        eig = eigendecompose(one_excitation_hamiltonian(profile))
+        times = np.linspace(0.0, 4.0, 9)
+        amps = np.array(transition_amplitudes(eig, range(7), 2, times))
+        assert amps.shape == (7, 9)
+        for k, t in enumerate(times):
+            state = evolve(eig, basis_state(7, 3), float(t))
+            np.testing.assert_allclose(amps[:, k], state.amplitudes, atol=1e-12)
+
+    def test_blocks_of_times_agree_with_one_block(self, monkeypatch):
+        eig = engineered_eig(9)
+        times = np.linspace(0.0, 2 * math.pi, 23)
+        whole = transition_amplitudes(eig, [0, 8], 4, times)
+        monkeypatch.setattr(dynamics, "_PHASE_BLOCK_ENTRIES", 20)  # 2 times per block
+        blocked = transition_amplitudes(eig, [0, 8], 4, times)
+        np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-15)
+
+    def test_scalar_readouts_use_the_kernel(self):
+        eig = engineered_eig(9)
+        assert center_to_end_amplitude(eig, 1.3) == transition_amplitudes(eig, [0], 4, [1.3])[0][0]
+        assert end_to_end_amplitude(eig, 1.3) == transition_amplitudes(eig, [0], 8, [1.3])[0][0]
+
+    def test_empty_grid(self):
+        (amps,) = transition_amplitudes(engineered_eig(5), [0], 2, [])
+        assert amps.shape == (0,)
 
 
 class TestClosedForms:

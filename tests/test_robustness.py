@@ -169,6 +169,11 @@ class TestFeasibility:
         with pytest.raises(ValueError):
             feasibility(mu=1.0, g_max=-1.0)
 
+    @pytest.mark.parametrize("mu, g_max", [(1e-300, 1e300), (1e-300, 1e-10), (1.0, 2.0**50)])
+    def test_rejects_bound_without_an_exact_chain_length(self, mu, g_max):
+        with pytest.raises(ValueError, match="too large"):
+            feasibility(mu=mu, g_max=g_max)
+
     def test_d_max_matches_engineered_peak(self):
         report = feasibility(mu=1.0e4, g_max=7.3e8)
         for n in (3, 9, 21, 584000 - 1):

@@ -15,7 +15,6 @@ from bellchain.teleport import (
     correction_for,
     expected_fidelity,
     measure_two,
-    prepare_gate_state,
     prepare_phi1,
     teleport,
 )
@@ -145,18 +144,6 @@ class TestApplyGate:
         phase = np.diag([1.0, 1j])
         out = apply_gate(single("q", [SQRT_HALF, SQRT_HALF]), "U1", "q", matrix=phase)
         np.testing.assert_allclose(out.amplitudes, [SQRT_HALF, 1j * SQRT_HALF])
-
-    def test_u2_matches_kron_on_adjacent_pair(self):
-        rng = np.random.default_rng(11)
-        # random unitary from a QR factorization
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        q, _ = np.linalg.qr(m)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        amps /= np.linalg.norm(amps)
-        state = QubitRegisterState(("p", "q", "r"), amps)
-        out = apply_gate(state, "U2", "p", "q", matrix=q)
-        expected = np.kron(q, np.eye(2)) @ amps
-        np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
@@ -324,70 +311,6 @@ class TestTeleport:
         records = teleport(0.6, 0.8, EntangledResource.bell(), mode="sample", seed=5)
         assert len(records) == 1
         assert records[0].fidelity == pytest.approx(1.0, abs=1e-12)
-
-
-class TestPrepareGateState:
-    def test_identity_unitaries_reduce_to_tensor_product(self):
-        chi = np.array([0.6, 0.8])
-        state = prepare_gate_state(
-            1.0, 0.0, chi, np.eye(4), np.eye(4), EntangledResource.bell()
-        )
-        base = prepare_phi1(1.0, 0.0, EntangledResource.bell())
-        np.testing.assert_allclose(
-            state.amplitudes, np.kron(base.amplitudes, chi), atol=1e-12
-        )
-
-    def test_explicit_tensor_oracle(self):
-        # independent construction: kron the factors, then apply
-        # kron(U, I) and a B̃B-ordered unitary built by hand
-        cnot = np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
-        chi = np.array([1.0, 0.0])
-        resource = EntangledResource.bell()
-        state = prepare_gate_state(1.0, 0.0, chi, cnot, np.eye(4), resource)
-
-        base = np.kron(
-            np.kron([1.0, 0.0], resource.as_vector()), chi
-        )  # (At, A, B, Bt)
-        expected = np.kron(cnot, np.eye(4)) @ base  # CNOT on (At, A)
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
-
-    def test_u_bb_acts_in_bt_b_order(self):
-        # a CNOT with Bt controlling B: reachable only if chi carries |1>
-        cnot = np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
-        chi = np.array([0.0, 1.0])
-        state = prepare_gate_state(
-            1.0, 0.0, chi, np.eye(4), cnot, EntangledResource(1.0, 0.0)
-        )
-        # start |0 0 1 1>; CNOT(Bt -> B) flips B: |0 0 0 1>
-        expected = np.zeros(16, dtype=complex)
-        expected[0b0001] = 1.0
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
-
-    def test_norm_one_with_random_unitaries(self):
-        rng = np.random.default_rng(12)
-        for _ in range(5):
-            m1 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            m2 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            q1, _ = np.linalg.qr(m1)
-            q2, _ = np.linalg.qr(m2)
-            chi_raw = rng.normal(size=2) + 1j * rng.normal(size=2)
-            chi = chi_raw / np.linalg.norm(chi_raw)
-            a, b = random_qubit_pair(rng)
-            state = prepare_gate_state(a, b, chi, q1, q2, EntangledResource.bell())
-            assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(
-                1.0, abs=1e-12
-            )
-
-    def test_rejects_bad_chi(self):
-        with pytest.raises(ValueError):
-            prepare_gate_state(
-                1.0, 0.0, np.array([1.0, 1.0]), np.eye(4), np.eye(4),
-                EntangledResource.bell(),
-            )
 
 
 class TestProtocolEmbeddedInChain:
