@@ -35,6 +35,11 @@ class ResourceLimitError(RuntimeError):
     """Raised when a dense oracle construction would exceed its size cap."""
 
 
+def _check_mu(mu: float) -> None:
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
+
+
 @dataclass(frozen=True)
 class CouplingProfile:
     """Ordered nearest-neighbor couplings of an odd N-site chain.
@@ -44,11 +49,11 @@ class CouplingProfile:
     n_sites:
         Number of chain sites N, odd and >= 3.
     mu:
-        Positive frequency scale; the Bell time of the engineered design
-        is pi/mu.
+        Positive, finite frequency scale; the Bell time of the engineered
+        design is pi/mu.
     couplings:
-        The N-1 bond strengths D_1 ... D_{N-1}, all positive, stored
-        0-indexed.
+        The N-1 bond strengths D_1 ... D_{N-1}, all positive and finite,
+        stored 0-indexed.
     """
 
     n_sites: int
@@ -59,15 +64,15 @@ class CouplingProfile:
         n = self.n_sites
         if n < 3 or n % 2 == 0:
             raise ValueError(f"n_sites must be odd and >= 3, got {n}")
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        _check_mu(self.mu)
         couplings = tuple(float(d) for d in self.couplings)
         if len(couplings) != n - 1:
             raise ValueError(
                 f"expected {n - 1} couplings for {n} sites, got {len(couplings)}"
             )
-        if any(not d > 0 for d in couplings):
-            raise ValueError("all couplings must be positive")
+        for i, d in enumerate(couplings, start=1):
+            if not 0 < d < math.inf:
+                raise ValueError(f"coupling D_{i} must be positive and finite, got {d}")
         object.__setattr__(self, "couplings", couplings)
 
     def coupling(self, i: int) -> float:
@@ -125,8 +130,7 @@ def engineered_couplings(n_sites: int, mu: float = 1.0) -> CouplingProfile:
     """
     if n_sites < 3 or n_sites % 2 == 0:
         raise ValueError(f"n_sites must be odd and >= 3, got {n_sites}")
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    _check_mu(mu)
     m = (n_sites + 1) // 2
     half = [0.5 * mu * math.sqrt(k * (m - k)) for k in range(1, (n_sites - 3) // 2 + 1)]
     half.append(mu / (2.0 * math.sqrt(2.0)) * math.sqrt((n_sites - 1) / 2.0))

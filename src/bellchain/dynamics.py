@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -57,7 +58,8 @@ def _frozen_array(values, dtype) -> np.ndarray:
 
 
 def _check_normalized(norm_sq: float, what: str) -> None:
-    if abs(norm_sq - 1.0) > _NORM_ATOL:
+    # Written so that a NaN norm fails too: every comparison with NaN is False.
+    if not abs(norm_sq - 1.0) <= _NORM_ATOL:
         raise ValueError(f"{what} not normalized: sum |a|^2 = {norm_sq!r}")
 
 
@@ -72,11 +74,27 @@ class EigenSystem:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    parity: tuple[str, ...]
 
     @property
     def dimension(self) -> int:
         return len(self.eigenvalues)
+
+    @cached_property
+    def parity(self) -> tuple[str, ...]:
+        """SYMMETRIC or ANTISYMMETRIC per column, computed on first access.
+
+        Each column gets whichever of u -/+ reverse(u) has the smaller
+        residual.  Column by column on purpose: a vectorized form would
+        allocate two N x N temporaries.
+        """
+        parity = []
+        for k in range(self.dimension):
+            u = self.eigenvectors[:, k]
+            mirrored = u[::-1]
+            even = np.max(np.abs(u - mirrored))
+            odd = np.max(np.abs(u + mirrored))
+            parity.append(SYMMETRIC if even <= odd else ANTISYMMETRIC)
+        return tuple(parity)
 
 
 @dataclass(frozen=True)
@@ -130,12 +148,12 @@ def center_excited_state(n_sites: int) -> SiteAmplitudeState:
 
 
 def eigendecompose(h: TridiagonalHamiltonian) -> EigenSystem:
-    """Solve the symmetric tridiagonal eigenproblem and label parities.
+    """Solve the symmetric tridiagonal eigenproblem.
 
     Off-diagonals must be positive (this makes the spectrum simple, so
     the parity of each eigenvector is well defined).  Eigenvectors are
-    sign-normalized to a positive first component; parity is assigned by
-    whichever of u -/+ reverse(u) has the smaller residual.
+    sign-normalized to a positive first component in place, on the
+    arrays LAPACK returned, and both arrays are returned read-only.
     """
     off = np.asarray(h.off_diagonal)
     if h.dimension < 2:
@@ -150,33 +168,27 @@ def eigendecompose(h: TridiagonalHamiltonian) -> EigenSystem:
         raise NumericFailure(h.dimension) from exc
 
     # First component of a Jacobi-matrix eigenvector is never zero.
-    signs = np.where(vectors[0, :] < 0, -1.0, 1.0)
-    vectors = vectors * signs[np.newaxis, :]
-
-    parity = []
-    for k in range(h.dimension):
-        u = vectors[:, k]
-        mirrored = u[::-1]
-        even = np.max(np.abs(u - mirrored))
-        odd = np.max(np.abs(u + mirrored))
-        parity.append(SYMMETRIC if even <= odd else ANTISYMMETRIC)
-
-    return EigenSystem(
-        eigenvalues=_frozen_array(eigenvalues, float),
-        eigenvectors=_frozen_array(vectors, float),
-        parity=tuple(parity),
-    )
+    vectors *= np.where(vectors[0] < 0, -1.0, 1.0)
+    eigenvalues.setflags(write=False)
+    vectors.setflags(write=False)
+    return EigenSystem(eigenvalues=eigenvalues, eigenvectors=vectors)
 
 
 def evolve(eig: EigenSystem, initial: SiteAmplitudeState, t: float) -> SiteAmplitudeState:
-    """Propagate: U diag(exp(-i lambda t)) U^T applied to the state."""
+    """Propagate: U diag(exp(-i lambda t)) U^T applied to the state.
+
+    U^T is applied to the real and imaginary parts separately, so the
+    real eigenvector matrix is never promoted to a complex copy.
+    """
     if initial.n_sites != eig.dimension:
         raise ValueError(
             f"state has {initial.n_sites} sites, eigensystem {eig.dimension}"
         )
+    u = eig.eigenvectors
+    amps = initial.amplitudes
     phases = np.exp(-1j * eig.eigenvalues * t)
-    coeffs = eig.eigenvectors.T @ initial.amplitudes
-    return SiteAmplitudeState(eig.eigenvectors @ (phases * coeffs))
+    coeffs = u.T @ amps.real + 1j * (u.T @ amps.imag)
+    return SiteAmplitudeState(u @ (phases * coeffs))
 
 
 def transition_amplitudes(

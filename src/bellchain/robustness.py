@@ -58,8 +58,8 @@ class NoisePerturbation:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 PerturbationSpec = SwapPerturbation | NoisePerturbation
@@ -79,8 +79,10 @@ class EntanglementReport:
 class FeasibilityReport:
     """Largest chain allowed by a hardware coupling ceiling.
 
-    n_max = floor(8 g_max / mu); the report is degenerate when even the
-    smallest odd chain (3 sites) does not fit.
+    n_max = floor(8 g_max / mu) is the paper's estimate; the report is
+    degenerate when it falls below 3.  The estimate can overshoot, so
+    n_max_exact is the largest odd N whose engineered peak coupling is
+    <= g_max (None when not even the 3-site chain fits).
     """
 
     mu: float
@@ -88,6 +90,7 @@ class FeasibilityReport:
     t0: float
     n_max: int
     degenerate: bool
+    n_max_exact: int | None
 
     def d_max_at(self, n_sites: int) -> float:
         """Peak coupling of the engineered n-site profile at this mu."""
@@ -187,7 +190,27 @@ def feasibility(mu: float, g_max: float) -> FeasibilityReport:
         t0=math.pi / mu,
         n_max=n_max,
         degenerate=n_max < 3,
+        n_max_exact=_largest_fitting_chain(mu, g_max),
     )
+
+
+def _largest_fitting_chain(mu: float, g_max: float) -> int | None:
+    """Largest odd N with engineered_max_coupling(N, mu) <= g_max.
+
+    The peak is mu*M/4 for even M = (N+1)/2 and mu*sqrt(M^2-1)/4 for
+    odd M, which grows with M; both are <= g_max up to about M = 4
+    g_max/mu.  Start there and step by 2 sites with the exact check.
+    """
+
+    def fits(n: int) -> bool:
+        return n >= 3 and engineered_max_coupling(n, mu) <= g_max
+
+    n = max(2 * math.floor(4.0 * g_max / mu) - 1, 3)
+    while fits(n + 2):
+        n += 2
+    while n >= 3 and not fits(n):
+        n -= 2
+    return n if n >= 3 else None
 
 
 def sweep_row(profile: CouplingProfile, trial: int, param: float) -> SweepRow:

@@ -47,11 +47,15 @@ class SearchProblem:
         if self.n_sites < 3 or self.n_sites % 2 == 0:
             raise ValueError(f"n_sites must be an odd integer >= 3, got {self.n_sites}")
         t_lo, t_hi = self.t_window
-        if not (t_lo >= 0 and t_hi > t_lo):
-            raise ValueError(f"t_window must have positive length, got {self.t_window}")
+        if not 0 <= t_lo < t_hi < math.inf:
+            raise ValueError(
+                f"t_window must be finite with 0 <= t_lo < t_hi, got {self.t_window}"
+            )
         d_lo, d_hi = self.bounds
-        if not (d_lo > 0 and d_hi > d_lo):
-            raise ValueError(f"bounds must be positive with d_lo < d_hi, got {self.bounds}")
+        if not 0 < d_lo < d_hi < math.inf:
+            raise ValueError(
+                f"bounds must be finite with 0 < d_lo < d_hi, got {self.bounds}"
+            )
 
     @property
     def n_free(self) -> int:

@@ -160,6 +160,7 @@ def feasibility_to_dict(report: FeasibilityReport) -> dict:
         "g_max": report.g_max,
         "t0": report.t0,
         "n_max": report.n_max,
+        "n_max_exact": report.n_max_exact,
         "degenerate": report.degenerate,
         "d_max_at_n_max": (
             report.d_max_at(report.n_max if report.n_max % 2 == 1 else report.n_max - 1)

@@ -58,6 +58,22 @@ def dense_propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     )
 
 
+def parity_labels(vectors: np.ndarray) -> tuple[str, ...]:
+    """Mirror parity of each eigenvector column, one column at a time.
+
+    A column is "symmetric" when u - reverse(u) has the smaller largest
+    entry and "antisymmetric" otherwise.
+    """
+    labels = []
+    for k in range(vectors.shape[1]):
+        u = vectors[:, k]
+        mirrored = u[::-1]
+        even = np.max(np.abs(u - mirrored))
+        odd = np.max(np.abs(u + mirrored))
+        labels.append("symmetric" if even <= odd else "antisymmetric")
+    return tuple(labels)
+
+
 def teleport_brute_force(
     a: complex, b: complex, alpha01: complex, alpha10: complex
 ) -> list[tuple[str, float, float | None]]:

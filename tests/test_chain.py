@@ -55,6 +55,11 @@ class TestEngineeredCouplings:
         with pytest.raises(ValueError):
             engineered_couplings(5, 0.0)
 
+    @pytest.mark.parametrize("mu", [math.inf, math.nan])
+    def test_non_finite_mu(self, mu):
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            engineered_couplings(5, mu)
+
     def test_coupling_accessor_is_one_based(self):
         profile = engineered_couplings(9, 2.0)
         assert profile.coupling(1) == profile.couplings[0]
@@ -102,6 +107,16 @@ class TestCouplingProfile:
     def test_rejects_nonpositive_mu(self):
         with pytest.raises(ValueError):
             CouplingProfile(3, -1.0, (1.0, 1.0))
+
+    @pytest.mark.parametrize("mu", [math.inf, math.nan])
+    def test_rejects_non_finite_mu(self, mu):
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            CouplingProfile(3, mu, (1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_coupling(self, bad):
+        with pytest.raises(ValueError, match="coupling D_2 must be positive and finite"):
+            CouplingProfile(5, 1.0, (1.0, bad, 1.0, 1.0))
 
 
 class TestValidateProfile:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -298,6 +299,40 @@ class TestFeasibility:
         assert run(["feasibility", "--mu", "1e-300", "--gmax", "1e300", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_exact_bound_stays_under_the_ceiling(self, tmp_path):
+        out = tmp_path / "bound.json"
+        assert run(["feasibility", "--mu", "1", "--gmax", "1.125", "--out", str(out)]) == 0
+        payload = read_json(out)
+        assert payload["n_max"] == 9
+        assert payload["n_max_exact"] == 7
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["couplings", "--n", "5", "--mu", "inf"], "mu must be positive and finite"),
+            (["evolve", "--profile", "PROFILE", "--t-grid", "0:1:0.5"], "coupling D_2"),
+            (["perturb", "--n", "5", "--sigma", "inf"], "sigma must be finite"),
+            (["search", "--n", "5", "--restarts", "1", "--d-hi", "inf"], "bounds must be finite"),
+            (["search", "--n", "5", "--restarts", "1", "--t-max", "inf"], "t_window must be finite"),
+            (["teleport", "--n", "5", "--a-re", "nan"], "input qubit not normalized"),
+        ],
+    )
+    def test_is_a_one_line_argument_error_without_warnings(self, tmp_path, capsys, argv, message):
+        profile = tmp_path / "profile.json"
+        # Python's json module reads the bare token Infinity
+        profile.write_text('{"n_sites":5,"mu":1.0,"couplings":[1.0,Infinity,1.0,1.0]}')
+        out = tmp_path / "x.out"
+        argv = [str(profile) if a == "PROFILE" else a for a in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert err.count("\n") == 1
         assert not out.exists()
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bellchain.chain import (
@@ -35,13 +35,26 @@ from bellchain.dynamics import (
     transition_amplitudes,
 )
 from bellchain import dynamics
-from oracles import dense_propagate, end_pair_density, wootters_concurrence
+from bellchain.robustness import NoisePerturbation, SwapPerturbation, perturb
+from oracles import dense_propagate, end_pair_density, parity_labels, wootters_concurrence
 
 SQRT2 = math.sqrt(2.0)
+
+PROFILE_KINDS = ("engineered", "swapped", "noisy")
 
 
 def engineered_eig(n, mu=1.0):
     return eigendecompose(one_excitation_hamiltonian(engineered_couplings(n, mu)))
+
+
+def profile_of_kind(kind, n):
+    """The engineered n-site profile, with D_1 and D_2 exchanged, or with 5% noise."""
+    profile = engineered_couplings(n, 1.0)
+    if kind == "swapped":
+        return perturb(profile, SwapPerturbation(1, 2))
+    if kind == "noisy":
+        return perturb(profile, NoisePerturbation(sigma=0.05, seed=n))
+    return profile
 
 
 class TestEigendecompose:
@@ -89,6 +102,26 @@ class TestEigendecompose:
         eig = engineered_eig(9)
         assert np.all(eig.eigenvectors[0, :] > 0)
 
+    def test_parity_is_computed_on_first_access(self):
+        eig = engineered_eig(9)
+        assert "parity" not in eig.__dict__
+        labels = eig.parity
+        assert eig.__dict__["parity"] is labels
+        assert eig.parity is labels
+
+    def test_returned_arrays_are_read_only(self):
+        eig = engineered_eig(9)
+        with pytest.raises(ValueError):
+            eig.eigenvalues[0] = 1.0
+        with pytest.raises(ValueError):
+            eig.eigenvectors[0, 0] = 1.0
+
+    @pytest.mark.parametrize("kind", PROFILE_KINDS)
+    @pytest.mark.parametrize("n", [3, 9, 41])
+    def test_lazy_parity_matches_the_column_loop(self, kind, n):
+        eig = eigendecompose(one_excitation_hamiltonian(profile_of_kind(kind, n)))
+        assert eig.parity == parity_labels(eig.eigenvectors)
+
     @pytest.mark.parametrize("n", [3, 5, 9, 21, 41])
     def test_spectrum_symmetric_about_zero_with_zero_mode(self, n):
         # zero diagonal makes the chain bipartite: eigenvalues come in
@@ -129,6 +162,8 @@ class TestStates:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             SiteAmplitudeState(np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="not normalized"):
+            SiteAmplitudeState(np.array([1.0, math.nan]))
 
     def test_amplitudes_are_read_only(self):
         s = basis_state(3, 2)
@@ -175,6 +210,25 @@ class TestEvolve:
         eig = engineered_eig(7)
         out = evolve(eig, basis_state(7, 2), t)
         assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-12
+
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=20).map(lambda k: 2 * k + 1),
+        kind=st.sampled_from(PROFILE_KINDS),
+        t=st.floats(min_value=0.0, max_value=10.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_complex_superpositions_match_dense_exponential(self, data, n, kind, t):
+        # The pipeline only evolves basis states, whose imaginary part is
+        # zero; this is what checks the imaginary half of the forward transform.
+        part = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=n, max_size=n)
+        re, im = np.array(data.draw(part)), np.array(data.draw(part))
+        assume(np.linalg.norm(re) > 1e-3 and np.linalg.norm(im) > 1e-3)
+        psi0 = (re + 1j * im) / np.linalg.norm(re + 1j * im)
+        h = one_excitation_hamiltonian(profile_of_kind(kind, n))
+        out = evolve(eigendecompose(h), SiteAmplitudeState(psi0), t)
+        expected = dense_propagate(h.to_dense(), psi0, t)
+        np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
 
 
 class TestTransferAmplitudes:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellchain.chain import (
@@ -78,6 +78,11 @@ class TestPerturb:
     def test_noise_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             NoisePerturbation(sigma=-0.1, seed=0)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_noise_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            NoisePerturbation(sigma=sigma, seed=0)
 
     def test_rejects_unknown_spec(self):
         with pytest.raises(TypeError):
@@ -162,6 +167,33 @@ class TestFeasibility:
         report = feasibility(mu=10.0, g_max=1.0)
         assert report.n_max < 3
         assert report.degenerate
+        assert report.n_max_exact is None
+
+    def test_exact_bound_stays_under_the_ceiling(self):
+        # the paper's floor(8 g_max / mu) = 9 overshoots: the 9-site peak
+        # is sqrt(1.5) = 1.2247 > 1.125, the 7-site peak is exactly 1
+        report = feasibility(mu=1.0, g_max=1.125)
+        assert report.n_max == 9
+        assert report.n_max_exact == 7
+        assert report.d_max_at(9) > report.g_max >= report.d_max_at(7)
+
+    @given(
+        mu=st.floats(min_value=1e-3, max_value=1e3),
+        ratio=st.floats(min_value=0.1, max_value=1e6),
+    )
+    # 4 g_max / mu = 2.96: the 5-site peak sqrt(2)/2 fits although mu*M/4
+    # for M = 3 would not, so the bound steps up from its estimate
+    @example(mu=1.0, ratio=0.74)
+    @settings(max_examples=200, deadline=None)
+    def test_exact_bound_is_the_largest_fitting_chain(self, mu, ratio):
+        g_max = mu * ratio
+        n = feasibility(mu=mu, g_max=g_max).n_max_exact
+        if n is None:
+            assert engineered_max_coupling(3, mu) > g_max
+        else:
+            assert n % 2 == 1
+            assert engineered_max_coupling(n, mu) <= g_max
+            assert engineered_max_coupling(n + 2, mu) > g_max
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -48,6 +48,17 @@ class TestProblem:
         with pytest.raises(ValueError):
             SearchProblem(n_sites=5, bounds=(2.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_window_and_bounds(self, bad):
+        with pytest.raises(ValueError, match="t_window must be finite"):
+            SearchProblem(n_sites=5, t_window=(0.1, bad))
+        with pytest.raises(ValueError, match="t_window must be finite"):
+            SearchProblem(n_sites=5, t_window=(bad, 1.0))
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            SearchProblem(n_sites=5, bounds=(0.05, bad))
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            SearchProblem(n_sites=5, bounds=(bad, 1.0))
+
 
 class TestMirrorProfile:
     def test_reflects(self):

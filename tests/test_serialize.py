@@ -187,6 +187,7 @@ class TestReportPayloads:
     def test_feasibility_payload(self):
         payload = feasibility_to_dict(feasibility(mu=1.0e4, g_max=7.3e8))
         assert payload["n_max"] == 584000
+        assert payload["n_max_exact"] == 583999
         assert payload["degenerate"] is False
         # n_max is even, so the peak is quoted for the largest odd length
         assert payload["d_max_at_n_max"] == pytest.approx(7.3e8, rel=1e-5)
@@ -196,6 +197,7 @@ class TestReportPayloads:
         payload = feasibility_to_dict(feasibility(mu=10.0, g_max=1.0))
         assert payload["degenerate"] is True
         assert payload["d_max_at_n_max"] is None
+        assert payload["n_max_exact"] is None
 
     def test_search_payload(self):
         problem = SearchProblem(n_sites=5, t_window=(0.5, 6.0), bounds=(0.05, 3.0))

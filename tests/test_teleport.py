@@ -63,6 +63,8 @@ class TestEntangledResource:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             EntangledResource(1.0, 1.0)
+        with pytest.raises(ValueError, match="not normalized"):
+            EntangledResource(math.nan, SQRT_HALF)
 
     def test_vector_layout(self):
         r = EntangledResource(math.sqrt(0.8), math.sqrt(0.2))
@@ -95,6 +97,8 @@ class TestPreparePhi1:
     def test_rejects_unnormalized_input(self):
         with pytest.raises(ValueError):
             prepare_phi1(1.0, 1.0, EntangledResource.bell())
+        with pytest.raises(ValueError, match="not normalized"):
+            prepare_phi1(complex(math.nan, 0.0), 0.0, EntangledResource.bell())
 
 
 class TestApplyGate:
