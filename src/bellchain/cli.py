@@ -7,8 +7,9 @@ master seed, the tool version and the wall time.  Payload bytes are a
 pure function of parameters and seed; only the manifest's wall time
 varies between identical runs.
 
-Exit codes: 0 success, 2 argument error, 3 I/O error, 4 numeric
-failure.  A JSON config file (``--config``) supplies defaults for any
+Exit codes: 0 success, 2 argument error (including a chain too long
+for the dense eigensolve to fit in physical memory), 3 I/O error, 4
+numeric failure.  A JSON config file (``--config``) supplies defaults for any
 flag of the invoked subcommand; explicit flags win.  When the
 ``BELLCHAIN_OUT_DIR`` environment variable is set, relative ``--out``
 paths are resolved against it.
@@ -27,7 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .chain import CouplingProfile, engineered_couplings, validate_profile, one_excitation_hamiltonian
+from .chain import (
+    CouplingProfile,
+    ResourceLimitError,
+    engineered_couplings,
+    one_excitation_hamiltonian,
+    validate_profile,
+)
 from .dynamics import (
     NumericFailure,
     analytic_center_to_end,
@@ -409,7 +416,7 @@ def run(argv: list[str] | None = None) -> int:
         params, out_path, master_seed = _HANDLERS[args.command](args)
         wall = time.perf_counter() - started
         serialize.write_manifest(out_path, argv, params, master_seed, wall)
-    except ValueError as exc:
+    except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -19,19 +19,30 @@ Every site-to-site amplitude comes from one spectral kernel,
 ``transition_amplitudes``: <i| exp(-iHt) |j> for a few rows i over a
 grid of times.  Only ``evolve``, which propagates a whole state, builds
 its own phases.
+
+A whole state at a single time also has a path that needs no
+eigenvectors: ``state_at`` expands exp(-iHt) in Chebyshev polynomials of
+H/Lambda with Bessel coefficients (Tal-Ezer & Kosloff, J. Chem. Phys. 81
+(1984) 3967), which costs K tridiagonal matvecs and O(N) memory.  K
+grows like Lambda*t (about pi*N/4 at the engineered readout time), so
+``state_at`` takes that path when K < N and the dense one otherwise.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
+import scipy.special
 
-from .chain import TridiagonalHamiltonian
+from .chain import ResourceLimitError, TridiagonalHamiltonian
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -41,6 +52,9 @@ _NORM_ATOL = 1e-12
 # Largest (times x eigenvalues) phase block the kernel builds at once,
 # so a long grid on a long chain costs a bounded amount of extra memory.
 _PHASE_BLOCK_ENTRIES = 1 << 16
+
+# Chebyshev terms with |J_k| at or below this are dropped from the tail.
+_BESSEL_TOL = 1e-17
 
 
 class NumericFailure(RuntimeError):
@@ -147,6 +161,14 @@ def center_excited_state(n_sites: int) -> SiteAmplitudeState:
     return basis_state(n_sites, (n_sites + 1) // 2)
 
 
+def _physical_memory_bytes() -> int | None:
+    """Installed RAM, or None where ``os.sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def eigendecompose(h: TridiagonalHamiltonian) -> EigenSystem:
     """Solve the symmetric tridiagonal eigenproblem.
 
@@ -154,12 +176,20 @@ def eigendecompose(h: TridiagonalHamiltonian) -> EigenSystem:
     the parity of each eigenvector is well defined).  Eigenvectors are
     sign-normalized to a positive first component in place, on the
     arrays LAPACK returned, and both arrays are returned read-only.
+    A chain whose 8 N^2 bytes of eigenvectors exceed physical memory
+    raises ResourceLimitError before anything is allocated.
     """
     off = np.asarray(h.off_diagonal)
     if h.dimension < 2:
         raise ValueError("eigendecompose needs dimension >= 2")
     if np.any(off <= 0):
         raise ValueError("off-diagonals must be positive")
+    needed, memory = 8 * h.dimension**2, _physical_memory_bytes()
+    if memory is not None and needed > memory:
+        raise ResourceLimitError(
+            f"dense eigenvectors of {h.dimension} sites need {needed / 2**30:.1f} GiB, "
+            f"more than the {memory / 2**30:.1f} GiB of physical memory"
+        )
     try:
         eigenvalues, vectors = scipy.linalg.eigh_tridiagonal(
             np.zeros(h.dimension), off
@@ -189,6 +219,98 @@ def evolve(eig: EigenSystem, initial: SiteAmplitudeState, t: float) -> SiteAmpli
     phases = np.exp(-1j * eig.eigenvalues * t)
     coeffs = u.T @ amps.real + 1j * (u.T @ amps.imag)
     return SiteAmplitudeState(u @ (phases * coeffs))
+
+
+def _bessel_series(x: float, max_terms: int) -> np.ndarray | None:
+    """J_k(x) for k = 0 .. K-1, or None when K would reach ``max_terms``.
+
+    K is the first order above |x| with |J_k(x)| <= _BESSEL_TOL.  Past |x|
+    the Bessel values decay monotonically, so K >= max_terms exactly
+    when order max_terms - 1 is not past |x| or still above the
+    tolerance, and otherwise K is found by bisection on single values.
+    """
+
+    def negligible(k: int) -> bool:
+        return k > abs(x) and abs(scipy.special.jv(k, x)) <= _BESSEL_TOL
+
+    lo, hi = math.floor(abs(x)), max_terms - 1
+    if not negligible(hi):
+        return None
+    while hi - lo > 1:  # negligible(hi) holds and negligible(lo) does not
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if negligible(mid) else (mid, hi)
+    return scipy.special.jv(np.arange(hi), x)
+
+
+def _chebyshev_series(
+    h: TridiagonalHamiltonian, initial: SiteAmplitudeState, t: float, max_terms: int
+) -> tuple[float, np.ndarray] | None:
+    """Gershgorin bound Lambda of h and J_k(Lambda t), k < K (None if K >= max_terms)."""
+    if initial.n_sites != h.dimension:
+        raise ValueError(f"state has {initial.n_sites} sites, Hamiltonian {h.dimension}")
+    off = h.off_diagonal
+    bound = max(map(operator.add, (0.0, *off), (*off, 0.0)))
+    if not math.isfinite(bound * t):
+        raise ValueError(f"evolution time {t!r} times spectral bound {bound!r} is not finite")
+    bessel = _bessel_series(bound * t, max_terms)
+    return None if bessel is None else (bound, bessel)
+
+
+def _chebyshev_sum(
+    h: TridiagonalHamiltonian, initial: SiteAmplitudeState, bound: float, bessel: np.ndarray
+) -> SiteAmplitudeState:
+    """sum_k c_k T_k(H/bound) psi with c_0 = J_0 and c_k = 2 (-i)^k J_k.
+
+    T_k psi runs through T_{k+1} = 2 (H/bound) T_k - T_{k-1} in real
+    arithmetic, on the real and imaginary parts of psi stacked as rows
+    (a part that is identically zero, such as the imaginary part of a
+    basis state, stays zero and is left out).  (-i)^k is (-1)^(k//2) for
+    even k and -i (-1)^(k//2) for odd k, so each term is added with a
+    real weight to an even or an odd sum, and the odd sum is multiplied
+    by -i once at the end.
+    """
+    orders = np.arange(len(bessel))
+    weights = np.where(orders == 0, 1.0, 2.0) * (-1.0) ** (orders // 2) * bessel
+    double = 2.0 * np.asarray(h.off_diagonal) / bound
+    parts = np.stack([initial.amplitudes.real, initial.amplitudes.imag])
+    live = np.flatnonzero(np.any(parts, axis=1))
+    prev = parts[live]
+    cur = np.zeros_like(prev)
+    scratch = np.empty((len(live), h.dimension - 1))
+    sums = np.zeros((2, prev.size))  # even-k and odd-k terms, rows flattened
+
+    # cur = T_1 psi = (H/bound) psi
+    np.multiply(0.5 * double, prev[:, 1:], out=cur[:, :-1])
+    np.multiply(0.5 * double, prev[:, :-1], out=scratch)
+    cur[:, 1:] += scratch
+    sums[0] += weights[0] * prev.reshape(-1)
+    for k in range(1, len(bessel)):
+        scipy.linalg.blas.daxpy(cur.reshape(-1), sums[k & 1], a=weights[k])
+        if k + 1 < len(bessel):
+            # prev <- 2 (H/bound) cur - prev = T_{k+1} psi, then swap names
+            np.multiply(double, cur[:, 1:], out=scratch)
+            np.subtract(scratch, prev[:, :-1], out=prev[:, :-1])
+            prev[:, -1] *= -1.0
+            np.multiply(double, cur[:, :-1], out=scratch)
+            prev[:, 1:] += scratch
+            prev, cur = cur, prev
+
+    even, odd = np.zeros((2, 2, h.dimension))
+    even[live] = sums[0].reshape(len(live), -1)
+    odd[live] = sums[1].reshape(len(live), -1)
+    return SiteAmplitudeState((even[0] + odd[1]) + 1j * (even[1] - odd[0]))
+
+
+def state_at(h: TridiagonalHamiltonian, initial: SiteAmplitudeState, t: float) -> SiteAmplitudeState:
+    """exp(-iHt) applied to the state, by whichever path is cheaper.
+
+    The Chebyshev series (O(N) memory, K matvecs) when it needs fewer
+    terms K than there are sites, else ``eigendecompose`` + ``evolve``.
+    """
+    series = _chebyshev_series(h, initial, t, h.dimension)
+    if series is None:
+        return evolve(eigendecompose(h), initial, t)
+    return _chebyshev_sum(h, initial, *series)
 
 
 def transition_amplitudes(
@@ -246,7 +368,10 @@ def bell_time(mu: float) -> float:
     """Time pi/mu at which the end pair is maximally entangled; N-independent."""
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    return math.pi / mu
+    t0 = math.pi / mu
+    if not math.isfinite(t0):
+        raise ValueError(f"readout time pi/mu is not finite for mu = {mu!r}")
+    return t0
 
 
 def bell_decomposition(state: SiteAmplitudeState) -> BellDecomposition:

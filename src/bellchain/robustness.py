@@ -26,8 +26,8 @@ from .dynamics import (
     bell_time,
     center_excited_state,
     concurrence_ab,
-    eigendecompose,
-    evolve,
+    eigendecompose,  # noqa: F401  bench/selftest.py checks the tracer patches it here
+    state_at,
 )
 from .teleport import EntangledResource, expected_fidelity, teleport
 
@@ -133,9 +133,15 @@ def perturb(profile: CouplingProfile, spec: PerturbationSpec) -> CouplingProfile
 
 
 def entanglement_at_time(profile: CouplingProfile, t: float) -> EntanglementReport:
-    """Evolve the center-excited state to time t and score the end pair."""
-    eig = eigendecompose(one_excitation_hamiltonian(profile))
-    state = evolve(eig, center_excited_state(profile.n_sites), t)
+    """Evolve the center-excited state to time t and score the end pair.
+
+    ``dynamics.state_at`` picks the path: the O(N)-memory Chebyshev
+    series on long chains, the dense eigensolve on short ones.  A
+    non-finite t is rejected.
+    """
+    state = state_at(
+        one_excitation_hamiltonian(profile), center_excited_state(profile.n_sites), t
+    )
     decomp = bell_decomposition(state)
     return EntanglementReport(
         concurrence=concurrence_ab(state),

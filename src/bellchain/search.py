@@ -56,6 +56,13 @@ class SearchProblem:
             raise ValueError(
                 f"bounds must be finite with 0 < d_lo < d_hi, got {self.bounds}"
             )
+        # Eigenvalues lie in [-2 d_hi, 2 d_hi] and phases reach 2 d_hi t_hi;
+        # both must stay finite, or every eigensolve of the search is lost.
+        if not math.isfinite(2.0 * d_hi * t_hi):
+            raise ValueError(
+                f"bound d_hi = {d_hi!r} with t_hi = {t_hi!r} overflows the "
+                f"spectrum (2 d_hi) or the phases (2 d_hi t_hi)"
+            )
 
     @property
     def n_free(self) -> int:

@@ -48,6 +48,13 @@ _CNOT = np.array(
 _CORRECTIONS = {"00": "X", "01": "I", "10": "ZX", "11": "Z"}
 
 
+def _norm_sq(a: complex, b: complex) -> float:
+    """|a|^2 + |b|^2 as re*re + im*im, which overflows to inf for huge
+    amplitudes where abs(z) ** 2 would raise OverflowError."""
+    a, b = complex(a), complex(b)
+    return a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
+
+
 def _check_unitary(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
@@ -105,7 +112,7 @@ class EntangledResource:
     alpha10: complex
 
     def __post_init__(self) -> None:
-        _check_normalized(abs(self.alpha01) ** 2 + abs(self.alpha10) ** 2, "resource")
+        _check_normalized(_norm_sq(self.alpha01, self.alpha10), "resource")
         object.__setattr__(self, "alpha01", complex(self.alpha01))
         object.__setattr__(self, "alpha10", complex(self.alpha10))
 
@@ -137,7 +144,7 @@ def prepare_phi1(a: complex, b: complex, resource: EntangledResource) -> QubitRe
     Register order (At, A, B); any global phase on the inputs is the
     caller's to drop.
     """
-    _check_normalized(abs(a) ** 2 + abs(b) ** 2, "input qubit")
+    _check_normalized(_norm_sq(a, b), "input qubit")
     amps = np.kron(np.array([a, b], dtype=complex), resource.as_vector())
     return QubitRegisterState(labels=(SENDER, NODE_A, NODE_B), amplitudes=amps)
 

@@ -2,13 +2,15 @@
 
 import json
 import math
+import resource
 import subprocess
 import sys
 import warnings
 
 import pytest
+import scipy.linalg
 
-from bellchain import cli
+from bellchain import cli, dynamics
 from bellchain.chain import engineered_couplings
 from bellchain.cli import run
 from bellchain.dynamics import NumericFailure
@@ -319,6 +321,10 @@ class TestNonFiniteInputs:
             (["search", "--n", "5", "--restarts", "1", "--d-hi", "inf"], "bounds must be finite"),
             (["search", "--n", "5", "--restarts", "1", "--t-max", "inf"], "t_window must be finite"),
             (["teleport", "--n", "5", "--a-re", "nan"], "input qubit not normalized"),
+            (["teleport", "--n", "5", "--mu", "1e-310"], "pi/mu is not finite"),
+            (["perturb", "--n", "5", "--mu", "1e-310", "--swap", "1", "2"], "pi/mu is not finite"),
+            (["teleport", "--n", "5", "--a-re", "1e200", "--b-re", "1e200"], "input qubit not normalized"),
+            (["search", "--n", "5", "--restarts", "1", "--d-hi", "1e308"], "d_hi = 1e+308"),
         ],
     )
     def test_is_a_one_line_argument_error_without_warnings(self, tmp_path, capsys, argv, message):
@@ -562,6 +568,43 @@ class TestExitCodes:
         )
         assert code == 4
         assert "eigensolver failed" in capsys.readouterr().err
+
+
+class TestLongChains:
+    @pytest.mark.skipif(
+        (dynamics._physical_memory_bytes() or math.inf) >= 8 * 100_001**2,
+        reason="physical memory unknown, or large enough for 100,001-site eigenvectors",
+    )
+    def test_dense_eigensolve_beyond_physical_memory_is_refused_unallocated(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", no_eigensolve)
+        out = tmp_path / "amps.csv"
+        assert run(["evolve", "--n", "100001", "--t-grid", "0:1:1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dense eigenvectors of 100001 sites need")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_swap_on_8001_sites_runs_in_one_gib_of_address_space(self, tmp_path):
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        out = tmp_path / "swap.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bellchain", "perturb", "--n", "8001", "--swap", "5", "6",
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+            preexec_fn=limit_address_space,
+        )
+        assert proc.returncode == 0, proc.stderr
+        _, rows = read_csv(out)
+        assert len(rows) == 1
+        assert 0.0 < float(rows[0][2]) < 1.0
 
 
 def test_module_entry_point(tmp_path):

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bellchain.chain import (
     CouplingProfile,
+    ResourceLimitError,
     TridiagonalHamiltonian,
     engineered_couplings,
     full_hilbert_hamiltonian,
@@ -32,6 +34,7 @@ from bellchain.dynamics import (
     eigendecompose,
     end_to_end_amplitude,
     evolve,
+    state_at,
     transition_amplitudes,
 )
 from bellchain import dynamics
@@ -138,6 +141,14 @@ class TestEigendecompose:
         with pytest.raises(ValueError):
             eigendecompose(TridiagonalHamiltonian(3, (1.0, -1.0)))
 
+    def test_refuses_eigenvectors_larger_than_physical_memory(self, monkeypatch):
+        h = one_excitation_hamiltonian(engineered_couplings(9, 1.0))
+        monkeypatch.setattr(dynamics, "_physical_memory_bytes", lambda: 8 * 9**2 - 1)
+        with pytest.raises(ResourceLimitError, match="9 sites"):
+            eigendecompose(h)
+        monkeypatch.setattr(dynamics, "_physical_memory_bytes", lambda: 8 * 9**2)
+        assert eigendecompose(h).dimension == 9
+
     def test_numeric_failure_carries_dimension(self):
         failure = NumericFailure(17)
         assert failure.dimension == 17
@@ -229,6 +240,106 @@ class TestEvolve:
         out = evolve(eigendecompose(h), SiteAmplitudeState(psi0), t)
         expected = dense_propagate(h.to_dense(), psi0, t)
         np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
+
+
+def chebyshev_evolve(h, initial, t):
+    """The Chebyshev series up to a million terms (state_at uses it only below N)."""
+    return dynamics._chebyshev_sum(h, initial, *dynamics._chebyshev_series(h, initial, t, 10**6))
+
+
+def complex_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return SiteAmplitudeState(amps / np.linalg.norm(amps))
+
+
+class TestStateAt:
+    @pytest.mark.parametrize("kind", PROFILE_KINDS)
+    @pytest.mark.parametrize("n", [101, 401, 2001])
+    def test_chebyshev_matches_dense_evolve(self, n, kind):
+        h = one_excitation_hamiltonian(profile_of_kind(kind, n))
+        eig = eigendecompose(h)
+        initial = complex_state(n, seed=n)
+        t0 = bell_time(1.0)
+        for t in (0.0, t0, 3.0 * t0):
+            reference = evolve(eig, initial, t).amplitudes
+            np.testing.assert_allclose(
+                chebyshev_evolve(h, initial, t).amplitudes, reference, rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                state_at(h, initial, t).amplitudes, reference, rtol=0, atol=1e-12
+            )
+
+    def test_long_chain_matches_closed_form_without_eigensolve(self, monkeypatch):
+        def no_eigensolve(h):
+            raise AssertionError("the dense path was taken")
+
+        monkeypatch.setattr(dynamics, "eigendecompose", no_eigensolve)
+        n = 8001
+        t0 = bell_time(1.0)
+        state = state_at(
+            one_excitation_hamiltonian(engineered_couplings(n, 1.0)), center_excited_state(n), t0
+        )
+        expected = analytic_center_to_end(n, 1.0, t0)
+        assert abs(state.amplitudes[0] - expected) < 1e-11
+        assert abs(state.amplitudes[-1] - expected) < 1e-11
+        assert bell_decomposition(state).beta_norm < 1e-11
+
+    def test_short_chain_takes_the_dense_path_bit_for_bit(self, monkeypatch):
+        calls = []
+
+        def counting(h):
+            calls.append(h.dimension)
+            return eigendecompose(h)
+
+        monkeypatch.setattr(dynamics, "eigendecompose", counting)
+        h = one_excitation_hamiltonian(engineered_couplings(9, 1.0))
+        initial = center_excited_state(9)
+        t0 = bell_time(1.0)
+        state = state_at(h, initial, t0)
+        assert calls == [9]
+        assert np.array_equal(state.amplitudes, evolve(eigendecompose(h), initial, t0).amplitudes)
+
+    def test_size_rule_compares_terms_with_sites(self):
+        t0 = bell_time(1.0)
+        for n, chebyshev in ((9, False), (101, False), (1001, True), (4001, True)):
+            h = one_excitation_hamiltonian(engineered_couplings(n, 1.0))
+            series = dynamics._chebyshev_series(h, center_excited_state(n), t0, n)
+            assert (series is not None) is chebyshev
+            _, bessel = dynamics._chebyshev_series(h, center_excited_state(n), t0, 10**6)
+            assert (len(bessel) < n) is chebyshev
+
+    def test_bessel_series_truncation(self):
+        assert dynamics._bessel_series(0.0, 3).tolist() == [1.0]
+        bessel = dynamics._bessel_series(50.0, 10**6)
+        assert len(bessel) > 51
+        assert abs(bessel[-1]) > dynamics._BESSEL_TOL
+        assert dynamics._bessel_series(50.0, 51) is None
+        assert dynamics._bessel_series(50.0, len(bessel)) is None
+        assert dynamics._bessel_series(50.0, len(bessel) + 1) is not None
+        # J_4 vanishes at its first zero, 7.588...; an order below x never ends the series
+        first_zero = float(scipy.special.jn_zeros(4, 1)[0])
+        assert dynamics._bessel_series(first_zero, 5) is None
+
+    def test_negative_time_inverts_the_propagator(self):
+        h = one_excitation_hamiltonian(profile_of_kind("noisy", 401))
+        initial = complex_state(401, seed=1)
+        there = chebyshev_evolve(h, initial, 2.0)
+        back = chebyshev_evolve(h, there, -2.0)
+        np.testing.assert_allclose(back.amplitudes, initial.amplitudes, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e308])
+    def test_rejects_non_finite_phase(self, t):
+        h = one_excitation_hamiltonian(engineered_couplings(9, 1.0))
+        with pytest.raises(ValueError, match="not finite"):
+            state_at(h, center_excited_state(9), t)
+        with pytest.raises(ValueError, match="not finite"):
+            chebyshev_evolve(h, center_excited_state(9), t)
+
+    def test_dimension_mismatch(self):
+        h = one_excitation_hamiltonian(engineered_couplings(9, 1.0))
+        with pytest.raises(ValueError, match="sites"):
+            state_at(h, center_excited_state(7), 1.0)
 
 
 class TestTransferAmplitudes:
@@ -364,6 +475,10 @@ class TestBellTime:
             bell_time(0.0)
         with pytest.raises(ValueError):
             bell_time(-1.0)
+
+    def test_rejects_mu_whose_readout_time_overflows(self):
+        with pytest.raises(ValueError, match="pi/mu is not finite"):
+            bell_time(1e-310)
 
 
 class TestBellDecomposition:

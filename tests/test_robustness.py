@@ -11,7 +11,9 @@ from bellchain.chain import (
     CouplingProfile,
     engineered_couplings,
     engineered_max_coupling,
+    one_excitation_hamiltonian,
 )
+from bellchain.dynamics import bell_time, center_excited_state, eigendecompose, evolve
 from bellchain.robustness import (
     EntanglementReport,
     NoisePerturbation,
@@ -106,6 +108,23 @@ class TestEntanglementReports:
         report = entanglement_at_time(engineered_couplings(9, 1.0), 0.0)
         assert report.concurrence == pytest.approx(0.0, abs=1e-12)
         assert report.residual_norm == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="not finite"):
+            entanglement_at_time(engineered_couplings(9, 1.0), t)
+
+    def test_long_swapped_chain_matches_the_dense_path(self):
+        n = 1001
+        profile = perturb(engineered_couplings(n, 1.0), SwapPerturbation(5, 6))
+        report = entanglement_at_t0(profile)
+        eig = eigendecompose(one_excitation_hamiltonian(profile))
+        dense = evolve(eig, center_excited_state(n), bell_time(1.0)).amplitudes
+        assert abs(report.alpha_first - dense[0]) < 1e-12
+        assert abs(report.alpha_last - dense[-1]) < 1e-12
+        assert report.residual_norm == pytest.approx(
+            float(np.linalg.norm(dense[1:-1])), abs=1e-12
+        )
 
     def test_swap_3_4_regression(self):
         profile = perturb(engineered_couplings(9, 1.0), SwapPerturbation(3, 4))

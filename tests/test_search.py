@@ -59,6 +59,13 @@ class TestProblem:
         with pytest.raises(ValueError, match="bounds must be finite"):
             SearchProblem(n_sites=5, bounds=(bad, 1.0))
 
+    def test_rejects_bounds_whose_spectrum_or_phases_overflow(self):
+        with pytest.raises(ValueError, match="d_hi = 1e[+]308"):
+            SearchProblem(n_sites=5, bounds=(0.05, 1e308))
+        with pytest.raises(ValueError, match="phases"):
+            SearchProblem(n_sites=5, t_window=(0.1, 20.0), bounds=(0.05, 8.9e306))
+        SearchProblem(n_sites=5, t_window=(0.1, 10.0), bounds=(0.05, 8.9e306))
+
 
 class TestMirrorProfile:
     def test_reflects(self):

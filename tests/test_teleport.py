@@ -66,6 +66,11 @@ class TestEntangledResource:
         with pytest.raises(ValueError, match="not normalized"):
             EntangledResource(math.nan, SQRT_HALF)
 
+    @pytest.mark.parametrize("huge", [1e200, complex(1e308, 1e308)])
+    def test_huge_amplitudes_fail_the_norm_check(self, huge):
+        with pytest.raises(ValueError, match="not normalized"):
+            EntangledResource(huge, huge)
+
     def test_vector_layout(self):
         r = EntangledResource(math.sqrt(0.8), math.sqrt(0.2))
         np.testing.assert_allclose(
@@ -99,6 +104,11 @@ class TestPreparePhi1:
             prepare_phi1(1.0, 1.0, EntangledResource.bell())
         with pytest.raises(ValueError, match="not normalized"):
             prepare_phi1(complex(math.nan, 0.0), 0.0, EntangledResource.bell())
+
+    @pytest.mark.parametrize("huge", [1e200, complex(1e308, 1e308)])
+    def test_huge_inputs_fail_the_norm_check(self, huge):
+        with pytest.raises(ValueError, match="not normalized"):
+            prepare_phi1(huge, huge, EntangledResource.bell())
 
 
 class TestApplyGate:
