@@ -12,24 +12,22 @@ from bellchain import SearchProblem, entanglement_at_t0, minimize, validate_prof
 from bellchain.serialize import search_result_to_dict, write_json
 
 
+MAX_ITERS = 400
+T_WINDOW = (0.5, 6.0)
+BOUNDS = (0.05, 3.0)
+
+
 @dataclass(frozen=True)
 class Config:
     n_sites: int = 5
     seed: int = 20260816
     restarts: int = 8
-    max_iters: int = 400
-    t_window: tuple[float, float] = (0.5, 6.0)
-    bounds: tuple[float, float] = (0.05, 3.0)
     out: Path = Path("coupling_search.json")
 
 
 def main(cfg: Config) -> None:
-    problem = SearchProblem(
-        n_sites=cfg.n_sites, t_window=cfg.t_window, bounds=cfg.bounds
-    )
-    result = minimize(
-        problem, seed=cfg.seed, max_iters=cfg.max_iters, restarts=cfg.restarts
-    )
+    problem = SearchProblem(n_sites=cfg.n_sites, t_window=T_WINDOW, bounds=BOUNDS)
+    result = minimize(problem, seed=cfg.seed, max_iters=MAX_ITERS, restarts=cfg.restarts)
     write_json(cfg.out, search_result_to_dict(problem, result, cfg.seed))
 
     print(f"converged: {result.converged}  objective: {result.objective:.3e}")

@@ -8,11 +8,11 @@ pure function of parameters and seed; only the manifest's wall time
 varies between identical runs.
 
 Exit codes: 0 success, 2 argument error (including a chain too long
-for the dense eigensolve to fit in physical memory), 3 I/O error, 4
-numeric failure.  A JSON config file (``--config``) supplies defaults for any
-flag of the invoked subcommand; explicit flags win.  When the
-``BELLCHAIN_OUT_DIR`` environment variable is set, relative ``--out``
-paths are resolved against it.
+for the dense eigensolve to fit in physical memory, and any run that
+exhausts memory), 3 I/O error, 4 numeric failure.  A JSON config file
+(``--config``) supplies defaults for any flag of the invoked subcommand;
+explicit flags win.  When the ``BELLCHAIN_OUT_DIR`` environment
+variable is set, relative ``--out`` paths are resolved against it.
 """
 
 from __future__ import annotations
@@ -126,14 +126,16 @@ def _config_default(dest: str, value, kwargs: dict):
     argparse passes non-string defaults through unchecked, so a value of
     the wrong JSON type would otherwise fail deep inside a handler.
     """
-    if value is None or kwargs.get("action") == "store_true":
+    if kwargs.get("action") == "store_true":
         return value
     nargs, choices = kwargs.get("nargs"), kwargs.get("choices")
     convert = kwargs.get("type", str)
     items = value if nargs and isinstance(value, list) else [value]
     try:
-        # str() of a bool, list or object could pass as flag text
-        if len(items) != (nargs or 1) or any(isinstance(v, (bool, list, dict)) for v in items):
+        # str() of a null, bool, list or object could pass as flag text
+        if len(items) != (nargs or 1) or any(
+            isinstance(v, (type(None), bool, list, dict)) for v in items
+        ):
             raise ValueError
         converted = [convert(str(v)) for v in items]
         if choices and any(v not in choices for v in converted):
@@ -418,6 +420,9 @@ def run(argv: list[str] | None = None) -> int:
         serialize.write_manifest(out_path, argv, params, master_seed, wall)
     except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,6 @@ grows like Lambda*t (about pi*N/4 at the engineered readout time), so
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 import os
@@ -60,8 +59,8 @@ _BESSEL_TOL = 1e-17
 class NumericFailure(RuntimeError):
     """Eigensolver did not converge; carries the matrix dimension."""
 
-    def __init__(self, dimension: int, message: str = "eigensolver failed"):
-        super().__init__(f"{message} (dimension {dimension})")
+    def __init__(self, dimension: int):
+        super().__init__(f"eigensolver failed (dimension {dimension})")
         self.dimension = dimension
 
 
@@ -131,18 +130,18 @@ class SiteAmplitudeState:
 
 @dataclass(frozen=True)
 class BellDecomposition:
-    """End-site amplitudes and the weight left on the transmission line.
+    """End-pair readout: concurrence, end-site amplitudes, stranded weight.
 
     alpha_first and alpha_last are the amplitudes on sites 1 and N,
-    beta_norm is the norm of the remainder, and phase is arg(alpha_first)
-    (0 when alpha_first vanishes).  |alpha_first|^2 + |alpha_last|^2 +
-    beta_norm^2 = 1.
+    concurrence is 2 |alpha_first alpha_last|, and residual_norm is the
+    norm of the weight left on the interior sites, so |alpha_first|^2 +
+    |alpha_last|^2 + residual_norm^2 = 1.
     """
 
+    concurrence: float
     alpha_first: complex
     alpha_last: complex
-    beta_norm: float
-    phase: float
+    residual_norm: float
 
 
 def basis_state(n_sites: int, site: int) -> SiteAmplitudeState:
@@ -377,15 +376,16 @@ def bell_time(mu: float) -> float:
 def bell_decomposition(state: SiteAmplitudeState) -> BellDecomposition:
     """Split a state into end-site amplitudes plus orthogonal remainder.
 
-    beta_norm is summed over the interior amplitudes directly (not via
-    1 - |a_1|^2 - |a_N|^2, whose cancellation would swamp a residual
+    residual_norm is summed over the interior amplitudes directly (not
+    via 1 - |a_1|^2 - |a_N|^2, whose cancellation would swamp a residual
     near zero with rounding noise).
     """
-    a_first = complex(state.amplitudes[0])
-    a_last = complex(state.amplitudes[-1])
-    beta_norm = float(np.sqrt(np.sum(np.abs(state.amplitudes[1:-1]) ** 2)))
-    phase = cmath.phase(a_first) if abs(a_first) > 0 else 0.0
-    return BellDecomposition(a_first, a_last, beta_norm, phase)
+    return BellDecomposition(
+        concurrence=concurrence_ab(state),
+        alpha_first=complex(state.amplitudes[0]),
+        alpha_last=complex(state.amplitudes[-1]),
+        residual_norm=float(np.sqrt(np.sum(np.abs(state.amplitudes[1:-1]) ** 2))),
+    )
 
 
 def concurrence_ab(state: SiteAmplitudeState) -> float:

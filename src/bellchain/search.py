@@ -28,6 +28,9 @@ from .dynamics import EigenSystem, eigendecompose, transition_amplitudes
 
 CONVERGED_TOL = 1e-10
 
+# Most restarts one search accepts: about 18 minutes at N = 5 on a 2-core host.
+MAX_RESTARTS = 10_000
+
 _SCAN_POINTS = 257
 
 
@@ -47,9 +50,11 @@ class SearchProblem:
         if self.n_sites < 3 or self.n_sites % 2 == 0:
             raise ValueError(f"n_sites must be an odd integer >= 3, got {self.n_sites}")
         t_lo, t_hi = self.t_window
-        if not 0 <= t_lo < t_hi < math.inf:
+        # The result's mu is pi / best_time with best_time >= t_lo.
+        if not (0 < t_lo < t_hi < math.inf and math.pi / t_lo < math.inf):
             raise ValueError(
-                f"t_window must be finite with 0 <= t_lo < t_hi, got {self.t_window}"
+                f"t_window must be finite with 0 < t_lo < t_hi and pi/t_lo finite, "
+                f"got {self.t_window}"
             )
         d_lo, d_hi = self.bounds
         if not 0 < d_lo < d_hi < math.inf:
@@ -137,40 +142,25 @@ def minimize(
     seed: int,
     max_iters: int = 400,
     restarts: int = 8,
-    x0: np.ndarray | None = None,
 ) -> SearchResult:
     """Search for a profile meeting the end-probability condition.
 
     Runs ``restarts`` Nelder-Mead descents from seeded random starting
-    points (restart 0 uses ``x0`` when given) and keeps the best result
-    by (objective, restart index); each candidate's readout time comes
-    from the inner window scan.  Non-convergence is reported in the
-    result, never raised.  A starting point already below the threshold
-    is returned as-is after a single evaluation.
+    points and keeps the best result by (objective, restart index); each
+    candidate's readout time comes from the inner window scan.
+    Non-convergence is reported in the result, never raised.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (problem.n_free,):
-            raise ValueError(
-                f"x0 must have shape ({problem.n_free},), got {x0.shape}"
-            )
-        f0, t0 = _evaluate(x0, problem)
-        if f0 < CONVERGED_TOL:
-            return _package(x0, t0, f0, iterations=1, problem=problem)
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise ValueError(f"restarts must be in 1..{MAX_RESTARTS}, got {restarts}")
 
     d_lo, d_hi = problem.bounds
     children = np.random.SeedSequence(seed).spawn(restarts)
     best: tuple[float, int, np.ndarray, float, int] | None = None
     for idx in range(restarts):
-        if idx == 0 and x0 is not None:
-            start = x0
-        else:
-            rng = np.random.default_rng(children[idx])
-            start = rng.uniform(d_lo, d_hi, size=problem.n_free)
+        rng = np.random.default_rng(children[idx])
+        start = rng.uniform(d_lo, d_hi, size=problem.n_free)
         res = scipy.optimize.minimize(
             lambda p: _evaluate(p, problem)[0],
             start,
@@ -184,25 +174,10 @@ def minimize(
             best = candidate
 
     f_best, _, x_best, t_best, nit = best
-    return _package(x_best, t_best, f_best, iterations=max(nit, 1), problem=problem)
-
-
-def _package(
-    free: np.ndarray,
-    best_time: float,
-    objective_value: float,
-    iterations: int,
-    problem: SearchProblem,
-) -> SearchResult:
-    profile = mirror_profile(
-        np.clip(free, problem.bounds[0], problem.bounds[1]),
-        problem.n_sites,
-        mu=math.pi / best_time,
-    )
     return SearchResult(
-        profile=profile,
-        best_time=best_time,
-        objective=objective_value,
-        iterations=iterations,
-        converged=objective_value < CONVERGED_TOL,
+        profile=mirror_profile(x_best, problem.n_sites, mu=math.pi / t_best),
+        best_time=t_best,
+        objective=f_best,
+        iterations=max(nit, 1),
+        converged=f_best < CONVERGED_TOL,
     )

@@ -14,7 +14,7 @@ import math
 from pathlib import Path
 
 from ._version import __version__
-from .chain import CouplingProfile
+from .chain import CouplingProfile, engineered_max_coupling
 from .robustness import FeasibilityReport, SweepRow
 from .search import SearchProblem, SearchResult
 from .teleport import EntangledResource, TeleportRecord, expected_fidelity
@@ -107,10 +107,6 @@ def read_profile(path: Path | str) -> CouplingProfile:
     return profile_from_dict(data)
 
 
-def write_profile(path: Path | str, profile: CouplingProfile) -> None:
-    write_json(path, profile_to_dict(profile))
-
-
 def resource_to_dict(resource: EntangledResource) -> dict:
     return {
         "alpha01": complex_pair(resource.alpha01),
@@ -163,7 +159,9 @@ def feasibility_to_dict(report: FeasibilityReport) -> dict:
         "n_max_exact": report.n_max_exact,
         "degenerate": report.degenerate,
         "d_max_at_n_max": (
-            report.d_max_at(report.n_max if report.n_max % 2 == 1 else report.n_max - 1)
+            engineered_max_coupling(
+                report.n_max if report.n_max % 2 == 1 else report.n_max - 1, report.mu
+            )
             if not report.degenerate
             else None
         ),

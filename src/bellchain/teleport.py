@@ -23,7 +23,6 @@ import numpy as np
 
 from .dynamics import _check_normalized, _frozen_array
 
-_UNITARY_ATOL = 1e-10
 _ZERO_PROB = 1e-15
 
 MAX_REGISTER_QUBITS = 12
@@ -53,16 +52,6 @@ def _norm_sq(a: complex, b: complex) -> float:
     amplitudes where abs(z) ** 2 would raise OverflowError."""
     a, b = complex(a), complex(b)
     return a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
-
-
-def _check_unitary(matrix: np.ndarray) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    defect = np.max(np.abs(m.conj().T @ m - np.eye(2)))
-    if defect > _UNITARY_ATOL:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-    return m
 
 
 @dataclass(frozen=True)
@@ -161,20 +150,14 @@ def _apply_matrix(state: QubitRegisterState, matrix: np.ndarray, axes: list[int]
     return QubitRegisterState(labels=state.labels, amplitudes=tensor.reshape(-1))
 
 
-def apply_gate(
-    state: QubitRegisterState,
-    gate: str,
-    *qubits: str,
-    matrix: np.ndarray | None = None,
-) -> QubitRegisterState:
+def apply_gate(state: QubitRegisterState, gate: str, *qubits: str) -> QubitRegisterState:
     """Apply a named gate to the given qubits.
 
     Parameters
     ----------
     state : QubitRegisterState
-    gate : one of CNOT, H, X, Z, U1
-        CNOT takes (control, target).  U1 takes an explicit 2x2 ``matrix``
-        (checked unitary to 1e-10).
+    gate : one of CNOT, H, X, Z
+        CNOT takes (control, target); H, X and Z take one qubit.
     qubits : qubit labels the gate acts on
 
     Returns a new register state; all other qubits are untouched.
@@ -191,10 +174,6 @@ def apply_gate(
         if len(qubits) != 1:
             raise ValueError(f"{gate} takes exactly one qubit")
         op = {"H": _H, "X": _X, "Z": _Z}[gate]
-    elif gate == "U1":
-        if len(qubits) != 1 or matrix is None:
-            raise ValueError("U1 takes one qubit and a 2x2 matrix")
-        op = _check_unitary(matrix)
     else:
         raise ValueError(f"unknown gate {gate!r}")
 

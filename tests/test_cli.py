@@ -325,6 +325,12 @@ class TestNonFiniteInputs:
             (["perturb", "--n", "5", "--mu", "1e-310", "--swap", "1", "2"], "pi/mu is not finite"),
             (["teleport", "--n", "5", "--a-re", "1e200", "--b-re", "1e200"], "input qubit not normalized"),
             (["search", "--n", "5", "--restarts", "1", "--d-hi", "1e308"], "d_hi = 1e+308"),
+            (["search", "--n", "5", "--restarts", "1", "--t-min", "0", "--t-max", "1e-9"], "t_window"),
+            (["search", "--n", "5", "--restarts", "1", "--t-min", "1e-310", "--t-max", "1e-300"],
+             "t_window"),
+            (["perturb", "--n", "9", "--sigma", "1e-3", "--trials", "1000000000"],
+             "trials must be in 1..1000000"),
+            (["search", "--n", "5", "--restarts", "1000000000"], "restarts must be in 1..10000"),
         ],
     )
     def test_is_a_one_line_argument_error_without_warnings(self, tmp_path, capsys, argv, message):
@@ -491,7 +497,15 @@ class TestConfigAndEnvironment:
 
     @pytest.mark.parametrize(
         "config",
-        [{"n": [1]}, {"n": "abc"}, {"n": 9, "mu": "fast"}, {"n": True}, {"n": 9, "format": "xml"}],
+        [
+            {"n": [1]},
+            {"n": "abc"},
+            {"n": 9, "mu": "fast"},
+            {"n": True},
+            {"n": 9, "format": "xml"},
+            {"n": None},
+            {"n": 9, "out": None},
+        ],
     )
     def test_config_value_of_wrong_type_is_an_argument_error(self, tmp_path, capsys, config):
         config_path = tmp_path / "config.json"
@@ -568,6 +582,17 @@ class TestExitCodes:
         )
         assert code == 4
         assert "eigensolver failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 3.73 GiB")])
+    def test_memory_error_maps_to_exit_2(self, tmp_path, monkeypatch, capsys, exc):
+        def exhaust(args):
+            raise exc
+
+        monkeypatch.setitem(cli._HANDLERS, "couplings", exhaust)
+        assert run(["couplings", "--n", "5", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert str(exc) in err
 
 
 class TestLongChains:

@@ -1,5 +1,6 @@
 """Spectral decomposition, propagation, closed forms, and concurrence."""
 
+import cmath
 import math
 
 import numpy as np
@@ -283,7 +284,7 @@ class TestStateAt:
         expected = analytic_center_to_end(n, 1.0, t0)
         assert abs(state.amplitudes[0] - expected) < 1e-11
         assert abs(state.amplitudes[-1] - expected) < 1e-11
-        assert bell_decomposition(state).beta_norm < 1e-11
+        assert bell_decomposition(state).residual_norm < 1e-11
 
     def test_short_chain_takes_the_dense_path_bit_for_bit(self, monkeypatch):
         calls = []
@@ -486,30 +487,32 @@ class TestBellDecomposition:
         amps = np.zeros(5, dtype=complex)
         amps[0] = amps[4] = 1 / SQRT2
         d = bell_decomposition(SiteAmplitudeState(amps))
-        assert d.beta_norm == 0.0
+        assert d.residual_norm == 0.0
         assert d.alpha_first == pytest.approx(d.alpha_last)
+        assert d.concurrence == pytest.approx(1.0, abs=1e-15)
 
     def test_interior_basis_state(self):
         d = bell_decomposition(basis_state(4, 2))
         assert d.alpha_first == 0.0
         assert d.alpha_last == 0.0
-        assert d.beta_norm == 1.0
-        assert d.phase == 0.0
+        assert d.residual_norm == 1.0
+        assert d.concurrence == 0.0
 
     def test_budget_identity(self):
         rng = np.random.default_rng(5)
         raw = rng.normal(size=7) + 1j * rng.normal(size=7)
         state = SiteAmplitudeState(raw / np.linalg.norm(raw))
         d = bell_decomposition(state)
-        total = abs(d.alpha_first) ** 2 + abs(d.alpha_last) ** 2 + d.beta_norm**2
+        total = abs(d.alpha_first) ** 2 + abs(d.alpha_last) ** 2 + d.residual_norm**2
         assert total == pytest.approx(1.0, abs=1e-12)
+        assert d.concurrence == concurrence_ab(state)
 
     def test_phase_at_bell_time(self):
         # (-i)^((n-1)/2): pi for n=5, 0 for n=9
         for n, expected in ((5, math.pi), (9, 0.0)):
             state = evolve(engineered_eig(n), center_excited_state(n), math.pi)
             d = bell_decomposition(state)
-            delta = (d.phase - expected + math.pi) % (2 * math.pi) - math.pi
+            delta = (cmath.phase(d.alpha_first) - expected + math.pi) % (2 * math.pi) - math.pi
             assert abs(delta) < 1e-10
 
     def test_mirror_evolution_keeps_end_amplitudes_equal(self):

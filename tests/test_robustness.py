@@ -13,9 +13,15 @@ from bellchain.chain import (
     engineered_max_coupling,
     one_excitation_hamiltonian,
 )
-from bellchain.dynamics import bell_time, center_excited_state, eigendecompose, evolve
+from bellchain.dynamics import (
+    BellDecomposition,
+    bell_time,
+    center_excited_state,
+    eigendecompose,
+    evolve,
+)
 from bellchain.robustness import (
-    EntanglementReport,
+    MAX_TRIALS,
     NoisePerturbation,
     SwapPerturbation,
     adjacent_swap_sweep,
@@ -27,6 +33,7 @@ from bellchain.robustness import (
     resource_from_profile,
     resource_from_report,
 )
+from bellchain.serialize import feasibility_to_dict
 from bellchain.teleport import expected_fidelity, teleport
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -140,7 +147,7 @@ class TestResourceExtraction:
         assert abs(resource.alpha10) == pytest.approx(SQRT_HALF, abs=1e-9)
 
     def test_first_site_maps_to_10(self):
-        report = EntanglementReport(
+        report = BellDecomposition(
             concurrence=0.0, alpha_first=0.6, alpha_last=0.8j, residual_norm=0.0
         )
         resource = resource_from_report(report)
@@ -148,7 +155,7 @@ class TestResourceExtraction:
         assert resource.alpha01 == pytest.approx(0.8j)
 
     def test_renormalizes_interior_leakage(self):
-        report = EntanglementReport(
+        report = BellDecomposition(
             concurrence=0.5, alpha_first=0.3, alpha_last=0.4, residual_norm=0.866
         )
         resource = resource_from_report(report)
@@ -159,7 +166,7 @@ class TestResourceExtraction:
         assert resource.alpha01 == pytest.approx(0.8)
 
     def test_zero_end_weight_raises(self):
-        report = EntanglementReport(
+        report = BellDecomposition(
             concurrence=0.0, alpha_first=0.0, alpha_last=0.0, residual_norm=1.0
         )
         with pytest.raises(ValueError):
@@ -194,7 +201,8 @@ class TestFeasibility:
         report = feasibility(mu=1.0, g_max=1.125)
         assert report.n_max == 9
         assert report.n_max_exact == 7
-        assert report.d_max_at(9) > report.g_max >= report.d_max_at(7)
+        peak_9, peak_7 = (engineered_max_coupling(n, report.mu) for n in (9, 7))
+        assert peak_9 > report.g_max >= peak_7
 
     @given(
         mu=st.floats(min_value=1e-3, max_value=1e3),
@@ -226,17 +234,18 @@ class TestFeasibility:
             feasibility(mu=mu, g_max=g_max)
 
     def test_d_max_matches_engineered_peak(self):
-        report = feasibility(mu=1.0e4, g_max=7.3e8)
-        for n in (3, 9, 21, 584000 - 1):
-            assert report.d_max_at(n) == engineered_max_coupling(n, 1.0e4)
+        # the payload quotes the peak of the largest odd length up to n_max
+        for mu, g_max, n in ((1.0e4, 7.3e8, 584000 - 1), (1.0, 1.125, 9)):
+            payload = feasibility_to_dict(feasibility(mu=mu, g_max=g_max))
+            assert payload["d_max_at_n_max"] == engineered_max_coupling(n, mu)
 
     def test_peak_at_n_max_saturates_ceiling(self):
         # 8 g_max / mu lands exactly on an integer here; the peak coupling
         # of the largest admissible chain equals the ceiling
         report = feasibility(mu=1.0e4, g_max=7.3e8)
         n = report.n_max if report.n_max % 2 == 1 else report.n_max - 1
-        assert report.d_max_at(n) <= report.g_max * (1 + 1e-12)
-        assert report.d_max_at(n) == pytest.approx(report.g_max, rel=1e-5)
+        assert engineered_max_coupling(n, report.mu) <= report.g_max * (1 + 1e-12)
+        assert engineered_max_coupling(n, report.mu) == pytest.approx(report.g_max, rel=1e-5)
 
     @given(
         g1=st.floats(min_value=1.0, max_value=1e6),
@@ -280,6 +289,14 @@ class TestNoiseSweep:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             noise_sweep(engineered_couplings(5, 1.0), 1e-3, 0, seed=1)
+
+    def test_rejects_trials_above_the_cap_before_drawing_seeds(self, monkeypatch):
+        def no_seeds(*args, **kwargs):
+            raise AssertionError("trial seeds drawn")
+
+        monkeypatch.setattr(np.random, "SeedSequence", no_seeds)
+        with pytest.raises(ValueError, match="trials must be in 1..1000000"):
+            noise_sweep(engineered_couplings(5, 1.0), 1e-3, MAX_TRIALS + 1, seed=1)
 
 
 class TestAdjacentSwapSweep:

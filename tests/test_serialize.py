@@ -28,7 +28,6 @@ from bellchain.serialize import (
     write_csv,
     write_json,
     write_manifest,
-    write_profile,
 )
 from bellchain.teleport import EntangledResource, TeleportRecord
 
@@ -96,7 +95,7 @@ class TestProfileRoundTrip:
     def test_file_round_trip_is_exact(self, tmp_path):
         profile = engineered_couplings(21, 0.7)
         path = tmp_path / "profile.json"
-        write_profile(path, profile)
+        write_json(path, profile_to_dict(profile))
         again = read_profile(path)
         assert again.couplings == profile.couplings
         assert again.mu == profile.mu

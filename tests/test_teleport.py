@@ -154,15 +154,6 @@ class TestApplyGate:
         np.testing.assert_allclose(tensor[1, 0], [-half * b, half * a], atol=1e-12)
         np.testing.assert_allclose(tensor[1, 1], [half * a, -half * b], atol=1e-12)
 
-    def test_u1_applies_matrix(self):
-        phase = np.diag([1.0, 1j])
-        out = apply_gate(single("q", [SQRT_HALF, SQRT_HALF]), "U1", "q", matrix=phase)
-        np.testing.assert_allclose(out.amplitudes, [SQRT_HALF, 1j * SQRT_HALF])
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            apply_gate(single("q", [1.0, 0.0]), "U1", "q", matrix=np.diag([1.0, 2.0]))
-
     def test_rejects_unknown_gate_and_label(self):
         state = single("q", [1.0, 0.0])
         with pytest.raises(ValueError):
