@@ -38,8 +38,8 @@ from .chain import (
 from .dynamics import (
     NumericFailure,
     analytic_center_to_end,
-    eigendecompose,
-    transition_amplitudes,
+    eigendecompose,  # noqa: F401  bench/selftest.py checks the tracer patches it here
+    grid_amplitudes,
 )
 from .robustness import (
     SwapPerturbation,
@@ -124,9 +124,12 @@ def _config_default(dest: str, value, kwargs: dict):
     """Convert a config value the way argparse converts the flag's text.
 
     argparse passes non-string defaults through unchecked, so a value of
-    the wrong JSON type would otherwise fail deep inside a handler.
+    the wrong JSON type would otherwise fail deep inside a handler, or
+    (for an on/off flag) count as set whenever it is truthy.
     """
     if kwargs.get("action") == "store_true":
+        if not isinstance(value, bool):
+            raise ValueError(f"config value for {dest} must be a bool, got {value!r}")
         return value
     nargs, choices = kwargs.get("nargs"), kwargs.get("choices")
     convert = kwargs.get("type", str)
@@ -243,8 +246,8 @@ def _cmd_evolve(args) -> tuple[dict, Path, int | None]:
     profile = _profile_from_args(args)
     t_grid = _parse_grid(args.t_grid)
     engineered = len(validate_profile(profile)) == 0
-    eig = eigendecompose(one_excitation_hamiltonian(profile))
-    (amps,) = transition_amplitudes(eig, [0], (profile.n_sites - 1) // 2, t_grid)
+    h = one_excitation_hamiltonian(profile)
+    amps = grid_amplitudes(h, 0, (profile.n_sites - 1) // 2, t_grid)
 
     rows = []
     for t, amp in zip(t_grid.tolist(), amps.tolist()):

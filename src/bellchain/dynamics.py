@@ -15,17 +15,21 @@ transfer amplitude equal to the closed form
 whose modulus peaks at t0 = pi/mu with value 1/sqrt(2) at both ends
 simultaneously: a Bell pair between sites 1 and N.
 
-Every site-to-site amplitude comes from one spectral kernel,
-``transition_amplitudes``: <i| exp(-iHt) |j> for a few rows i over a
-grid of times.  Only ``evolve``, which propagates a whole state, builds
-its own phases.
+On the dense path every site-to-site amplitude comes from one spectral
+kernel, ``transition_amplitudes``: <i| exp(-iHt) |j> for a few rows i
+over a grid of times.  Only ``evolve``, which propagates a whole state,
+builds its own phases.
 
-A whole state at a single time also has a path that needs no
-eigenvectors: ``state_at`` expands exp(-iHt) in Chebyshev polynomials of
-H/Lambda with Bessel coefficients (Tal-Ezer & Kosloff, J. Chem. Phys. 81
-(1984) 3967), which costs K tridiagonal matvecs and O(N) memory.  K
-grows like Lambda*t (about pi*N/4 at the engineered readout time), so
-``state_at`` takes that path when K < N and the dense one otherwise.
+Both readouts also have a path that needs no eigenvectors: exp(-iHt) is
+expanded in Chebyshev polynomials of H/Lambda with Bessel coefficients
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967), which costs K
+tridiagonal matvecs and O(N) memory.  One recurrence serves both:
+``state_at`` sums its weighted terms into the state at one time, and
+``grid_amplitudes`` keeps one entry of each term and then reads every
+time of a grid from those moments.  The Bessel coefficients come from
+one FFT per time.  K grows like Lambda*|t| (about pi*N/4 at the
+engineered readout time), so each readout takes that path when K < N
+and the dense one otherwise.
 """
 
 from __future__ import annotations
@@ -220,13 +224,15 @@ def evolve(eig: EigenSystem, initial: SiteAmplitudeState, t: float) -> SiteAmpli
     return SiteAmplitudeState(u @ (phases * coeffs))
 
 
-def _bessel_series(x: float, max_terms: int) -> np.ndarray | None:
-    """J_k(x) for k = 0 .. K-1, or None when K would reach ``max_terms``.
+def _series_length(x: float, max_terms: int) -> int | None:
+    """Number of Chebyshev terms K at Bessel argument x, or None if K >= ``max_terms``.
 
     K is the first order above |x| with |J_k(x)| <= _BESSEL_TOL.  Past |x|
     the Bessel values decay monotonically, so K >= max_terms exactly
     when order max_terms - 1 is not past |x| or still above the
     tolerance, and otherwise K is found by bisection on single values.
+    The test reads ``scipy.special.jv``: the tail lies below the rounding
+    floor of the table that ``_bessel_tables`` builds.
     """
 
     def negligible(k: int) -> bool:
@@ -238,54 +244,65 @@ def _bessel_series(x: float, max_terms: int) -> np.ndarray | None:
     while hi - lo > 1:  # negligible(hi) holds and negligible(lo) does not
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if negligible(mid) else (mid, hi)
-    return scipy.special.jv(np.arange(hi), x)
+    return hi
 
 
-def _chebyshev_series(
-    h: TridiagonalHamiltonian, initial: SiteAmplitudeState, t: float, max_terms: int
-) -> tuple[float, np.ndarray] | None:
-    """Gershgorin bound Lambda of h and J_k(Lambda t), k < K (None if K >= max_terms)."""
-    if initial.n_sites != h.dimension:
-        raise ValueError(f"state has {initial.n_sites} sites, Hamiltonian {h.dimension}")
+def _bessel_tables(xs, n_terms: int):
+    """Yield J_k(x) for k < ``n_terms``, one row per x, over consecutive blocks of xs.
+
+    Each row is the trapezoidal rule for the Fourier coefficients of
+    exp(i x sin theta) = sum_k J_k(x) exp(i k theta): one FFT of M
+    samples, where M is the power of two >= 2 K.  The rule returns
+    J_k + J_{k-M} + J_{k+M} + ..., and every order it aliases in is at
+    least M - K >= K, so below the tail tolerance.  A block holds at
+    most ``_PHASE_BLOCK_ENTRIES`` samples, so a long grid never holds
+    its whole table.
+    """
+    xs = np.asarray(xs, dtype=float)
+    size = 1 << (2 * n_terms - 1).bit_length()
+    sines = np.sin(np.arange(size) * (2.0 * math.pi / size))
+    block = _PHASE_BLOCK_ENTRIES // size or 1
+    for start in range(0, len(xs), block):
+        samples = np.exp(1j * np.multiply.outer(xs[start : start + block], sines))
+        yield np.fft.fft(samples)[:, :n_terms].real / size
+
+
+def _chebyshev_plan(
+    h: TridiagonalHamiltonian, times, max_terms: int
+) -> tuple[float, int] | None:
+    """Gershgorin bound Lambda of h and the term count K at max |Lambda t| over ``times``.
+
+    None when K >= ``max_terms``.  One K serves every time of a grid:
+    below its order, |J_k(x)| grows with |x|.
+    """
     off = h.off_diagonal
     bound = max(map(operator.add, (0.0, *off), (*off, 0.0)))
-    if not math.isfinite(bound * t):
-        raise ValueError(f"evolution time {t!r} times spectral bound {bound!r} is not finite")
-    bessel = _bessel_series(bound * t, max_terms)
-    return None if bessel is None else (bound, bessel)
+    t_max = float(np.max(np.abs(times)))
+    if not math.isfinite(bound * t_max):
+        raise ValueError(f"evolution time {t_max!r} times spectral bound {bound!r} is not finite")
+    n_terms = _series_length(bound * t_max, max_terms)
+    return None if n_terms is None else (bound, n_terms)
 
 
-def _chebyshev_sum(
-    h: TridiagonalHamiltonian, initial: SiteAmplitudeState, bound: float, bessel: np.ndarray
-) -> SiteAmplitudeState:
-    """sum_k c_k T_k(H/bound) psi with c_0 = J_0 and c_k = 2 (-i)^k J_k.
+def _chebyshev_terms(h: TridiagonalHamiltonian, parts: np.ndarray, bound: float, n_terms: int):
+    """Yield T_k(H/bound) applied to each row of ``parts``, for k = 0 .. n_terms-1.
 
-    T_k psi runs through T_{k+1} = 2 (H/bound) T_k - T_{k-1} in real
-    arithmetic, on the real and imaginary parts of psi stacked as rows
-    (a part that is identically zero, such as the imaginary part of a
-    basis state, stays zero and is left out).  (-i)^k is (-1)^(k//2) for
-    even k and -i (-1)^(k//2) for odd k, so each term is added with a
-    real weight to an even or an odd sum, and the odd sum is multiplied
-    by -i once at the end.
+    Runs T_{k+1} = 2 (H/bound) T_k - T_{k-1} in real arithmetic.  The
+    yielded array is a work buffer that the next step overwrites.
     """
-    orders = np.arange(len(bessel))
-    weights = np.where(orders == 0, 1.0, 2.0) * (-1.0) ** (orders // 2) * bessel
     double = 2.0 * np.asarray(h.off_diagonal) / bound
-    parts = np.stack([initial.amplitudes.real, initial.amplitudes.imag])
-    live = np.flatnonzero(np.any(parts, axis=1))
-    prev = parts[live]
+    prev = parts.copy()
     cur = np.zeros_like(prev)
-    scratch = np.empty((len(live), h.dimension - 1))
-    sums = np.zeros((2, prev.size))  # even-k and odd-k terms, rows flattened
+    scratch = np.empty((len(prev), h.dimension - 1))
 
     # cur = T_1 psi = (H/bound) psi
     np.multiply(0.5 * double, prev[:, 1:], out=cur[:, :-1])
     np.multiply(0.5 * double, prev[:, :-1], out=scratch)
     cur[:, 1:] += scratch
-    sums[0] += weights[0] * prev.reshape(-1)
-    for k in range(1, len(bessel)):
-        scipy.linalg.blas.daxpy(cur.reshape(-1), sums[k & 1], a=weights[k])
-        if k + 1 < len(bessel):
+    yield prev
+    for k in range(1, n_terms):
+        yield cur
+        if k + 1 < n_terms:
             # prev <- 2 (H/bound) cur - prev = T_{k+1} psi, then swap names
             np.multiply(double, cur[:, 1:], out=scratch)
             np.subtract(scratch, prev[:, :-1], out=prev[:, :-1])
@@ -293,6 +310,39 @@ def _chebyshev_sum(
             np.multiply(double, cur[:, :-1], out=scratch)
             prev[:, 1:] += scratch
             prev, cur = cur, prev
+
+
+def _chebyshev_weights(bessel: np.ndarray) -> np.ndarray:
+    """Real weights w_k with c_k J_k = w_k (-i)^(k mod 2), where c_0 = 1, c_k = 2 (-i)^k.
+
+    (-i)^k is (-1)^(k//2) for even k and -i (-1)^(k//2) for odd k.
+    """
+    orders = np.arange(len(bessel))
+    return np.where(orders == 0, 1.0, 2.0) * (-1.0) ** (orders // 2) * bessel
+
+
+def _chebyshev_state(
+    h: TridiagonalHamiltonian, initial: SiteAmplitudeState, t: float, max_terms: int
+) -> SiteAmplitudeState | None:
+    """sum_k c_k J_k(bound t) T_k(H/bound) psi, or None if it needs ``max_terms`` terms.
+
+    The real and imaginary parts of psi are stacked as rows (a part that
+    is identically zero, such as the imaginary part of a basis state,
+    stays zero and is left out).  Each term is added with its real
+    weight to an even or an odd sum, and the odd sum is multiplied by -i
+    once at the end.
+    """
+    plan = _chebyshev_plan(h, [t], max_terms)
+    if plan is None:
+        return None
+    bound, n_terms = plan
+    (bessel,) = next(_bessel_tables([bound * t], n_terms))
+    weights = _chebyshev_weights(bessel)
+    parts = np.stack([initial.amplitudes.real, initial.amplitudes.imag])
+    live = np.flatnonzero(np.any(parts, axis=1))
+    sums = np.zeros((2, len(live) * h.dimension))  # even-k and odd-k terms, rows flattened
+    for k, term in enumerate(_chebyshev_terms(h, parts[live], bound, n_terms)):
+        scipy.linalg.blas.daxpy(term.reshape(-1), sums[k & 1], a=weights[k])
 
     even, odd = np.zeros((2, 2, h.dimension))
     even[live] = sums[0].reshape(len(live), -1)
@@ -306,10 +356,33 @@ def state_at(h: TridiagonalHamiltonian, initial: SiteAmplitudeState, t: float) -
     The Chebyshev series (O(N) memory, K matvecs) when it needs fewer
     terms K than there are sites, else ``eigendecompose`` + ``evolve``.
     """
-    series = _chebyshev_series(h, initial, t, h.dimension)
-    if series is None:
-        return evolve(eigendecompose(h), initial, t)
-    return _chebyshev_sum(h, initial, *series)
+    if initial.n_sites != h.dimension:
+        raise ValueError(f"state has {initial.n_sites} sites, Hamiltonian {h.dimension}")
+    state = _chebyshev_state(h, initial, t, h.dimension)
+    return evolve(eigendecompose(h), initial, t) if state is None else state
+
+
+def grid_amplitudes(h: TridiagonalHamiltonian, row: int, column: int, times) -> np.ndarray:
+    """<row| exp(-iHt) |column> over the grid ``times`` (0-based sites).
+
+    When the Chebyshev series needs fewer terms K than there are sites
+    (K taken at the largest |t|), one recurrence from e_column keeps the
+    moments m_k = [T_k(H/Lambda) e_column]_row, and every time is the
+    sum_k c_k J_k(Lambda t) m_k.  That costs K matvecs, O(N) memory and
+    one Bessel table per block of times.  Otherwise ``eigendecompose`` +
+    ``transition_amplitudes``.
+    """
+    times = np.asarray(times, dtype=float)
+    plan = _chebyshev_plan(h, times, h.dimension)
+    if plan is None:
+        (amps,) = transition_amplitudes(eigendecompose(h), [row], column, times)
+        return amps
+    bound, n_terms = plan
+    start = np.zeros((1, h.dimension))
+    start[0, column] = 1.0
+    moments = np.array([term[0, row] for term in _chebyshev_terms(h, start, bound, n_terms)])
+    coefficients = _chebyshev_weights(moments) * np.where(np.arange(n_terms) % 2, -1j, 1.0)
+    return np.concatenate([table @ coefficients for table in _bessel_tables(bound * times, n_terms)])
 
 
 def transition_amplitudes(

@@ -13,7 +13,7 @@ import scipy.linalg
 from bellchain import cli, dynamics
 from bellchain.chain import engineered_couplings
 from bellchain.cli import run
-from bellchain.dynamics import NumericFailure
+from bellchain.dynamics import NumericFailure, eigendecompose
 from bellchain.serialize import write_json
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -166,6 +166,24 @@ class TestEvolve:
         assert err.startswith("error:") and message in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "n, grid, dense",
+        [("9", "0:3.2:0.1", True), ("401", "0:6:0.1", True), ("401", "0:1:0.1", False)],
+    )
+    def test_dense_path_only_when_the_series_needs_n_terms(self, tmp_path, monkeypatch, n, grid, dense):
+        calls = []
+
+        def counting(h):
+            calls.append(h.dimension)
+            return eigendecompose(h)
+
+        monkeypatch.setattr(dynamics, "eigendecompose", counting)
+        out = tmp_path / "amps.csv"
+        assert run(["evolve", "--n", n, "--t-grid", grid, "--out", str(out)]) == 0
+        assert calls == ([int(n)] if dense else [])
+        _, rows = read_csv(out)
+        assert all(float(r[5]) < 1e-12 for r in rows)
 
     def test_grid_matches_the_scalar_formula(self):
         assert cli._parse_grid("0.1:0.7:0.05").tolist() == [0.1 + k * 0.05 for k in range(13)]
@@ -331,14 +349,17 @@ class TestNonFiniteInputs:
             (["perturb", "--n", "9", "--sigma", "1e-3", "--trials", "1000000000"],
              "trials must be in 1..1000000"),
             (["search", "--n", "5", "--restarts", "1000000000"], "restarts must be in 1..10000"),
+            (["perturb", "--n", "5", "--config", "CONFIG"],
+             "config value for adjacent must be a bool, got 'no'"),
         ],
     )
     def test_is_a_one_line_argument_error_without_warnings(self, tmp_path, capsys, argv, message):
-        profile = tmp_path / "profile.json"
+        files = {"PROFILE": tmp_path / "profile.json", "CONFIG": tmp_path / "config.json"}
         # Python's json module reads the bare token Infinity
-        profile.write_text('{"n_sites":5,"mu":1.0,"couplings":[1.0,Infinity,1.0,1.0]}')
+        files["PROFILE"].write_text('{"n_sites":5,"mu":1.0,"couplings":[1.0,Infinity,1.0,1.0]}')
+        files["CONFIG"].write_text('{"adjacent": "no"}')
         out = tmp_path / "x.out"
-        argv = [str(profile) if a == "PROFILE" else a for a in argv]
+        argv = [str(files[a]) if a in files else a for a in argv]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(argv + ["--out", str(out)]) == 2
@@ -608,7 +629,8 @@ class TestLongChains:
 
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", no_eigensolve)
         out = tmp_path / "amps.csv"
-        assert run(["evolve", "--n", "100001", "--t-grid", "0:1:1", "--out", str(out)]) == 2
+        # a grid on which the Chebyshev series needs N terms or more: the dense path
+        assert run(["evolve", "--n", "100001", "--t-grid", "0:10:1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: dense eigenvectors of 100001 sites need")
         assert err.count("\n") == 1

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,7 @@ from bellchain.dynamics import (
     eigendecompose,
     end_to_end_amplitude,
     evolve,
+    grid_amplitudes,
     state_at,
     transition_amplitudes,
 )
@@ -245,7 +247,7 @@ class TestEvolve:
 
 def chebyshev_evolve(h, initial, t):
     """The Chebyshev series up to a million terms (state_at uses it only below N)."""
-    return dynamics._chebyshev_sum(h, initial, *dynamics._chebyshev_series(h, initial, t, 10**6))
+    return dynamics._chebyshev_state(h, initial, t, 10**6)
 
 
 def complex_state(n, seed):
@@ -305,22 +307,40 @@ class TestStateAt:
         t0 = bell_time(1.0)
         for n, chebyshev in ((9, False), (101, False), (1001, True), (4001, True)):
             h = one_excitation_hamiltonian(engineered_couplings(n, 1.0))
-            series = dynamics._chebyshev_series(h, center_excited_state(n), t0, n)
-            assert (series is not None) is chebyshev
-            _, bessel = dynamics._chebyshev_series(h, center_excited_state(n), t0, 10**6)
-            assert (len(bessel) < n) is chebyshev
+            assert (dynamics._chebyshev_plan(h, [t0], n) is not None) is chebyshev
+            _, n_terms = dynamics._chebyshev_plan(h, [t0], 10**6)
+            assert (n_terms < n) is chebyshev
 
     def test_bessel_series_truncation(self):
-        assert dynamics._bessel_series(0.0, 3).tolist() == [1.0]
-        bessel = dynamics._bessel_series(50.0, 10**6)
-        assert len(bessel) > 51
-        assert abs(bessel[-1]) > dynamics._BESSEL_TOL
-        assert dynamics._bessel_series(50.0, 51) is None
-        assert dynamics._bessel_series(50.0, len(bessel)) is None
-        assert dynamics._bessel_series(50.0, len(bessel) + 1) is not None
+        assert dynamics._series_length(0.0, 3) == 1
+        n_terms = dynamics._series_length(50.0, 10**6)
+        assert n_terms > 51
+        # the last kept order is still above the tail tolerance
+        assert abs(scipy.special.jv(n_terms - 1, 50.0)) > dynamics._BESSEL_TOL
+        assert dynamics._series_length(50.0, 51) is None
+        assert dynamics._series_length(50.0, n_terms) is None
+        assert dynamics._series_length(50.0, n_terms + 1) is not None
         # J_4 vanishes at its first zero, 7.588...; an order below x never ends the series
         first_zero = float(scipy.special.jn_zeros(4, 1)[0])
-        assert dynamics._bessel_series(first_zero, 5) is None
+        assert dynamics._series_length(first_zero, 5) is None
+
+    @pytest.mark.parametrize("x", [0.0, -7.3, 12.5, 50.0, 3143.0])
+    def test_fft_bessel_table_matches_jv(self, x):
+        n_terms = dynamics._series_length(x, 10**6)
+        (table,) = next(dynamics._bessel_tables([x], n_terms))
+        expected = scipy.special.jv(np.arange(n_terms), x)
+        np.testing.assert_allclose(table, expected, rtol=0, atol=1e-13)
+        if x == 0.0:
+            assert table.tolist() == [1.0]
+
+    def test_blocked_bessel_table_equals_unblocked(self, monkeypatch):
+        xs = np.linspace(-40.0, 60.0, 23)
+        n_terms = dynamics._series_length(60.0, 10**6)
+        (whole,) = dynamics._bessel_tables(xs, n_terms)
+        monkeypatch.setattr(dynamics, "_PHASE_BLOCK_ENTRIES", 1000)  # 3 rows of 256 samples
+        blocked = list(dynamics._bessel_tables(xs, n_terms))
+        assert [len(table) for table in blocked] == [3] * 7 + [2]
+        assert np.array_equal(np.concatenate(blocked), whole)
 
     def test_negative_time_inverts_the_propagator(self):
         h = one_excitation_hamiltonian(profile_of_kind("noisy", 401))
@@ -336,11 +356,59 @@ class TestStateAt:
             state_at(h, center_excited_state(9), t)
         with pytest.raises(ValueError, match="not finite"):
             chebyshev_evolve(h, center_excited_state(9), t)
+        with pytest.raises(ValueError, match="not finite"):
+            grid_amplitudes(h, 0, 4, [0.0, t])
 
     def test_dimension_mismatch(self):
         h = one_excitation_hamiltonian(engineered_couplings(9, 1.0))
         with pytest.raises(ValueError, match="sites"):
             state_at(h, center_excited_state(7), 1.0)
+
+
+def refuse_eigensolve(*args, **kwargs):
+    raise AssertionError("the dense path was taken")
+
+
+class TestGridAmplitudes:
+    # symmetric about and holding t = 0; K < N for every chain below
+    GRID = np.linspace(-1.5, 1.5, 25)
+
+    @pytest.mark.parametrize("kind", PROFILE_KINDS)
+    @pytest.mark.parametrize("n", [401, 2001])
+    def test_chebyshev_grid_matches_dense_path(self, n, kind, monkeypatch):
+        h = one_excitation_hamiltonian(profile_of_kind(kind, n))
+        assert dynamics._chebyshev_plan(h, self.GRID, n) is not None
+        eig = eigendecompose(h)
+        monkeypatch.setattr(dynamics, "eigendecompose", refuse_eigensolve)
+        # the ends lie outside the center's light cone on this grid, so mid-chain
+        # rows (even and odd distance) and a pair on the swapped bonds carry the values
+        for row, column in ((0, n // 2), (n // 4, n // 2), (n // 4 + 1, n // 2), (0, 3)):
+            (expected,) = transition_amplitudes(eig, [row], column, self.GRID)
+            amps = grid_amplitudes(h, row, column, self.GRID)
+            np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-12)
+            # a real Hamiltonian: <r| exp(iHt) |c> is the conjugate of <r| exp(-iHt) |c>
+            np.testing.assert_allclose(amps[::-1], amps.conj(), rtol=0, atol=1e-12)
+
+    def test_single_points(self, monkeypatch):
+        n = 401
+        h = one_excitation_hamiltonian(engineered_couplings(n, 1.0))
+        eig = eigendecompose(h)
+        monkeypatch.setattr(dynamics, "eigendecompose", refuse_eigensolve)
+        for t in (-0.2, 0.1, 0.3):
+            (expected,) = transition_amplitudes(eig, [n // 2 + 3], n // 2, [t])
+            amps = grid_amplitudes(h, n // 2 + 3, n // 2, [t])
+            assert amps.shape == (1,)
+            assert abs(expected[0]) > 0.01 and abs(amps[0] - expected[0]) < 1e-12
+        assert grid_amplitudes(h, n // 2, n // 2, [0.0]).tolist() == [1.0]
+        assert grid_amplitudes(h, 0, n // 2, [0.0]).tolist() == [0.0]
+
+    def test_long_chain_matches_closed_form_without_eigensolve(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse_eigensolve)
+        n = 20001
+        times = 3.0 + np.arange(61) * 0.005
+        amps = grid_amplitudes(one_excitation_hamiltonian(engineered_couplings(n, 1.0)), 0, n // 2, times)
+        expected = [analytic_center_to_end(n, 1.0, t) for t in times]
+        assert np.max(np.abs(amps - expected)) < 1e-11
 
 
 class TestTransferAmplitudes:
