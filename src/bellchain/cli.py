@@ -297,12 +297,13 @@ def _cmd_teleport(args) -> tuple[dict, Path, int | None]:
     seed = None if args.seed is None else int(args.seed)
     if mode == "sample" and seed is None:
         raise ValueError("sample mode needs --seed")
-    records = teleport(a, b, resource, mode=mode, seed=seed)
+    branches = teleport(a, b, resource)
+    records = branches if mode == "enumerate" else teleport(a, b, resource, mode, seed)
     master_seed = seed if mode == "sample" else None
 
     out = _resolve_out(args.out)
     serialize.write_json(
-        out, serialize.teleport_report(a, b, resource, records, master_seed)
+        out, serialize.teleport_report(a, b, resource, records, master_seed, branches)
     )
     params = {
         "command": "teleport",

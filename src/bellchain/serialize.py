@@ -131,7 +131,11 @@ def teleport_report(
     resource: EntangledResource,
     records: list[TeleportRecord],
     seed: int | None,
+    branches: list[TeleportRecord] | None = None,
 ) -> dict:
+    """``expected_fidelity`` weighs all four ``branches`` (default
+    ``records``), so a sample-mode report listing only the drawn branch
+    carries the same expectation as the enumerate report."""
     return {
         "a": complex_pair(a),
         "b": complex_pair(b),
@@ -145,7 +149,7 @@ def teleport_report(
             }
             for r in records
         ],
-        "expected_fidelity": expected_fidelity(records),
+        "expected_fidelity": expected_fidelity(records if branches is None else branches),
         "seed": seed,
     }
 

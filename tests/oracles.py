@@ -75,19 +75,24 @@ def parity_labels(vectors: np.ndarray) -> tuple[str, ...]:
 
 
 def teleport_brute_force(
-    a: complex, b: complex, alpha01: complex, alpha10: complex
+    a: complex, b: complex, register
 ) -> list[tuple[str, float, float | None]]:
-    """Monolithic 8x8 teleportation pipeline on the register (At, A, B).
+    """Monolithic matrix teleportation pipeline on (At, A, line..., B).
 
-    Returns (outcome, probability, post-correction fidelity) for the
-    four (At, A) outcomes; a zero-probability branch carries None.
+    ``register`` is the state vector of (A, line..., B) with A as the
+    most significant bit; the AB resource alpha01|01> + alpha10|10> is
+    [0, alpha01, alpha10, 0].  The gates act through np.kron with
+    identities on the untouched qubits.  Returns (outcome, probability,
+    post-correction fidelity) for the four (At, A) outcomes, the
+    fidelity taken against |0...0> on the line times a|0> + b|1> on B; a
+    zero-probability branch carries None.
     """
-    phi1 = np.kron(
-        np.array([a, b], dtype=complex),
-        np.array([0.0, alpha01, alpha10, 0.0], dtype=complex),
-    )
-    pipeline = np.kron(_H, np.eye(4)) @ np.kron(_CNOT, np.eye(2))
-    psi = pipeline @ phi1
+    register = np.asarray(register, dtype=complex)
+    rest = register.size // 2  # dimension of (line..., B)
+    line = np.eye(rest // 2)
+    psi = np.kron(np.array([a, b], dtype=complex), register)
+    psi = np.kron(_CNOT, np.eye(rest)) @ psi
+    psi = np.kron(_H, np.eye(2 * rest)) @ psi
 
     corrections = {
         "00": _X,
@@ -95,17 +100,19 @@ def teleport_brute_force(
         "10": _Z @ _X,
         "11": _Z,
     }
-    target = np.array([a, b], dtype=complex)
+    target = np.kron(line[0], np.array([a, b], dtype=complex))
     results: list[tuple[str, float, float | None]] = []
     for o1 in (0, 1):
         for o2 in (0, 1):
             outcome = f"{o1}{o2}"
-            b_vec = np.array([psi[o1 * 4 + o2 * 2 + 0], psi[o1 * 4 + o2 * 2 + 1]])
-            prob = float(np.sum(np.abs(b_vec) ** 2))
+            start = (2 * o1 + o2) * rest
+            branch = psi[start : start + rest]
+            prob = float(np.sum(np.abs(branch) ** 2))
             if prob < 1e-15:
                 results.append((outcome, 0.0, None))
                 continue
-            corrected = corrections[outcome] @ (b_vec / math.sqrt(prob))
+            correction = np.kron(line, corrections[outcome])
+            corrected = correction @ (branch / math.sqrt(prob))
             fidelity = float(abs(np.vdot(target, corrected)) ** 2)
             results.append((outcome, prob, fidelity))
     return results

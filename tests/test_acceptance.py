@@ -215,7 +215,7 @@ def test_criterion_07_probabilistic_teleportation():
     records = {r.outcome: r for r in teleport(SQRT_HALF, SQRT_HALF, resource)}
     worst = 0.0
     for outcome, prob, fidelity in teleport_brute_force(
-        SQRT_HALF, SQRT_HALF, math.sqrt(0.8), math.sqrt(0.2)
+        SQRT_HALF, SQRT_HALF, [0.0, math.sqrt(0.8), math.sqrt(0.2), 0.0]
     ):
         worst = max(worst, abs(records[outcome].probability - prob))
         worst = max(worst, abs(records[outcome].fidelity - fidelity))

@@ -299,6 +299,18 @@ class TestTeleport:
         assert payload["seed"] == 42
         assert manifest_of(out1)["master_seed"] == 42
 
+    def test_sample_report_carries_the_four_branch_expectation(self, tmp_path):
+        # the drawn branch (outcome 00 for seed 3) has probability 1/4, so
+        # weighing it alone would report 0.25 instead of 1
+        base = ["teleport", "--n", "9", "--a-re", "0.6", "--b-re", "0.8"]
+        enumerated, sampled = tmp_path / "enumerate.json", tmp_path / "sample.json"
+        assert run(base + ["--out", str(enumerated)]) == 0
+        assert run(base + ["--mode", "sample", "--seed", "3", "--out", str(sampled)]) == 0
+        expectation = read_json(enumerated)["expected_fidelity"]
+        assert expectation == pytest.approx(1.0, abs=1e-12)
+        assert read_json(sampled)["expected_fidelity"] == expectation
+        assert len(read_json(sampled)["records"]) == 1
+
     def test_needs_resource_or_n(self, tmp_path):
         assert run(["teleport", "--out", str(tmp_path / "x.json")]) == 2
 

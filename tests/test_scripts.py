@@ -1,4 +1,5 @@
-"""Smoke runs of the experiment scripts at tiny sizes."""
+"""Smoke runs of the experiment scripts at tiny sizes, and of the README's
+library example."""
 
 import importlib.util
 import json
@@ -56,3 +57,12 @@ def test_coupling_search(tmp_path, capsys):
     assert payload["problem"]["n_sites"] == 5
     assert len(payload["profile"]["couplings"]) == 4
     assert "wrote" in capsys.readouterr().out
+
+
+def test_readme_library_example(capsys):
+    text = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    printed = [float(word) for word in capsys.readouterr().out.split()]
+    assert printed == pytest.approx([1.0, 0.0, 1.0], abs=1e-9)
