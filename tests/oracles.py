@@ -74,6 +74,17 @@ def parity_labels(vectors: np.ndarray) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def sender_gates(a: complex, b: complex, register) -> np.ndarray:
+    """State of (At, A, line..., B) after the sender's CNOT(At -> A) and
+    Hadamard on At, for the input a|0> + b|1> on At and ``register`` on
+    (A, line..., B), A as the most significant bit."""
+    register = np.asarray(register, dtype=complex)
+    rest = register.size // 2  # dimension of (line..., B)
+    psi = np.kron(np.array([a, b], dtype=complex), register)
+    psi = np.kron(_CNOT, np.eye(rest)) @ psi
+    return np.kron(_H, np.eye(2 * rest)) @ psi
+
+
 def teleport_brute_force(
     a: complex, b: complex, register
 ) -> list[tuple[str, float, float | None]]:
@@ -87,12 +98,9 @@ def teleport_brute_force(
     fidelity taken against |0...0> on the line times a|0> + b|1> on B; a
     zero-probability branch carries None.
     """
-    register = np.asarray(register, dtype=complex)
-    rest = register.size // 2  # dimension of (line..., B)
+    psi = sender_gates(a, b, register)
+    rest = psi.size // 4  # dimension of (line..., B)
     line = np.eye(rest // 2)
-    psi = np.kron(np.array([a, b], dtype=complex), register)
-    psi = np.kron(_CNOT, np.eye(rest)) @ psi
-    psi = np.kron(_H, np.eye(2 * rest)) @ psi
 
     corrections = {
         "00": _X,

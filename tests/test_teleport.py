@@ -15,7 +15,12 @@ from bellchain.teleport import (
     expected_fidelity,
     teleport,
 )
-from oracles import dense_propagate, random_qubit_pair, teleport_brute_force
+from oracles import (
+    dense_propagate,
+    random_qubit_pair,
+    sender_gates,
+    teleport_brute_force,
+)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -61,6 +66,64 @@ class TestCorrections:
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
             correction_for("2")
+
+
+class TestApplyGate:
+    """The sender's CNOT(At -> A) and Hadamard on At, which teleport()
+    evaluates in closed form, applied here as matrices by the oracle."""
+
+    def test_four_branch_structure_after_sender_gates(self):
+        rng = np.random.default_rng(3)
+        a, b = random_qubit_pair(rng)
+        tensor = sender_gates(a, b, [0.0, SQRT_HALF, SQRT_HALF, 0.0]).reshape(2, 2, 2)
+        half = 0.5
+        np.testing.assert_allclose(tensor[0, 0], [half * b, half * a], atol=1e-12)
+        np.testing.assert_allclose(tensor[0, 1], [half * a, half * b], atol=1e-12)
+        np.testing.assert_allclose(tensor[1, 0], [-half * b, half * a], atol=1e-12)
+        np.testing.assert_allclose(tensor[1, 1], [half * a, -half * b], atol=1e-12)
+
+        # a skewed resource weights the branches by alpha01 / alpha10, and
+        # each branch's norm is the probability the closed form gives it
+        r01, r10 = math.sqrt(0.3), -1j * math.sqrt(0.7)
+        tensor = sender_gates(a, b, [0.0, r01, r10, 0.0]).reshape(2, 2, 2)
+        s = SQRT_HALF
+        np.testing.assert_allclose(tensor[0, 0], [s * b * r10, s * a * r01], atol=1e-12)
+        np.testing.assert_allclose(tensor[0, 1], [s * a * r10, s * b * r01], atol=1e-12)
+        np.testing.assert_allclose(tensor[1, 0], [-s * b * r10, s * a * r01], atol=1e-12)
+        np.testing.assert_allclose(tensor[1, 1], [s * a * r10, -s * b * r01], atol=1e-12)
+        for r in teleport(a, b, EntangledResource(r01, r10)):
+            branch = tensor[int(r.outcome[0]), int(r.outcome[1])]
+            assert r.probability == pytest.approx(np.sum(np.abs(branch) ** 2), abs=1e-12)
+
+
+class TestMeasureTwo:
+    """The (At, A) measurement, made inside teleport()."""
+
+    def test_bell_pipeline_outcomes_equiprobable(self):
+        records = teleport(0.6, 0.8, EntangledResource.bell())
+        assert [r.outcome for r in records] == ["00", "01", "10", "11"]
+        for r in records:
+            assert r.probability == pytest.approx(0.25, abs=1e-12)
+            assert r.fidelity is not None
+            assert r.fidelity == pytest.approx(1.0, abs=1e-12)
+
+    def test_product_state_single_outcome(self):
+        # a basis input on a product resource leaves A one reading: the
+        # two branches of the other reading have no state
+        for (a, b), (r01, r10), a_reads in [
+            ((1.0, 0.0), (1.0, 0.0), "0"),
+            ((0.0, 1.0), (1.0, 0.0), "1"),
+            ((1.0, 0.0), (0.0, 1.0), "1"),
+            ((0.0, 1.0), (0.0, 1.0), "0"),
+        ]:
+            records = teleport(a, b, EntangledResource(r01, r10))
+            for r in records:
+                if r.outcome[1] == a_reads:
+                    assert r.probability == pytest.approx(0.5, abs=1e-12)
+                    assert r.fidelity == pytest.approx(1.0, abs=1e-12)
+                else:
+                    assert r.probability == 0.0
+                    assert r.fidelity is None
 
 
 class TestTeleport:
