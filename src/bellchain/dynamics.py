@@ -22,14 +22,17 @@ builds its own phases.
 
 Both readouts also have a path that needs no eigenvectors: exp(-iHt) is
 expanded in Chebyshev polynomials of H/Lambda with Bessel coefficients
-(Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967), which costs K
-tridiagonal matvecs and O(N) memory.  One recurrence serves both:
-``state_at`` sums its weighted terms into the state at one time, and
-``grid_amplitudes`` keeps one entry of each term and then reads every
-time of a grid from those moments.  The Bessel coefficients come from
-one FFT per time.  K grows like Lambda*|t| (about pi*N/4 at the
-engineered readout time), so each readout takes that path when K < N
-and the dense one otherwise.
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967), in O(N) memory.
+Its K terms come from a three-term recurrence that updates only the
+sites an excitation can have reached (its light cone, recomputed once
+per block of steps) instead of the whole chain.  One recurrence
+serves both: ``state_at`` sums its weighted terms into the state at
+one time, and ``grid_amplitudes`` keeps one entry of each term, so
+its steps also skip the sites that can no longer reach that entry,
+and then reads every time of a grid from those moments.  The Bessel
+coefficients come from one FFT per time.  K grows like Lambda*|t|
+(about pi*N/4 at the engineered readout time), so each readout takes
+that path when K < N and the dense one otherwise.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ _PHASE_BLOCK_ENTRIES = 1 << 16
 
 # Chebyshev terms with |J_k| at or below this are dropped from the tail.
 _BESSEL_TOL = 1e-17
+
+# Chebyshev steps that share one light-cone window and one set of slice views.
+_CONE_CHUNK = 64
 
 
 class NumericFailure(RuntimeError):
@@ -284,32 +290,59 @@ def _chebyshev_plan(
     return None if n_terms is None else (bound, n_terms)
 
 
-def _chebyshev_terms(h: TridiagonalHamiltonian, parts: np.ndarray, bound: float, n_terms: int):
-    """Yield T_k(H/bound) applied to each row of ``parts``, for k = 0 .. n_terms-1.
+def _step_views(double, scratch, prev, cur, lo: int, hi: int):
+    """Slices for prev <- 2 (H/bound) cur - prev on the sites [lo, hi), lo < hi.
 
-    Runs T_{k+1} = 2 (H/bound) T_k - T_{k-1} in real arithmetic.  The
-    yielded array is a work buffer that the next step overwrites.
+    As on the whole chain, sites below N-1 take double[j] cur[j+1] - prev[j],
+    site N-1 takes -prev[N-1], and then sites above 0 add double[j-1] cur[j-1].
     """
-    double = 2.0 * np.asarray(h.off_diagonal) / bound
-    prev = parts.copy()
-    cur = np.zeros_like(prev)
-    scratch = np.empty((len(prev), h.dimension - 1))
+    n, mid, top = len(prev), min(hi, len(prev) - 1), max(lo, 1)
+    return (
+        double[lo:mid], cur[lo + 1 : mid + 1], prev[lo:mid], scratch[: mid - lo],
+        prev[n - 1 :] if hi == n else None,
+        double[top - 1 : hi - 1], cur[top - 1 : hi - 1], prev[top:hi], scratch[: hi - top],
+    )
 
-    # cur = T_1 psi = (H/bound) psi
-    np.multiply(0.5 * double, prev[:, 1:], out=cur[:, :-1])
-    np.multiply(0.5 * double, prev[:, :-1], out=scratch)
-    cur[:, 1:] += scratch
-    yield prev
-    for k in range(1, n_terms):
-        yield cur
-        if k + 1 < n_terms:
-            # prev <- 2 (H/bound) cur - prev = T_{k+1} psi, then swap names
-            np.multiply(double, cur[:, 1:], out=scratch)
-            np.subtract(scratch, prev[:, :-1], out=prev[:, :-1])
-            prev[:, -1] *= -1.0
-            np.multiply(double, cur[:, :-1], out=scratch)
-            prev[:, 1:] += scratch
+
+def _chebyshev_terms(h: TridiagonalHamiltonian, start: np.ndarray, bound: float, n_terms: int, row=None):
+    """Yield T_k(H/bound) applied to the real vector ``start``, for k = 0 .. n_terms-1.
+
+    Runs T_{k+1} = 2 (H/bound) T_k - T_{k-1} in real arithmetic on two
+    buffers; the yielded one is overwritten by the next step.  T_k is 0
+    outside the light cone (the support of ``start`` widened by k sites),
+    so blocks of ``_CONE_CHUNK`` steps update only the cone of the
+    block's last step, through views built once per block.  With ``row``
+    given only entry ``row`` stays exact: a block also leaves out the
+    sites that cannot reach ``row`` in the steps left after its first.
+    Every updated entry takes the whole-chain operations in their order.
+    """
+    n = h.dimension
+    double = 2.0 * np.asarray(h.off_diagonal) / bound
+    support = np.flatnonzero(start)
+    prev, cur, scratch = start.copy(), np.zeros(n), np.empty(n - 1)
+
+    # cur = T_1 start = (H/bound) start
+    np.multiply(0.5 * double, prev[1:], out=cur[:-1])
+    cur[1:] += 0.5 * double * prev[:-1]
+    yield from (prev, cur)[:n_terms]
+    for first in range(1, n_terms - 1, _CONE_CHUNK):  # step k makes T_{k+1}
+        last = min(first + _CONE_CHUNK, n_terms - 1)
+        lo, hi = max(support[0] - last, 0), min(support[-1] + last + 1, n)
+        if row is not None:
+            reach = n_terms - 2 - first
+            lo, hi = max(lo, row - reach), min(hi, row + reach + 1)
+        views = [_step_views(double, scratch, *pair, lo, hi) for pair in ((prev, cur), (cur, prev)) if lo < hi]
+        for k in range(first, last):
+            if views:
+                up, cur_up, prev_lo, s_up, end, down, cur_down, prev_hi, s_down = views[(k - first) & 1]
+                np.multiply(up, cur_up, out=s_up)
+                np.subtract(s_up, prev_lo, out=prev_lo)
+                if end is not None:
+                    np.multiply(end, -1.0, out=end)
+                np.multiply(down, cur_down, out=s_down)
+                np.add(prev_hi, s_down, out=prev_hi)
             prev, cur = cur, prev
+            yield cur
 
 
 def _chebyshev_weights(bessel: np.ndarray) -> np.ndarray:
@@ -326,11 +359,10 @@ def _chebyshev_state(
 ) -> SiteAmplitudeState | None:
     """sum_k c_k J_k(bound t) T_k(H/bound) psi, or None if it needs ``max_terms`` terms.
 
-    The real and imaginary parts of psi are stacked as rows (a part that
-    is identically zero, such as the imaginary part of a basis state,
-    stays zero and is left out).  Each term is added with its real
-    weight to an even or an odd sum, and the odd sum is multiplied by -i
-    once at the end.
+    One recurrence runs for each of the real and imaginary parts of psi
+    that is not identically zero (the imaginary part of a basis state
+    is).  Each term is added with its real weight to an even or an odd
+    sum, and the odd sum is multiplied by -i once at the end.
     """
     plan = _chebyshev_plan(h, [t], max_terms)
     if plan is None:
@@ -338,23 +370,20 @@ def _chebyshev_state(
     bound, n_terms = plan
     (bessel,) = next(_bessel_tables([bound * t], n_terms))
     weights = _chebyshev_weights(bessel)
-    parts = np.stack([initial.amplitudes.real, initial.amplitudes.imag])
-    live = np.flatnonzero(np.any(parts, axis=1))
-    sums = np.zeros((2, len(live) * h.dimension))  # even-k and odd-k terms, rows flattened
-    for k, term in enumerate(_chebyshev_terms(h, parts[live], bound, n_terms)):
-        scipy.linalg.blas.daxpy(term.reshape(-1), sums[k & 1], a=weights[k])
-
-    even, odd = np.zeros((2, 2, h.dimension))
-    even[live] = sums[0].reshape(len(live), -1)
-    odd[live] = sums[1].reshape(len(live), -1)
-    return SiteAmplitudeState((even[0] + odd[1]) + 1j * (even[1] - odd[0]))
+    sums = np.zeros((2, 2, h.dimension))  # [real, imaginary part][even-k, odd-k terms]
+    for part, part_sums in zip((initial.amplitudes.real, initial.amplitudes.imag), sums):
+        if part.any():
+            for k, term in enumerate(_chebyshev_terms(h, part, bound, n_terms)):
+                scipy.linalg.blas.daxpy(term, part_sums[k & 1], a=weights[k])
+    (even_re, odd_re), (even_im, odd_im) = sums
+    return SiteAmplitudeState((even_re + odd_im) + 1j * (even_im - odd_re))
 
 
 def state_at(h: TridiagonalHamiltonian, initial: SiteAmplitudeState, t: float) -> SiteAmplitudeState:
     """exp(-iHt) applied to the state, by whichever path is cheaper.
 
-    The Chebyshev series (O(N) memory, K matvecs) when it needs fewer
-    terms K than there are sites, else ``eigendecompose`` + ``evolve``.
+    The Chebyshev series (O(N) memory, K light-cone steps) when it needs
+    fewer terms K than there are sites, else ``eigendecompose`` + ``evolve``.
     """
     if initial.n_sites != h.dimension:
         raise ValueError(f"state has {initial.n_sites} sites, Hamiltonian {h.dimension}")
@@ -368,8 +397,8 @@ def grid_amplitudes(h: TridiagonalHamiltonian, row: int, column: int, times) -> 
     When the Chebyshev series needs fewer terms K than there are sites
     (K taken at the largest |t|), one recurrence from e_column keeps the
     moments m_k = [T_k(H/Lambda) e_column]_row, and every time is the
-    sum_k c_k J_k(Lambda t) m_k.  That costs K matvecs, O(N) memory and
-    one Bessel table per block of times.  Otherwise ``eigendecompose`` +
+    sum_k c_k J_k(Lambda t) m_k.  That costs K steps over the sites inside
+    both light cones, O(N) memory and one Bessel table per block of times.  Otherwise ``eigendecompose`` +
     ``transition_amplitudes``.
     """
     times = np.asarray(times, dtype=float)
@@ -378,9 +407,9 @@ def grid_amplitudes(h: TridiagonalHamiltonian, row: int, column: int, times) -> 
         (amps,) = transition_amplitudes(eigendecompose(h), [row], column, times)
         return amps
     bound, n_terms = plan
-    start = np.zeros((1, h.dimension))
-    start[0, column] = 1.0
-    moments = np.array([term[0, row] for term in _chebyshev_terms(h, start, bound, n_terms)])
+    start = np.zeros(h.dimension)
+    start[column] = 1.0
+    moments = np.array([term[row] for term in _chebyshev_terms(h, start, bound, n_terms, row)])
     coefficients = _chebyshev_weights(moments) * np.where(np.arange(n_terms) % 2, -1j, 1.0)
     return np.concatenate([table @ coefficients for table in _bessel_tables(bound * times, n_terms)])
 

@@ -3,8 +3,9 @@
 Everything here is built from first principles with numpy/scipy and no
 imports from the package under test, so agreement is evidence rather
 than tautology: Wootters concurrence from the spin-flipped density
-matrix, evolution through a dense matrix exponential, and a monolithic
-matrix-product teleportation pipeline.
+matrix, evolution through a dense matrix exponential, the Chebyshev
+recurrence over the whole chain, and a monolithic matrix-product
+teleportation pipeline.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
 _SY = np.array([[0.0, -1j], [1j, 0.0]])
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -56,6 +58,65 @@ def dense_propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     return scipy.linalg.expm(-1j * t * np.asarray(h, dtype=complex)) @ np.asarray(
         psi0, dtype=complex
     )
+
+
+def chebyshev_terms(off_diagonal, parts: np.ndarray, bound: float, n_terms: int):
+    """Yield T_k(H/bound) applied to each row of ``parts``, for k = 0 .. n_terms-1.
+
+    H is the zero-diagonal tridiagonal matrix with ``off_diagonal`` as
+    its couplings.  Runs T_{k+1} = 2 (H/bound) T_k - T_{k-1} in real
+    arithmetic on every site of every row at every step.  The yielded
+    array is a work buffer that the next step overwrites.
+    """
+    double = 2.0 * np.asarray(off_diagonal) / bound
+    prev = parts.copy()
+    cur = np.zeros_like(prev)
+    scratch = np.empty((len(prev), len(double)))
+
+    # cur = T_1 psi = (H/bound) psi
+    np.multiply(0.5 * double, prev[:, 1:], out=cur[:, :-1])
+    np.multiply(0.5 * double, prev[:, :-1], out=scratch)
+    cur[:, 1:] += scratch
+    yield prev
+    for k in range(1, n_terms):
+        yield cur
+        if k + 1 < n_terms:
+            # prev <- 2 (H/bound) cur - prev = T_{k+1} psi, then swap names
+            np.multiply(double, cur[:, 1:], out=scratch)
+            np.subtract(scratch, prev[:, :-1], out=prev[:, :-1])
+            prev[:, -1] *= -1.0
+            np.multiply(double, cur[:, :-1], out=scratch)
+            prev[:, 1:] += scratch
+            prev, cur = cur, prev
+
+
+def chebyshev_state(off_diagonal, amplitudes, bound: float, weights) -> np.ndarray:
+    """sum_k w_k (-i)^(k mod 2) T_k(H/bound) psi from the whole-chain recurrence.
+
+    The real and imaginary parts of psi that are not identically zero
+    are stacked as rows; each term is added with its real weight to an
+    even or an odd sum over the flattened rows, and the odd sum is
+    multiplied by -i at the end.
+    """
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    n = len(amplitudes)
+    parts = np.stack([amplitudes.real, amplitudes.imag])
+    live = np.flatnonzero(np.any(parts, axis=1))
+    sums = np.zeros((2, len(live) * n))  # even-k and odd-k terms, rows flattened
+    for k, term in enumerate(chebyshev_terms(off_diagonal, parts[live], bound, len(weights))):
+        scipy.linalg.blas.daxpy(term.reshape(-1), sums[k & 1], a=weights[k])
+
+    even, odd = np.zeros((2, 2, n))
+    even[live] = sums[0].reshape(len(live), -1)
+    odd[live] = sums[1].reshape(len(live), -1)
+    return (even[0] + odd[1]) + 1j * (even[1] - odd[0])
+
+
+def chebyshev_moments(off_diagonal, row: int, column: int, bound: float, n_terms: int) -> np.ndarray:
+    """m_k = [T_k(H/bound) e_column]_row for k < n_terms, from the whole-chain recurrence."""
+    start = np.zeros((1, len(off_diagonal) + 1))
+    start[0, column] = 1.0
+    return np.array([term[0, row] for term in chebyshev_terms(off_diagonal, start, bound, n_terms)])
 
 
 def parity_labels(vectors: np.ndarray) -> tuple[str, ...]:

@@ -42,7 +42,15 @@ from bellchain.dynamics import (
 )
 from bellchain import dynamics
 from bellchain.robustness import NoisePerturbation, SwapPerturbation, perturb
-from oracles import dense_propagate, end_pair_density, parity_labels, wootters_concurrence
+from oracles import (
+    chebyshev_moments,
+    chebyshev_state,
+    chebyshev_terms,
+    dense_propagate,
+    end_pair_density,
+    parity_labels,
+    wootters_concurrence,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -409,6 +417,106 @@ class TestGridAmplitudes:
         amps = grid_amplitudes(one_excitation_hamiltonian(engineered_couplings(n, 1.0)), 0, n // 2, times)
         expected = [analytic_center_to_end(n, 1.0, t) for t in times]
         assert np.max(np.abs(amps - expected)) < 1e-11
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def reference_state(h, initial, t):
+    """``_chebyshev_state`` with its terms from the whole-chain recurrence."""
+    bound, n_terms = dynamics._chebyshev_plan(h, [t], 10**6)
+    (bessel,) = next(dynamics._bessel_tables([bound * t], n_terms))
+    weights = dynamics._chebyshev_weights(bessel)
+    return chebyshev_state(h.off_diagonal, initial.amplitudes, bound, weights)
+
+
+def reference_grid(h, row, column, times):
+    """``grid_amplitudes`` with its moments from the whole-chain recurrence."""
+    bound, n_terms = dynamics._chebyshev_plan(h, times, 10**6)
+    moments = chebyshev_moments(h.off_diagonal, row, column, bound, n_terms)
+    coefficients = dynamics._chebyshev_weights(moments) * np.where(np.arange(n_terms) % 2, -1j, 1.0)
+    tables = dynamics._bessel_tables(bound * np.asarray(times), n_terms)
+    return np.concatenate([table @ coefficients for table in tables])
+
+
+class TestLightConeRecurrence:
+    """The windowed recurrence against the whole-chain one in oracles.py, bit for bit."""
+
+    N = 401
+    CHUNKS = (1, 3, 64, 10**6)  # 10**6 is above every K here: one block
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("kind", PROFILE_KINDS)
+    def test_state_matches_whole_chain(self, kind, chunk, monkeypatch):
+        monkeypatch.setattr(dynamics, "_CONE_CHUNK", chunk)
+        n = self.N
+        h = one_excitation_hamiltonian(profile_of_kind(kind, n))
+        starts = [basis_state(n, 1), basis_state(n, n), center_excited_state(n), complex_state(n, seed=3)]
+        t0 = bell_time(1.0)
+        for initial in starts:
+            for t in (0.4, -0.4, t0, 3.0 * t0):
+                out = dynamics._chebyshev_state(h, initial, t, 10**6).amplitudes
+                assert np.array_equal(bits(out), bits(reference_state(h, initial, t)))
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("kind", PROFILE_KINDS)
+    def test_short_chain_crossed_by_the_cone(self, kind, chunk, monkeypatch):
+        # K far above N: every block window is clamped at both ends of the chain
+        monkeypatch.setattr(dynamics, "_CONE_CHUNK", chunk)
+        h = one_excitation_hamiltonian(profile_of_kind(kind, 9))
+        for initial in (basis_state(9, 1), basis_state(9, 9), complex_state(9, seed=9)):
+            out = dynamics._chebyshev_state(h, initial, 40.0, 10**6).amplitudes
+            assert np.array_equal(bits(out), bits(reference_state(h, initial, 40.0)))
+
+    @pytest.mark.parametrize("n_terms", [1, 2])
+    def test_one_and_two_terms(self, n_terms):
+        h = one_excitation_hamiltonian(profile_of_kind("noisy", self.N))
+        bound, _ = dynamics._chebyshev_plan(h, [1.0], 10**6)
+        t = 0.0 if n_terms == 1 else 1e-10 / bound
+        assert dynamics._chebyshev_plan(h, [t], 10**6) == (bound, n_terms)
+        for initial in (basis_state(self.N, 1), complex_state(self.N, seed=4)):
+            out = dynamics._chebyshev_state(h, initial, t, 10**6).amplitudes
+            assert np.array_equal(bits(out), bits(reference_state(h, initial, t)))
+        start = complex_state(self.N, seed=4).amplitudes.real
+        terms = [term.copy() for term in dynamics._chebyshev_terms(h, start, bound, n_terms)]
+        expected = [term[0].copy() for term in chebyshev_terms(h.off_diagonal, start[None], bound, n_terms)]
+        assert np.array_equal(bits(terms), bits(expected))
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("kind", PROFILE_KINDS)
+    def test_grid_matches_whole_chain(self, kind, chunk, monkeypatch):
+        monkeypatch.setattr(dynamics, "_CONE_CHUNK", chunk)
+        n = self.N
+        h = one_excitation_hamiltonian(profile_of_kind(kind, n))
+        times = np.linspace(-1.2, 1.5, 19)
+        bound, n_terms = dynamics._chebyshev_plan(h, times, n)
+        pairs = [(0, n // 2), (n - 1, n // 2), (n // 2, n // 2), (0, 0), (n - 1, n - 1), (0, 7), (n // 4, n // 2 + 1)]
+        for row, column in pairs:
+            start = np.zeros(n)
+            start[column] = 1.0
+            moments = [term[row] for term in dynamics._chebyshev_terms(h, start, bound, n_terms, row)]
+            expected = chebyshev_moments(h.off_diagonal, row, column, bound, n_terms)
+            assert np.array_equal(bits(moments), bits(expected))
+            out = grid_amplitudes(h, row, column, times)
+            assert np.array_equal(bits(out), bits(reference_grid(h, row, column, times)))
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_row_outside_the_cone_reads_exactly_zero(self, chunk, monkeypatch):
+        monkeypatch.setattr(dynamics, "_CONE_CHUNK", chunk)
+        n = self.N
+        h = one_excitation_hamiltonian(profile_of_kind("swapped", n))
+        times = np.linspace(0.0, 0.5, 11)
+        bound, n_terms = dynamics._chebyshev_plan(h, times, n)
+        assert n_terms < n // 2
+        for row, column in ((n - 1, 0), (0, n - 1), (n // 2 + n_terms, n // 2)):
+            start = np.zeros(n)
+            start[column] = 1.0
+            moments = [term[row] for term in dynamics._chebyshev_terms(h, start, bound, n_terms, row)]
+            assert np.array_equal(bits(moments), bits(np.zeros(n_terms)))
+            out = grid_amplitudes(h, row, column, times)
+            assert np.array_equal(bits(out), bits(np.zeros(len(times), dtype=complex)))
+            assert np.array_equal(bits(out), bits(reference_grid(h, row, column, times)))
 
 
 class TestTransferAmplitudes:
