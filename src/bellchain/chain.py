@@ -27,12 +27,9 @@ import numpy as np
 # Relative tolerance for the exact coupling symmetries of engineered profiles.
 SYMMETRY_RTOL = 1e-12
 
-# Largest register the dense full-Hilbert oracle will build.
-MAX_ORACLE_SITES = 12
-
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a dense oracle construction would exceed its size cap."""
+    """Raised when a chain is too long for the memory a computation needs."""
 
 
 def _check_mu(mu: float) -> None:
@@ -214,43 +211,3 @@ def halved_hamiltonian(profile: CouplingProfile) -> TridiagonalHamiltonian:
     m = (profile.n_sites + 1) // 2
     off = profile.couplings[: m - 2] + (math.sqrt(2.0) * profile.couplings[m - 2],)
     return TridiagonalHamiltonian(m, off)
-
-
-def full_hilbert_hamiltonian(profile: CouplingProfile) -> np.ndarray:
-    """Dense 2^N x 2^N oracle form of the chain Hamiltonian.
-
-    Built as sum_j D_j (raise_j lower_{j+1} + lower_j raise_{j+1}), which
-    reproduces the one-excitation off-diagonals D_j exactly.  Site j
-    (1-based) occupies bit N-j of the basis index, so site 1 is the most
-    significant bit and the one-excitation basis state |j> has index
-    2^(N-j).
-    """
-    n = profile.n_sites
-    if n > MAX_ORACLE_SITES:
-        raise ResourceLimitError(
-            f"dense oracle capped at {MAX_ORACLE_SITES} sites, got {n}"
-        )
-    dim = 1 << n
-    h = np.zeros((dim, dim))
-    for j, d in enumerate(profile.couplings):
-        hi = n - 1 - j
-        lo = n - 2 - j
-        mask = (1 << hi) | (1 << lo)
-        for s in range(dim):
-            # hop |..10..> -> |..01..> on the (j+1, j+2) bond
-            if (s >> hi) & 1 and not (s >> lo) & 1:
-                s2 = s ^ mask
-                h[s2, s] += d
-                h[s, s2] += d
-    return h
-
-
-def excitation_number_operator(n_sites: int) -> np.ndarray:
-    """Diagonal operator counting excited sites, in the oracle basis."""
-    counts = [bin(s).count("1") for s in range(1 << n_sites)]
-    return np.diag(np.asarray(counts, dtype=float))
-
-
-def one_excitation_indices(n_sites: int) -> list[int]:
-    """Oracle-basis indices of |1> ... |N>, in site order."""
-    return [1 << (n_sites - j) for j in range(1, n_sites + 1)]

@@ -58,12 +58,22 @@ OUT_DIR_ENV = "BELLCHAIN_OUT_DIR"
 # Longest --t-grid accepted; the whole grid is evaluated in one call.
 MAX_GRID_POINTS = 100_000
 
+# Longest chain accepted, from --n or a --profile file: one readout at
+# the engineered time takes about 45 s at this length on a 2-core host.
+MAX_SITES = 100_001
+
+
+def _check_sites(n: int) -> int:
+    if n > MAX_SITES:
+        raise ValueError(f"chain of {n} sites exceeds the limit of {MAX_SITES}")
+    return n
+
 
 def _odd_n(value) -> int:
     n = int(value)
     if n < 3 or n % 2 != 1:
         raise ValueError("n must be odd and >= 3")
-    return n
+    return _check_sites(n)
 
 
 def _resolve_out(raw: str) -> Path:
@@ -96,7 +106,9 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _profile_from_args(args) -> CouplingProfile:
     if getattr(args, "profile", None):
-        return serialize.read_profile(args.profile)
+        profile = serialize.read_profile(args.profile)
+        _check_sites(profile.n_sites)
+        return profile
     if getattr(args, "n", None) is None:
         raise ValueError("need either --profile or --n")
     return engineered_couplings(_odd_n(args.n), float(args.mu))

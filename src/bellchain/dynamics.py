@@ -33,6 +33,13 @@ and then reads every time of a grid from those moments.  The Bessel
 coefficients come from one FFT per time.  K grows like Lambda*|t|
 (about pi*N/4 at the engineered readout time), so each readout takes
 that path when K < N and the dense one otherwise.
+
+scipy is imported inside the functions that call it, not here, so a
+command loads only the parts of scipy its path uses: ``scipy.linalg``
+for the dense eigensolve (``eigendecompose``) and for the ``daxpy``
+sums of ``_chebyshev_state``, ``scipy.special`` for the series length
+(``_series_length``).  ``couplings`` and ``feasibility`` never load
+scipy, and the Chebyshev ``evolve`` grid loads only ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -44,9 +51,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.blas
-import scipy.special
 
 from .chain import ResourceLimitError, TridiagonalHamiltonian
 
@@ -199,11 +203,13 @@ def eigendecompose(h: TridiagonalHamiltonian) -> EigenSystem:
             f"dense eigenvectors of {h.dimension} sites need {needed / 2**30:.1f} GiB, "
             f"more than the {memory / 2**30:.1f} GiB of physical memory"
         )
+    import scipy.linalg
+
     try:
         eigenvalues, vectors = scipy.linalg.eigh_tridiagonal(
             np.zeros(h.dimension), off
         )
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
         raise NumericFailure(h.dimension) from exc
 
     # First component of a Jacobi-matrix eigenvector is never zero.
@@ -240,6 +246,7 @@ def _series_length(x: float, max_terms: int) -> int | None:
     The test reads ``scipy.special.jv``: the tail lies below the rounding
     floor of the table that ``_bessel_tables`` builds.
     """
+    import scipy.special
 
     def negligible(k: int) -> bool:
         return k > abs(x) and abs(scipy.special.jv(k, x)) <= _BESSEL_TOL
@@ -367,6 +374,8 @@ def _chebyshev_state(
     plan = _chebyshev_plan(h, [t], max_terms)
     if plan is None:
         return None
+    import scipy.linalg.blas  # daxpy's rounding fixes the payload bits; y += a*x moves them
+
     bound, n_terms = plan
     (bessel,) = next(_bessel_tables([bound * t], n_terms))
     weights = _chebyshev_weights(bessel)
@@ -453,16 +462,6 @@ def analytic_center_to_end(n_sites: int, mu: float, t: float) -> complex:
     if n_sites % 2 == 0:
         raise ValueError(f"n_sites must be odd, got {n_sites}")
     return (-1j * math.sin(0.5 * mu * t)) ** ((n_sites - 1) // 2) / math.sqrt(2.0)
-
-
-def analytic_halved_transfer(m_sites: int, mu: float, t: float) -> complex:
-    """Closed-form end-to-end amplitude of the M-site folded chain.
-
-    Has modulus 1 at mu*t = pi: perfect state transfer.
-    """
-    if m_sites < 2:
-        raise ValueError(f"m_sites must be >= 2, got {m_sites}")
-    return (-1j * math.sin(0.5 * mu * t)) ** (m_sites - 1)
 
 
 def bell_time(mu: float) -> float:

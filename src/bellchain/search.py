@@ -13,6 +13,11 @@ time is exactly the time the search found.
 
 Both end amplitudes come from ``dynamics.transition_amplitudes``, the
 package's one spectral kernel, over the whole scan grid at once.
+
+``scipy.optimize`` (with ``scipy.sparse`` and the rest it pulls in) is
+imported once per ``minimize`` call, not at module level, so that no
+command but ``search`` loads it.  The CLI and the serializer import
+this module for its types.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .chain import CouplingProfile, one_excitation_hamiltonian
 from .dynamics import EigenSystem, eigendecompose, transition_amplitudes
@@ -108,8 +112,11 @@ def _objective_on_grid(eig: EigenSystem, t_grid: np.ndarray) -> np.ndarray:
     return (p_first - 0.5) ** 2 + (p_last - 0.5) ** 2
 
 
-def _best_time(eig: EigenSystem, window: tuple[float, float]) -> tuple[float, float]:
-    """Scan the window on a dense grid, then refine around the best point."""
+def _best_time(
+    eig: EigenSystem, window: tuple[float, float], minimize_scalar
+) -> tuple[float, float]:
+    """Scan the window on a dense grid, then refine around the best point
+    with ``minimize_scalar`` (``scipy.optimize.minimize_scalar``)."""
     t_grid = np.linspace(window[0], window[1], _SCAN_POINTS)
     values = _objective_on_grid(eig, t_grid)
     k = int(np.argmin(values))
@@ -118,7 +125,7 @@ def _best_time(eig: EigenSystem, window: tuple[float, float]) -> tuple[float, fl
     lo = float(t_grid[max(k - 1, 0)])
     hi = float(t_grid[min(k + 1, _SCAN_POINTS - 1)])
     if hi > lo:
-        refined = scipy.optimize.minimize_scalar(
+        refined = minimize_scalar(
             lambda t: float(_objective_on_grid(eig, np.array([t]))[0]),
             bounds=(lo, hi),
             method="bounded",
@@ -129,11 +136,11 @@ def _best_time(eig: EigenSystem, window: tuple[float, float]) -> tuple[float, fl
     return t_best, f_best
 
 
-def _evaluate(free: np.ndarray, problem: SearchProblem) -> tuple[float, float]:
+def _evaluate(free: np.ndarray, problem: SearchProblem, minimize_scalar) -> tuple[float, float]:
     clipped = np.clip(free, problem.bounds[0], problem.bounds[1])
     profile = mirror_profile(clipped, problem.n_sites)
     eig = eigendecompose(one_excitation_hamiltonian(profile))
-    t_best, f_best = _best_time(eig, problem.t_window)
+    t_best, f_best = _best_time(eig, problem.t_window, minimize_scalar)
     return f_best, t_best
 
 
@@ -155,6 +162,8 @@ def minimize(
     if not 1 <= restarts <= MAX_RESTARTS:
         raise ValueError(f"restarts must be in 1..{MAX_RESTARTS}, got {restarts}")
 
+    import scipy.optimize
+
     d_lo, d_hi = problem.bounds
     children = np.random.SeedSequence(seed).spawn(restarts)
     best: tuple[float, int, np.ndarray, float, int] | None = None
@@ -162,13 +171,13 @@ def minimize(
         rng = np.random.default_rng(children[idx])
         start = rng.uniform(d_lo, d_hi, size=problem.n_free)
         res = scipy.optimize.minimize(
-            lambda p: _evaluate(p, problem)[0],
+            lambda p: _evaluate(p, problem, scipy.optimize.minimize_scalar)[0],
             start,
             method="Nelder-Mead",
             bounds=[(d_lo, d_hi)] * problem.n_free,
             options={"maxiter": max_iters, "xatol": 1e-10, "fatol": 1e-14},
         )
-        f_final, t_final = _evaluate(res.x, problem)
+        f_final, t_final = _evaluate(res.x, problem, scipy.optimize.minimize_scalar)
         candidate = (f_final, idx, np.clip(res.x, d_lo, d_hi), t_final, int(res.nit))
         if best is None or (candidate[0], candidate[1]) < (best[0], best[1]):
             best = candidate

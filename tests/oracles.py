@@ -4,8 +4,9 @@ Everything here is built from first principles with numpy/scipy and no
 imports from the package under test, so agreement is evidence rather
 than tautology: Wootters concurrence from the spin-flipped density
 matrix, evolution through a dense matrix exponential, the Chebyshev
-recurrence over the whole chain, and a monolithic matrix-product
-teleportation pipeline.
+recurrence over the whole chain, the chain Hamiltonian on the full 2^N
+register, the closed form of the folded chain's transfer amplitude,
+and a monolithic matrix-product teleportation pipeline.
 """
 
 from __future__ import annotations
@@ -23,6 +24,57 @@ _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+
+# Largest register the dense full-Hilbert oracle will build.
+MAX_ORACLE_SITES = 12
+
+
+def full_hilbert_hamiltonian(profile) -> np.ndarray:
+    """Dense 2^N x 2^N form of the chain Hamiltonian of a coupling profile.
+
+    Built as sum_j D_j (raise_j lower_{j+1} + lower_j raise_{j+1}), which
+    reproduces the one-excitation off-diagonals D_j exactly.  Site j
+    (1-based) occupies bit N-j of the basis index, so site 1 is the most
+    significant bit and the one-excitation basis state |j> has index
+    2^(N-j).  Reads only ``profile.n_sites`` and ``profile.couplings``.
+    """
+    n = profile.n_sites
+    if n > MAX_ORACLE_SITES:
+        raise ValueError(f"dense oracle capped at {MAX_ORACLE_SITES} sites, got {n}")
+    dim = 1 << n
+    h = np.zeros((dim, dim))
+    for j, d in enumerate(profile.couplings):
+        hi = n - 1 - j
+        lo = n - 2 - j
+        mask = (1 << hi) | (1 << lo)
+        for s in range(dim):
+            # hop |..10..> -> |..01..> on the (j+1, j+2) bond
+            if (s >> hi) & 1 and not (s >> lo) & 1:
+                s2 = s ^ mask
+                h[s2, s] += d
+                h[s, s2] += d
+    return h
+
+
+def excitation_number_operator(n_sites: int) -> np.ndarray:
+    """Diagonal operator counting excited sites, in the oracle basis."""
+    counts = [bin(s).count("1") for s in range(1 << n_sites)]
+    return np.diag(np.asarray(counts, dtype=float))
+
+
+def one_excitation_indices(n_sites: int) -> list[int]:
+    """Oracle-basis indices of |1> ... |N>, in site order."""
+    return [1 << (n_sites - j) for j in range(1, n_sites + 1)]
+
+
+def analytic_halved_transfer(m_sites: int, mu: float, t: float) -> complex:
+    """Closed-form end-to-end amplitude of the M-site folded chain.
+
+    Has modulus 1 at mu*t = pi: perfect state transfer.
+    """
+    if m_sites < 2:
+        raise ValueError(f"m_sites must be >= 2, got {m_sites}")
+    return (-1j * math.sin(0.5 * mu * t)) ** (m_sites - 1)
 
 
 def wootters_concurrence(rho: np.ndarray) -> float:

@@ -12,10 +12,8 @@ import pytest
 
 from bellchain.chain import (
     engineered_couplings,
-    full_hilbert_hamiltonian,
     halved_hamiltonian,
     one_excitation_hamiltonian,
-    one_excitation_indices,
     validate_profile,
 )
 from bellchain.dynamics import (
@@ -37,7 +35,13 @@ from bellchain.robustness import (
 )
 from bellchain.search import SearchProblem, minimize
 from bellchain.teleport import EntangledResource, expected_fidelity, teleport
-from oracles import dense_propagate, random_qubit_pair, teleport_brute_force
+from oracles import (
+    dense_propagate,
+    full_hilbert_hamiltonian,
+    one_excitation_indices,
+    random_qubit_pair,
+    teleport_brute_force,
+)
 
 # the one readout clock shared by every chain length at mu = 1;
 # criterion 9 asserts this single constant serves criterion 1 unchanged

@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 
 from bellchain.chain import (
     CouplingProfile,
-    ResourceLimitError,
     engineered_couplings,
     engineered_max_coupling,
-    excitation_number_operator,
-    full_hilbert_hamiltonian,
     halved_hamiltonian,
     one_excitation_hamiltonian,
-    one_excitation_indices,
     validate_profile,
+)
+from oracles import (
+    excitation_number_operator,
+    full_hilbert_hamiltonian,
+    one_excitation_indices,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -199,7 +200,7 @@ class TestHamiltonians:
         assert np.max(np.abs(h @ x - x @ h)) < 1e-12
 
     def test_full_hilbert_site_limit(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ValueError, match="capped at 12 sites"):
             full_hilbert_hamiltonian(engineered_couplings(13, 1.0))
 
     def test_one_excitation_indices_order(self):

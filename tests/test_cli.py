@@ -14,7 +14,7 @@ from bellchain import cli, dynamics
 from bellchain.chain import engineered_couplings
 from bellchain.cli import run
 from bellchain.dynamics import NumericFailure, eigendecompose
-from bellchain.serialize import write_json
+from bellchain.serialize import profile_to_dict, write_json
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -629,6 +629,37 @@ class TestExitCodes:
 
 
 class TestLongChains:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["couplings"],
+            ["evolve", "--t-grid", "3:3.1:0.1"],
+            ["teleport"],
+            ["perturb", "--swap", "5", "6"],
+            ["search", "--restarts", "1"],
+        ],
+    )
+    @pytest.mark.parametrize("n", [cli.MAX_SITES + 2, 100_000_001])
+    def test_chain_above_the_site_cap_is_a_one_line_argument_error(self, tmp_path, capsys, argv, n):
+        out = tmp_path / "out"
+        assert run([*argv, "--n", str(n), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: chain of {n} sites exceeds the limit of {cli.MAX_SITES}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["evolve", "--t-grid", "3:3.1:0.1"], ["perturb", "--swap", "5", "6"]])
+    def test_profile_file_above_the_site_cap_is_refused(self, tmp_path, capsys, argv):
+        profile = tmp_path / "long.json"
+        write_json(profile, profile_to_dict(engineered_couplings(cli.MAX_SITES + 2)))
+        out = tmp_path / "out.csv"
+        assert run([*argv, "--profile", str(profile), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: chain of {cli.MAX_SITES + 2} sites exceeds the limit of {cli.MAX_SITES}\n"
+        assert not out.exists()
+
+    def test_chain_at_the_site_cap_is_accepted(self):
+        assert cli._odd_n(str(cli.MAX_SITES)) == cli.MAX_SITES
+
     @pytest.mark.skipif(
         (dynamics._physical_memory_bytes() or math.inf) >= 8 * 100_001**2,
         reason="physical memory unknown, or large enough for 100,001-site eigenvectors",

@@ -15,10 +15,8 @@ from bellchain.chain import (
     ResourceLimitError,
     TridiagonalHamiltonian,
     engineered_couplings,
-    full_hilbert_hamiltonian,
     halved_hamiltonian,
     one_excitation_hamiltonian,
-    one_excitation_indices,
 )
 from bellchain.dynamics import (
     ANTISYMMETRIC,
@@ -26,7 +24,6 @@ from bellchain.dynamics import (
     NumericFailure,
     SiteAmplitudeState,
     analytic_center_to_end,
-    analytic_halved_transfer,
     basis_state,
     bell_decomposition,
     bell_time,
@@ -43,11 +40,14 @@ from bellchain.dynamics import (
 from bellchain import dynamics
 from bellchain.robustness import NoisePerturbation, SwapPerturbation, perturb
 from oracles import (
+    analytic_halved_transfer,
     chebyshev_moments,
     chebyshev_state,
     chebyshev_terms,
     dense_propagate,
     end_pair_density,
+    full_hilbert_hamiltonian,
+    one_excitation_indices,
     parity_labels,
     wootters_concurrence,
 )

@@ -1,0 +1,60 @@
+"""Which scipy modules a command loads, checked in fresh interpreters.
+
+scipy is imported inside the functions that use it, so importing the
+package loads none of it and each command loads only what its path
+calls.  Each case runs in its own interpreter, since a module once
+imported stays in ``sys.modules``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bellchain
+
+SRC = str(Path(bellchain.__file__).resolve().parent.parent)
+
+# Prints the sorted scipy modules loaded after running the code before it.
+REPORT = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+
+
+def scipy_modules(code: str) -> set[str]:
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("BELLCHAIN_OUT_DIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{REPORT}"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def after_cli_run(argv: list[str], out: Path) -> set[str]:
+    code = f"from bellchain import cli\nassert cli.run({[*argv, '--out', str(out)]!r}) == 0"
+    return scipy_modules(code)
+
+
+@pytest.mark.parametrize("module", ["bellchain", "bellchain.cli"])
+def test_importing_the_package_loads_no_scipy(module):
+    assert scipy_modules(f"import {module}") == set()
+
+
+@pytest.mark.parametrize(
+    "argv", [["couplings", "--n", "9"], ["feasibility", "--mu", "1", "--gmax", "1.125"]]
+)
+def test_commands_without_numerics_load_no_scipy(tmp_path, argv):
+    assert after_cli_run(argv, tmp_path / "out.json") == set()
+
+
+def test_teleport_loads_linalg_but_not_optimize(tmp_path):
+    loaded = after_cli_run(["teleport", "--n", "9"], tmp_path / "out.json")
+    assert "scipy.linalg" in loaded
+    assert "scipy.optimize" not in loaded
+
+
+def test_search_loads_optimize(tmp_path):
+    loaded = after_cli_run(["search", "--n", "5", "--restarts", "1"], tmp_path / "out.json")
+    assert "scipy.optimize" in loaded

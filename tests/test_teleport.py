@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellchain.chain import engineered_couplings, full_hilbert_hamiltonian
+from bellchain.chain import engineered_couplings
 from bellchain.robustness import resource_from_profile
 from bellchain.teleport import (
     EntangledResource,
@@ -17,6 +17,7 @@ from bellchain.teleport import (
 )
 from oracles import (
     dense_propagate,
+    full_hilbert_hamiltonian,
     random_qubit_pair,
     sender_gates,
     teleport_brute_force,
