@@ -23,8 +23,6 @@ from .chain import (
     validate_profile,
 )
 from .dynamics import (
-    ANTISYMMETRIC,
-    SYMMETRIC,
     BellDecomposition,
     EigenSystem,
     NumericFailure,
@@ -35,7 +33,6 @@ from .dynamics import (
     bell_time,
     center_excited_state,
     center_to_end_amplitude,
-    concurrence_ab,
     eigendecompose,
     end_to_end_amplitude,
     evolve,
@@ -76,8 +73,6 @@ from .teleport import (
 
 __all__ = [
     "__version__",
-    "ANTISYMMETRIC",
-    "SYMMETRIC",
     "CONVERGED_TOL",
     "BellDecomposition",
     "CouplingProfile",
@@ -102,7 +97,6 @@ __all__ = [
     "bell_time",
     "center_excited_state",
     "center_to_end_amplitude",
-    "concurrence_ab",
     "correction_for",
     "eigendecompose",
     "end_to_end_amplitude",

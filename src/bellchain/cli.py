@@ -62,6 +62,10 @@ MAX_GRID_POINTS = 100_000
 # the engineered time takes about 45 s at this length on a 2-core host.
 MAX_SITES = 100_001
 
+# Longest chain ``perturb --adjacent`` accepts: it runs one readout per
+# bond, so its cost grows like N^3: 2.7 minutes at this length on a 2-core host.
+MAX_ADJACENT_SITES = 4_001
+
 
 def _check_sites(n: int) -> int:
     if n > MAX_SITES:
@@ -360,6 +364,10 @@ def _cmd_perturb(args) -> tuple[dict, Path, int | None]:
             "seed": master_seed,
         }
     else:
+        if profile.n_sites > MAX_ADJACENT_SITES:
+            raise ValueError(
+                f"--adjacent on {profile.n_sites} sites exceeds the limit of {MAX_ADJACENT_SITES}"
+            )
         rows = adjacent_swap_sweep(profile)
         mode_params = {"mode": "adjacent"}
 

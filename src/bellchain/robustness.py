@@ -11,6 +11,13 @@ chain fits under a hardware coupling ceiling.
 Sweep rows score ``expected_fidelity`` by teleporting the balanced
 input (|0> + |1>)/sqrt(2), the input most sensitive to amplitude skew
 in the resource.
+
+Every sweep goes through one block scorer, ``_score``: each coupling
+row (one perturbed profile) takes ``state_at``'s path, and a block of
+at most ``_PHASE_BLOCK_ENTRIES`` amplitudes is read out at once by the
+kernels ``bell_decomposition`` and ``resource_from_report`` run on one
+row.  ``teleport`` still runs per row: its fidelity is one ``np.vdot``
+per branch, and a batched elementwise dot product gives other last bits.
 """
 
 from __future__ import annotations
@@ -20,15 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import CouplingProfile, engineered_max_coupling, one_excitation_hamiltonian
-from .dynamics import (
-    BellDecomposition,
-    bell_decomposition,
-    bell_time,
-    center_excited_state,
-    eigendecompose,  # noqa: F401  bench/selftest.py checks the tracer patches it here
-    state_at,
-)
+from .chain import CouplingProfile, TridiagonalHamiltonian, engineered_max_coupling, one_excitation_hamiltonian
+from .dynamics import _PHASE_BLOCK_ENTRIES, BellDecomposition, _chebyshev_state, _evolved, bell_decomposition
+from .dynamics import bell_time, center_excited_state, eigendecompose, end_pair_readout, state_at
 from .teleport import EntangledResource, expected_fidelity, teleport
 
 _END_WEIGHT_ATOL = 1e-12
@@ -103,22 +104,29 @@ def perturb(profile: CouplingProfile, spec: PerturbationSpec) -> CouplingProfile
         for idx in (spec.i, spec.j):
             if not 1 <= idx <= n_couplings:
                 raise ValueError(f"swap index {idx} outside 1..{n_couplings}")
-        couplings[spec.i - 1], couplings[spec.j - 1] = (
-            couplings[spec.j - 1],
-            couplings[spec.i - 1],
-        )
+        couplings[spec.i - 1], couplings[spec.j - 1] = couplings[spec.j - 1], couplings[spec.i - 1]
     elif isinstance(spec, NoisePerturbation):
-        rng = np.random.default_rng(spec.seed)
-        for k in range(len(couplings)):
-            eps = rng.normal(0.0, spec.sigma)
-            while 1.0 + eps <= 0.0:
-                eps = rng.normal(0.0, spec.sigma)
-            couplings[k] *= 1.0 + eps
+        couplings = np.asarray(couplings) * _noise_factors(spec.seed, spec.sigma, len(couplings))
     else:
         raise TypeError(f"unknown perturbation spec {spec!r}")
-    return CouplingProfile(
-        n_sites=profile.n_sites, mu=profile.mu, couplings=tuple(couplings)
-    )
+    return CouplingProfile(n_sites=profile.n_sites, mu=profile.mu, couplings=tuple(couplings))
+
+
+def _noise_factors(seed: int, sigma: float, size: int) -> np.ndarray:
+    """1 + eps for ``size`` couplings, eps ~ Gaussian(0, sigma), in one draw.
+
+    If any 1 + eps <= 0, a fresh generator with the same seed draws them
+    one at a time instead, each redrawn until 1 + eps > 0.
+    """
+    factors = 1.0 + np.random.default_rng(seed).normal(0.0, sigma, size)
+    if not factors.min() > 0.0:
+        rng = np.random.default_rng(seed)
+        for k in range(size):
+            eps = rng.normal(0.0, sigma)
+            while 1.0 + eps <= 0.0:
+                eps = rng.normal(0.0, sigma)
+            factors[k] = 1.0 + eps
+    return factors
 
 
 def entanglement_at_time(profile: CouplingProfile, t: float) -> BellDecomposition:
@@ -146,13 +154,21 @@ def resource_from_report(report: BellDecomposition) -> EntangledResource:
     by the renormalization (the caller has report.residual_norm to judge
     how much that hides).
     """
-    weight = abs(report.alpha_first) ** 2 + abs(report.alpha_last) ** 2
-    if weight < _END_WEIGHT_ATOL:
+    (alpha01,), (alpha10,) = _renormalized(*np.array([[report.alpha_first], [report.alpha_last]], dtype=complex))
+    return EntangledResource(alpha01=alpha01, alpha10=alpha10)
+
+
+def _renormalized(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha01, alpha10) = (last, first) / sqrt(|first|^2 + |last|^2), elementwise.
+
+    ``np.hypot`` and ``np.float_power`` round like abs() and ** 2 of one
+    Python number; ``np.abs`` and ``** 2`` over arrays differ in last bits.
+    """
+    weight = np.float_power(np.hypot(first.real, first.imag), 2) + np.float_power(np.hypot(last.real, last.imag), 2)
+    if np.any(weight < _END_WEIGHT_ATOL):
         raise ValueError("end amplitudes carry no weight; no resource to extract")
-    scale = 1.0 / math.sqrt(weight)
-    return EntangledResource(
-        alpha01=report.alpha_last * scale, alpha10=report.alpha_first * scale
-    )
+    scale = 1.0 / np.sqrt(weight)
+    return last * scale, first * scale
 
 
 def resource_from_profile(profile: CouplingProfile) -> EntangledResource:
@@ -201,19 +217,39 @@ def _largest_fitting_chain(mu: float, g_max: float) -> int | None:
     return n if n >= 3 else None
 
 
+def _score(profile: CouplingProfile, trials: range, block_of, param_of) -> list[SweepRow]:
+    """One SweepRow per trial, scored at pi/mu; ``param_of(k)`` gives its param.
+
+    ``block_of(ks)`` gives the coupling rows (one perturbed profile each) of
+    the trials ks, at most ``_PHASE_BLOCK_ENTRIES`` amplitudes at a time.
+    """
+    n, t0, s = profile.n_sites, bell_time(profile.mu), 1.0 / math.sqrt(2.0)
+    center, block, rows = center_excited_state(n), _PHASE_BLOCK_ENTRIES // n or 1, []
+    for start in range(trials.start, trials.stop, block):
+        ks = range(start, min(start + block, trials.stop))
+        couplings = block_of(ks)
+        bad = np.argwhere(~((couplings > 0) & (couplings < math.inf)))
+        if len(bad):
+            value = float(couplings[tuple(bad[0])])
+            raise ValueError(f"coupling D_{bad[0, 1] + 1} must be positive and finite, got {value}")
+        amplitudes = np.empty((len(ks), n), dtype=complex)
+        for amps, off in zip(amplitudes, couplings):
+            h = TridiagonalHamiltonian(n, off)
+            state = _chebyshev_state(h, center, t0, n)  # state_at's path rule
+            amps[:] = _evolved(eigendecompose(h), center.amplitudes, t0) if state is None else state.amplitudes
+        first, last, concurrence, residual = end_pair_readout(amplitudes)
+        resources = zip(*(alpha.tolist() for alpha in _renormalized(first, last)))
+        rows += [
+            SweepRow(k, param_of(k), c, r, expected_fidelity(teleport(s, s, EntangledResource(*alphas))))
+            for k, c, r, alphas in zip(ks, concurrence.tolist(), residual.tolist(), resources)
+        ]
+    return rows
+
+
 def sweep_row(profile: CouplingProfile, trial: int, param: float) -> SweepRow:
     """Score one (already perturbed) profile at the readout time pi/mu."""
-    report = entanglement_at_t0(profile)
-    resource = resource_from_report(report)
-    s = 1.0 / math.sqrt(2.0)
-    records = teleport(s, s, resource)
-    return SweepRow(
-        trial=trial,
-        param=param,
-        concurrence=report.concurrence,
-        residual_norm=report.residual_norm,
-        expected_fidelity=expected_fidelity(records),
-    )
+    (row,) = _score(profile, range(trial, trial + 1), lambda ks: np.array([profile.couplings]), lambda k: param)
+    return row
 
 
 def noise_sweep(
@@ -223,16 +259,19 @@ def noise_sweep(
 
     Trial k's generator is seeded from word k of the master seed's
     stream, so rows do not depend on evaluation order and a longer sweep
-    reproduces a shorter one's prefix.
+    reproduces a shorter one's prefix.  Trial k's couplings are what
+    ``perturb`` with that seed gives.
     """
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
+    NoisePerturbation(sigma, seed)  # rejects a bad sigma before any draw
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials)
-    rows = []
-    for k in range(trials):
-        spec = NoisePerturbation(sigma=sigma, seed=int(trial_seeds[k]))
-        rows.append(sweep_row(perturb(profile, spec), trial=k, param=sigma))
-    return rows
+    base = np.asarray(profile.couplings)
+
+    def block_of(ks):
+        return np.stack([base * _noise_factors(int(trial_seeds[k]), sigma, len(base)) for k in ks])
+
+    return _score(profile, range(trials), block_of, lambda k: sigma)
 
 
 def adjacent_swap_sweep(profile: CouplingProfile) -> list[SweepRow]:
@@ -241,8 +280,13 @@ def adjacent_swap_sweep(profile: CouplingProfile) -> list[SweepRow]:
     Row 0 (param 0) is the unperturbed profile; row i scores the profile
     with couplings i and i+1 exchanged, param = i.
     """
-    rows = [sweep_row(profile, trial=0, param=0.0)]
-    for i in range(1, len(profile.couplings)):
-        swapped = perturb(profile, SwapPerturbation(i, i + 1))
-        rows.append(sweep_row(swapped, trial=i, param=float(i)))
-    return rows
+    base = np.asarray(profile.couplings)
+
+    def block_of(ks):
+        rows = np.tile(base, (len(ks), 1))
+        for r, i in enumerate(ks):
+            if i > 0:
+                rows[r, i - 1], rows[r, i] = base[i], base[i - 1]
+        return rows
+
+    return _score(profile, range(len(base)), block_of, float)

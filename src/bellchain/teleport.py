@@ -50,11 +50,6 @@ class EntangledResource:
         object.__setattr__(self, "alpha01", complex(self.alpha01))
         object.__setattr__(self, "alpha10", complex(self.alpha10))
 
-    @classmethod
-    def bell(cls) -> "EntangledResource":
-        s = 1.0 / math.sqrt(2.0)
-        return cls(alpha01=s, alpha10=s)
-
 
 @dataclass(frozen=True)
 class TeleportRecord:
@@ -97,25 +92,25 @@ def teleport(
     # The ufunc products, the float scale, the array division by sqrt(p)
     # and a contiguous vector for np.vdot each fix the payload's last bits:
     # Python products, a hand-written quotient or a strided view move them.
-    terms = np.multiply.outer([a, b], [resource.alpha01, resource.alpha10])
-    terms = terms * (1.0 / math.sqrt(2.0))
     # Row m of `kept` is the corrected, unnormalized B when A reads m.
-    kept = terms[[[0, 1], [0, 1]], [[0, 1], [1, 0]]]
-    probs = np.tile(np.sum(np.abs(kept) ** 2, axis=1), 2)
+    alphas = resource.alpha01, resource.alpha10
+    kept = np.multiply([[a, b], [a, b]], [alphas, alphas[::-1]]) * (1.0 / math.sqrt(2.0))
+    weights = np.abs(kept) ** 2
+    probs = np.concatenate([weights[:, 0] + weights[:, 1]] * 2)
     if mode == "enumerate":
         codes = range(4)
     else:
         codes = [int(np.random.default_rng(seed).choice(4, p=probs / probs.sum()))]
 
     target = np.array([a, b], dtype=complex)
+    # Both At outcomes leave B alike, so each A outcome m is scored once.
+    branches = [
+        (0.0, None) if p < _ZERO_PROB else (p, float(abs(np.vdot(target, row / math.sqrt(p))) ** 2))
+        for p, row in zip(probs[:2].tolist(), kept)
+    ]
     records = []
     for code in codes:
-        outcome = f"{code >> 1}{code & 1}"
-        p = float(probs[code])
-        if p < _ZERO_PROB:
-            records.append(TeleportRecord(outcome, 0.0, correction_for(outcome), None))
-            continue
-        fidelity = float(abs(np.vdot(target, kept[code & 1] / math.sqrt(p))) ** 2)
+        outcome, (p, fidelity) = f"{code >> 1}{code & 1}", branches[code & 1]
         records.append(TeleportRecord(outcome, p, correction_for(outcome), fidelity))
     return records
 

@@ -7,6 +7,12 @@ matrix, evolution through a dense matrix exponential, the Chebyshev
 recurrence over the whole chain, the chain Hamiltonian on the full 2^N
 register, the closed form of the folded chain's transfer amplitude,
 and a monolithic matrix-product teleportation pipeline.
+
+The sweep references are the one exception: ``sweep_row``,
+``noise_sweep`` and ``adjacent_swap_sweep`` score one profile at a
+time, through the package's ``state_at`` and ``teleport`` and a scalar
+end-pair readout, as the package did before it scored sweeps in
+blocks.  They check the batching, not those kernels.
 """
 
 from __future__ import annotations
@@ -54,6 +60,12 @@ def full_hilbert_hamiltonian(profile) -> np.ndarray:
                 h[s2, s] += d
                 h[s, s2] += d
     return h
+
+
+def dense_hamiltonian(off_diagonal) -> np.ndarray:
+    """Dense zero-diagonal tridiagonal matrix with ``off_diagonal`` as its couplings."""
+    off = np.asarray(off_diagonal, dtype=float)
+    return np.diag(off, 1) + np.diag(off, -1)
 
 
 def excitation_number_operator(n_sites: int) -> np.ndarray:
@@ -246,3 +258,62 @@ def random_qubit_pair(rng: np.random.Generator) -> tuple[complex, complex]:
     b = complex(vec[2], vec[3])
     norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
     return a / norm, b / norm
+
+
+def noise_couplings(couplings, sigma: float, seed: int) -> list[float]:
+    """Each coupling times 1 + eps, eps ~ Gaussian(0, sigma), drawn one at a
+    time from ``default_rng(seed)`` and redrawn while 1 + eps <= 0."""
+    rng = np.random.default_rng(seed)
+    out = list(couplings)
+    for k in range(len(out)):
+        eps = rng.normal(0.0, sigma)
+        while 1.0 + eps <= 0.0:
+            eps = rng.normal(0.0, sigma)
+        out[k] *= 1.0 + eps
+    return out
+
+
+def end_pair_resource(first: complex, last: complex) -> tuple[complex, complex]:
+    """(alpha01, alpha10) = (last, first) / sqrt(|first|^2 + |last|^2), one pair in scalar arithmetic."""
+    scale = 1.0 / math.sqrt(abs(first) ** 2 + abs(last) ** 2)
+    return last * scale, first * scale
+
+
+def sweep_row(n_sites: int, mu: float, couplings, trial: int, param: float) -> tuple:
+    """(trial, param, concurrence, residual_norm, expected_fidelity) of one profile at pi/mu."""
+    from bellchain.chain import CouplingProfile, one_excitation_hamiltonian
+    from bellchain.dynamics import center_excited_state, state_at
+    from bellchain.teleport import EntangledResource, expected_fidelity, teleport
+
+    profile = CouplingProfile(n_sites, mu, tuple(couplings))
+    amps = state_at(
+        one_excitation_hamiltonian(profile), center_excited_state(n_sites), math.pi / mu
+    ).amplitudes
+    concurrence = 2.0 * abs(amps[0]) * abs(amps[-1])
+    residual = float(np.sqrt(np.sum(np.abs(amps[1:-1]) ** 2)))
+    alpha01, alpha10 = end_pair_resource(complex(amps[0]), complex(amps[-1]))
+    resource = EntangledResource(alpha01=alpha01, alpha10=alpha10)
+    s = 1.0 / math.sqrt(2.0)
+    return trial, param, concurrence, residual, expected_fidelity(teleport(s, s, resource))
+
+
+def noise_sweep(profile, sigma: float, trials: int, seed: int) -> list[tuple]:
+    """One ``sweep_row`` per trial; trial k draws with word k of the master seed's stream."""
+    seeds = np.random.SeedSequence(seed).generate_state(trials)
+    return [
+        sweep_row(
+            profile.n_sites, profile.mu,
+            noise_couplings(profile.couplings, sigma, int(seeds[k])), k, sigma,
+        )
+        for k in range(trials)
+    ]
+
+
+def adjacent_swap_sweep(profile) -> list[tuple]:
+    """The unperturbed row, then one ``sweep_row`` per swap of couplings i and i+1."""
+    rows = [sweep_row(profile.n_sites, profile.mu, profile.couplings, 0, 0.0)]
+    for i in range(1, len(profile.couplings)):
+        couplings = list(profile.couplings)
+        couplings[i - 1], couplings[i] = couplings[i], couplings[i - 1]
+        rows.append(sweep_row(profile.n_sites, profile.mu, couplings, i, float(i)))
+    return rows

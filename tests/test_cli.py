@@ -7,13 +7,15 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
-import scipy.linalg
+import scipy.linalg.lapack
 
 from bellchain import cli, dynamics
 from bellchain.chain import engineered_couplings
 from bellchain.cli import run
 from bellchain.dynamics import NumericFailure, eigendecompose
+from bellchain.robustness import SweepRow
 from bellchain.serialize import profile_to_dict, write_json
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -616,6 +618,19 @@ class TestExitCodes:
         assert code == 4
         assert "eigensolver failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["perturb", "--swap", "3", "4"], ["perturb", "--sigma", "0.01", "--trials", "3"]]
+    )
+    def test_lapack_failure_exits_4(self, tmp_path, monkeypatch, capsys, argv):
+        def not_converged(d, e, **kwargs):
+            return np.zeros(len(d)), np.eye(len(d)), 1
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", not_converged)
+        out = tmp_path / "p.csv"
+        assert run([*argv, "--n", "9", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "error: eigensolver failed (dimension 9)\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 3.73 GiB")])
     def test_memory_error_maps_to_exit_2(self, tmp_path, monkeypatch, capsys, exc):
         def exhaust(args):
@@ -670,13 +685,60 @@ class TestLongChains:
         def no_eigensolve(*args, **kwargs):
             raise AssertionError("eigensolver called")
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", no_eigensolve)
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", no_eigensolve)
         out = tmp_path / "amps.csv"
         # a grid on which the Chebyshev series needs N terms or more: the dense path
         assert run(["evolve", "--n", "100001", "--t-grid", "0:10:1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: dense eigenvectors of 100001 sites need")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_adjacent_above_its_cap_is_refused_before_any_readout(self, tmp_path, monkeypatch, capsys):
+        def no_sweep(profile):
+            raise AssertionError("adjacent sweep ran")
+
+        monkeypatch.setattr(cli, "adjacent_swap_sweep", no_sweep)
+        n = cli.MAX_ADJACENT_SITES + 2
+        out = tmp_path / "adjacent.csv"
+        assert run(["perturb", "--adjacent", "--n", str(n), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --adjacent on {n} sites exceeds the limit of {cli.MAX_ADJACENT_SITES}\n"
+        assert not out.exists()
+
+    def test_adjacent_at_its_cap_is_accepted(self, tmp_path, monkeypatch):
+        sizes = []
+
+        def one_row(profile):
+            sizes.append(profile.n_sites)
+            return [SweepRow(trial=0, param=0.0, concurrence=1.0, residual_norm=0.0, expected_fidelity=1.0)]
+
+        monkeypatch.setattr(cli, "adjacent_swap_sweep", one_row)
+        n = cli.MAX_ADJACENT_SITES
+        assert run(["perturb", "--adjacent", "--n", str(n), "--out", str(tmp_path / "a.csv")]) == 0
+        assert sizes == [n]
+
+    @pytest.mark.skipif(
+        (dynamics._physical_memory_bytes() or 0) < 8 * 20001**2,
+        reason="physical memory unknown or below 3 GiB: the eigensolve is refused before allocating",
+    )
+    def test_eigensolve_beyond_the_address_space_is_a_one_line_argument_error(self, tmp_path):
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2_000_000 << 10, 2_000_000 << 10))
+
+        out = tmp_path / "amps.csv"
+        # the grid's Chebyshev series needs more terms than sites: the dense path,
+        # whose 2.98 GiB of eigenvectors do not fit in 2 GB
+        proc = subprocess.run(
+            [sys.executable, "-m", "bellchain", "evolve", "--n", "20001", "--t-grid", "0:100:1",
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+            preexec_fn=limit_address_space,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: out of memory: Unable to allocate")
+        assert proc.stderr.count("\n") == 1
         assert not out.exists()
 
     def test_swap_on_8001_sites_runs_in_one_gib_of_address_space(self, tmp_path):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,8 +20,6 @@ from bellchain.chain import (
     one_excitation_hamiltonian,
 )
 from bellchain.dynamics import (
-    ANTISYMMETRIC,
-    SYMMETRIC,
     NumericFailure,
     SiteAmplitudeState,
     analytic_center_to_end,
@@ -29,7 +28,6 @@ from bellchain.dynamics import (
     bell_time,
     center_excited_state,
     center_to_end_amplitude,
-    concurrence_ab,
     eigendecompose,
     end_to_end_amplitude,
     evolve,
@@ -44,6 +42,7 @@ from oracles import (
     chebyshev_moments,
     chebyshev_state,
     chebyshev_terms,
+    dense_hamiltonian,
     dense_propagate,
     end_pair_density,
     full_hilbert_hamiltonian,
@@ -77,7 +76,7 @@ class TestEigendecompose:
         eig = eigendecompose(TridiagonalHamiltonian(3, (1.0, 1.0)))
         np.testing.assert_allclose(eig.eigenvalues, [-SQRT2, 0.0, SQRT2], atol=1e-12)
         k0 = int(np.argmin(np.abs(eig.eigenvalues)))
-        assert eig.parity[k0] == ANTISYMMETRIC
+        assert parity_labels(eig.eigenvectors)[k0] == "antisymmetric"
         assert abs(eig.eigenvectors[1, k0]) < 1e-12
 
     def test_two_sites(self):
@@ -86,7 +85,7 @@ class TestEigendecompose:
 
     def test_n9_engineered_parity_census(self):
         eig = engineered_eig(9)
-        anti = [k for k, p in enumerate(eig.parity) if p == ANTISYMMETRIC]
+        anti = [k for k, p in enumerate(parity_labels(eig.eigenvectors)) if p == "antisymmetric"]
         assert len(anti) == 4
         for k in anti:
             assert abs(eig.eigenvectors[4, k]) < 1e-10
@@ -97,7 +96,7 @@ class TestEigendecompose:
         eig = eigendecompose(h)
         u = eig.eigenvectors
         np.testing.assert_allclose(u.T @ u, np.eye(n), atol=1e-10)
-        dense = h.to_dense()
+        dense = dense_hamiltonian(h.off_diagonal)
         scale = np.linalg.norm(dense, 2)
         residual = dense @ u - u * eig.eigenvalues[np.newaxis, :]
         assert np.max(np.abs(residual)) < 1e-10 * scale
@@ -105,9 +104,10 @@ class TestEigendecompose:
     @pytest.mark.parametrize("n", [3, 5, 9, 21])
     def test_parity_labels_match_mirror_residuals(self, n):
         eig = engineered_eig(n)
+        labels = parity_labels(eig.eigenvectors)
         for k in range(n):
             u = eig.eigenvectors[:, k]
-            if eig.parity[k] == SYMMETRIC:
+            if labels[k] == "symmetric":
                 assert np.max(np.abs(u - u[::-1])) < 1e-9
             else:
                 assert np.max(np.abs(u + u[::-1])) < 1e-9
@@ -116,25 +116,12 @@ class TestEigendecompose:
         eig = engineered_eig(9)
         assert np.all(eig.eigenvectors[0, :] > 0)
 
-    def test_parity_is_computed_on_first_access(self):
-        eig = engineered_eig(9)
-        assert "parity" not in eig.__dict__
-        labels = eig.parity
-        assert eig.__dict__["parity"] is labels
-        assert eig.parity is labels
-
     def test_returned_arrays_are_read_only(self):
         eig = engineered_eig(9)
         with pytest.raises(ValueError):
             eig.eigenvalues[0] = 1.0
         with pytest.raises(ValueError):
             eig.eigenvectors[0, 0] = 1.0
-
-    @pytest.mark.parametrize("kind", PROFILE_KINDS)
-    @pytest.mark.parametrize("n", [3, 9, 41])
-    def test_lazy_parity_matches_the_column_loop(self, kind, n):
-        eig = eigendecompose(one_excitation_hamiltonian(profile_of_kind(kind, n)))
-        assert eig.parity == parity_labels(eig.eigenvectors)
 
     @pytest.mark.parametrize("n", [3, 5, 9, 21, 41])
     def test_spectrum_symmetric_about_zero_with_zero_mode(self, n):
@@ -159,6 +146,31 @@ class TestEigendecompose:
             eigendecompose(h)
         monkeypatch.setattr(dynamics, "_physical_memory_bytes", lambda: 8 * 9**2)
         assert eigendecompose(h).dimension == 9
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_off_diagonals(self, monkeypatch, bad):
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", refuse_eigensolve)
+        with pytest.raises(ValueError, match="positive and finite"):
+            eigendecompose(TridiagonalHamiltonian(4, (1.0, bad, 1.0)))
+
+    def test_lapack_failure_is_a_numeric_failure(self, monkeypatch):
+        def not_converged(d, e, **kwargs):
+            return np.zeros(len(d)), np.eye(len(d)), 2
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", not_converged)
+        with pytest.raises(NumericFailure) as failure:
+            eigendecompose(one_excitation_hamiltonian(engineered_couplings(9, 1.0)))
+        assert failure.value.dimension == 9
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 50, 101])
+    def test_bitwise_equal_to_scipy_eigh_tridiagonal(self, n):
+        rng = np.random.default_rng(n)
+        off = rng.uniform(0.1, 2.0, n - 1)
+        eig = eigendecompose(TridiagonalHamiltonian(n, off))
+        eigenvalues, vectors = scipy.linalg.eigh_tridiagonal(np.zeros(n), off)
+        vectors *= np.where(vectors[0] < 0, -1.0, 1.0)
+        assert np.array_equal(eig.eigenvalues.view(np.uint64), eigenvalues.view(np.uint64))
+        assert np.array_equal(eig.eigenvectors.view(np.uint64), vectors.view(np.uint64))
 
     def test_numeric_failure_carries_dimension(self):
         failure = NumericFailure(17)
@@ -249,7 +261,7 @@ class TestEvolve:
         psi0 = (re + 1j * im) / np.linalg.norm(re + 1j * im)
         h = one_excitation_hamiltonian(profile_of_kind(kind, n))
         out = evolve(eigendecompose(h), SiteAmplitudeState(psi0), t)
-        expected = dense_propagate(h.to_dense(), psi0, t)
+        expected = dense_propagate(dense_hamiltonian(h.off_diagonal), psi0, t)
         np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
 
 
@@ -411,7 +423,7 @@ class TestGridAmplitudes:
         assert grid_amplitudes(h, 0, n // 2, [0.0]).tolist() == [0.0]
 
     def test_long_chain_matches_closed_form_without_eigensolve(self, monkeypatch):
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse_eigensolve)
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", refuse_eigensolve)
         n = 20001
         times = 3.0 + np.arange(61) * 0.005
         amps = grid_amplitudes(one_excitation_hamiltonian(engineered_couplings(n, 1.0)), 0, n // 2, times)
@@ -550,7 +562,7 @@ class TestTransferAmplitudes:
     def test_symmetric_sector_carries_the_whole_amplitude(self, n):
         eig = engineered_eig(n)
         c = (n - 1) // 2
-        mask = np.array([p == SYMMETRIC for p in eig.parity])
+        mask = np.array([p == "symmetric" for p in parity_labels(eig.eigenvectors)])
         for t in (0.3, 1.1, math.pi):
             full = center_to_end_amplitude(eig, t)
             weights = eig.eigenvectors[0, :] * eig.eigenvectors[c, :]
@@ -681,7 +693,8 @@ class TestBellDecomposition:
         d = bell_decomposition(state)
         total = abs(d.alpha_first) ** 2 + abs(d.alpha_last) ** 2 + d.residual_norm**2
         assert total == pytest.approx(1.0, abs=1e-12)
-        assert d.concurrence == concurrence_ab(state)
+        # the readout kernel rounds like the scalar product of two complex moduli
+        assert d.concurrence == 2.0 * abs(state.amplitudes[0]) * abs(state.amplitudes[-1])
 
     def test_phase_at_bell_time(self):
         # (-i)^((n-1)/2): pi for n=5, 0 for n=9
@@ -697,20 +710,24 @@ class TestBellDecomposition:
         assert abs(d.alpha_first - d.alpha_last) < 1e-10
 
 
+def concurrence(state):
+    return bell_decomposition(state).concurrence
+
+
 class TestConcurrence:
     def test_center_state_zero(self):
-        assert concurrence_ab(center_excited_state(9)) == 0.0
+        assert concurrence(center_excited_state(9)) == 0.0
 
     def test_engineered_at_bell_time(self):
         state = evolve(engineered_eig(9), center_excited_state(9), math.pi)
-        assert concurrence_ab(state) == pytest.approx(1.0, abs=1e-10)
+        assert concurrence(state) == pytest.approx(1.0, abs=1e-10)
 
     def test_skewed_state_value(self):
         amps = np.zeros(5, dtype=complex)
         amps[0] = math.sqrt(0.8)
         amps[4] = math.sqrt(0.2)
         state = SiteAmplitudeState(amps)
-        assert concurrence_ab(state) == pytest.approx(0.8, abs=1e-12)
+        assert concurrence(state) == pytest.approx(0.8, abs=1e-12)
         rho = end_pair_density(state.amplitudes)
         assert wootters_concurrence(rho) == pytest.approx(0.8, abs=1e-10)
 
@@ -723,8 +740,8 @@ class TestConcurrence:
         raw = rng.normal(size=7) + 1j * rng.normal(size=7)
         state = SiteAmplitudeState(raw / np.linalg.norm(raw))
         oracle = wootters_concurrence(end_pair_density(state.amplitudes))
-        assert concurrence_ab(state) == pytest.approx(oracle, abs=5e-8)
-        assert 0.0 <= concurrence_ab(state) <= 1.0 + 1e-12
+        assert concurrence(state) == pytest.approx(oracle, abs=5e-8)
+        assert 0.0 <= concurrence(state) <= 1.0 + 1e-12
 
 
 class TestFullHilbertOracle:

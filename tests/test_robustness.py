@@ -1,6 +1,9 @@
 """Perturbation sweeps, degraded-resource extraction, and the length bound."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from bellchain.chain import (
     engineered_max_coupling,
     one_excitation_hamiltonian,
 )
+from bellchain import dynamics, robustness
 from bellchain.dynamics import (
     BellDecomposition,
     bell_time,
@@ -32,9 +36,11 @@ from bellchain.robustness import (
     perturb,
     resource_from_profile,
     resource_from_report,
+    sweep_row,
 )
 from bellchain.serialize import feasibility_to_dict
 from bellchain.teleport import expected_fidelity, teleport
+import oracles
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -339,3 +345,101 @@ class TestAdjacentSwapSweep:
         rows = adjacent_swap_sweep(profile)
         assert len(rows) == 4
         assert all(0.0 <= r.concurrence <= 1.0 + 1e-12 for r in rows)
+
+
+def load_bench_workloads():
+    """bench/workloads.py, which holds the benchmark's op pools (standard library only)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def assert_same_rows(rows, reference):
+    """Trial and param equal, and every float bit-identical to the per-trial reference."""
+    assert [(r.trial, r.param) for r in rows] == [(trial, param) for trial, param, *_ in reference]
+    got = np.array([[r.concurrence, r.residual_norm, r.expected_fidelity] for r in rows])
+    want = np.array([values for _, _, *values in reference])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestBlockScorerMatchesPerTrialScoring:
+    """Sweeps score their trials in blocks; ``oracles`` scores them one at a time."""
+
+    def test_every_noise_sweep_pool_op_of_the_benchmark(self):
+        pool = load_bench_workloads().WORKLOADS["noise_sweep"].pool
+        assert len(pool) == 20
+        for argv in pool:
+            flags = dict(zip(argv[1::2], argv[2::2]))
+            profile = engineered_couplings(int(flags["--n"]), 1.0)
+            sigma, trials, seed = float(flags["--sigma"]), int(flags["--trials"]), int(flags["--seed"])
+            assert_same_rows(
+                noise_sweep(profile, sigma, trials, seed),
+                oracles.noise_sweep(profile, sigma, trials, seed),
+            )
+
+    def test_draws_that_need_redraws(self):
+        profile = engineered_couplings(9, 1.0)
+        redrawn = 0
+        for seed in range(100):
+            vector_draw = 1.0 + np.random.default_rng(seed).normal(0.0, 0.7, 8)
+            redrawn += not np.all(vector_draw > 0.0)
+            noisy = perturb(profile, NoisePerturbation(sigma=0.7, seed=seed))
+            assert noisy.couplings == tuple(oracles.noise_couplings(profile.couplings, 0.7, seed))
+        assert redrawn > 10
+        assert_same_rows(noise_sweep(profile, 0.7, 200, 3), oracles.noise_sweep(profile, 0.7, 200, 3))
+
+    def test_chebyshev_trials_inside_the_batch(self):
+        profile = engineered_couplings(401, 1.0)
+        h = robustness.one_excitation_hamiltonian(perturb(profile, NoisePerturbation(1e-3, 0)))
+        assert dynamics._chebyshev_plan(h, [bell_time(1.0)], 401) is not None
+        assert_same_rows(noise_sweep(profile, 1e-3, 6, 11), oracles.noise_sweep(profile, 1e-3, 6, 11))
+
+    @pytest.mark.parametrize("n", [9, 101])
+    def test_adjacent_swaps(self, n):
+        profile = engineered_couplings(n, 1.0)
+        assert_same_rows(adjacent_swap_sweep(profile), oracles.adjacent_swap_sweep(profile))
+
+    def test_single_row(self):
+        profile = perturb(engineered_couplings(9, 1.0), SwapPerturbation(3, 4))
+        row = sweep_row(profile, trial=0, param=3.0)
+        assert_same_rows([row], [oracles.sweep_row(9, 1.0, profile.couplings, 0, 3.0)])
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_rows_across_block_boundaries(self, monkeypatch, block):
+        shapes = []
+        readout = robustness.end_pair_readout
+
+        def recording(amplitudes):
+            shapes.append(amplitudes.shape)
+            return readout(amplitudes)
+
+        monkeypatch.setattr(robustness, "_PHASE_BLOCK_ENTRIES", 9 * block)
+        monkeypatch.setattr(robustness, "end_pair_readout", recording)
+        profile = engineered_couplings(9, 1.0)
+        assert_same_rows(noise_sweep(profile, 1e-2, 10, 5), oracles.noise_sweep(profile, 1e-2, 10, 5))
+        assert_same_rows(adjacent_swap_sweep(profile), oracles.adjacent_swap_sweep(profile))
+        # 10 noise trials, then 8 adjacent rows, in blocks of at most `block` x 9 amplitudes
+        expected = [min(block, 10 - k) for k in range(0, 10, block)]
+        expected += [min(block, 8 - k) for k in range(0, 8, block)]
+        assert shapes == [(rows, 9) for rows in expected]
+
+    def test_resource_kernel_rounds_like_scalar_arithmetic(self):
+        # sweep end amplitudes are real or imaginary up to rounding, so the
+        # sweeps alone would not notice a kernel that rounds general complex
+        # moduli differently
+        rng = np.random.default_rng(8)
+        for _ in range(2000):
+            first, last = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
+            resource = resource_from_report(BellDecomposition(0.0, first, last, 0.0))
+            got = np.array([resource.alpha01, resource.alpha10])
+            want = np.array(oracles.end_pair_resource(first, last))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_overflowing_couplings_are_an_argument_error(self):
+        profile = CouplingProfile(n_sites=3, mu=1.0, couplings=(1e308, 1e308))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=r"coupling D_\d must be positive and finite, got inf"):
+                noise_sweep(profile, 1e3, 20, 0)
