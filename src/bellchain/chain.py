@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Relative tolerance for the exact coupling symmetries of engineered profiles.
 SYMMETRY_RTOL = 1e-12
 
@@ -92,6 +94,14 @@ class TridiagonalHamiltonian:
                 f"off-diagonal entries, got {len(off)}"
             )
         object.__setattr__(self, "off_diagonal", off)
+
+    def to_dense(self) -> np.ndarray:
+        off = np.asarray(self.off_diagonal)
+        h = np.zeros((self.dimension, self.dimension))
+        idx = np.arange(self.dimension - 1)
+        h[idx, idx + 1] = off
+        h[idx + 1, idx] = off
+        return h
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ that path when K < N and the dense one otherwise.
 scipy is imported inside the functions that call it, not here, so a
 command loads only the parts of scipy its path uses: ``scipy.linalg``
 for the dense eigensolve (``eigendecompose`` calls LAPACK ``dstevd``, the
-routine ``eigh_tridiagonal`` picks, without that wrapper's checks: 17 us
-per call at N = 9 on a 2-core host) and for the ``daxpy`` sums of
+routine ``eigh_tridiagonal`` picks, and skips that wrapper's checks, about
+17 us per call at N = 9 on a 2-core host) and for the ``daxpy`` sums of
 ``_chebyshev_state``, ``scipy.special`` for the series length
 (``_series_length``).  ``couplings`` and ``feasibility`` never load
 scipy, and the Chebyshev ``evolve`` grid loads only ``scipy.special``.
@@ -50,10 +50,14 @@ import math
 import operator
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .chain import ResourceLimitError, TridiagonalHamiltonian
+
+SYMMETRIC = "symmetric"
+ANTISYMMETRIC = "antisymmetric"
 
 _NORM_ATOL = 1e-12
 
@@ -90,10 +94,11 @@ def _check_normalized(norm_sq: float, what: str) -> None:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues (ascending) and orthonormal eigenvectors.
+    """Eigenvalues (ascending), orthonormal eigenvectors, parity labels.
 
-    ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]`` and has its
-    first component positive.
+    ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``; each column has
+    its first component positive, and ``parity[k]`` says whether the
+    column is even or odd under site reversal.
     """
 
     eigenvalues: np.ndarray
@@ -102,6 +107,23 @@ class EigenSystem:
     @property
     def dimension(self) -> int:
         return len(self.eigenvalues)
+
+    @cached_property
+    def parity(self) -> tuple[str, ...]:
+        """SYMMETRIC or ANTISYMMETRIC per column, computed on first access.
+
+        Each column gets whichever of u -/+ reverse(u) has the smaller
+        residual.  Column by column on purpose: a vectorized form would
+        allocate two N x N temporaries.
+        """
+        parity = []
+        for k in range(self.dimension):
+            u = self.eigenvectors[:, k]
+            mirrored = u[::-1]
+            even = np.max(np.abs(u - mirrored))
+            odd = np.max(np.abs(u + mirrored))
+            parity.append(SYMMETRIC if even <= odd else ANTISYMMETRIC)
+        return tuple(parity)
 
 
 @dataclass(frozen=True)
@@ -168,8 +190,9 @@ def eigendecompose(h: TridiagonalHamiltonian) -> EigenSystem:
     Off-diagonals must be positive (this makes the spectrum simple, so
     the parity of each eigenvector is well defined) and finite.  LAPACK
     ``dstevd`` solves it; a nonzero ``info`` raises NumericFailure.
-    Eigenvectors are sign-normalized to a positive first component in place, on the
-    arrays LAPACK returned, and both arrays are returned read-only.
+    Eigenvectors are sign-normalized to a positive first component in
+    place, on the arrays LAPACK returned, and both arrays are returned
+    read-only.
     A chain whose 8 N^2 bytes of eigenvectors exceed physical memory
     raises ResourceLimitError before anything is allocated.
     """
@@ -207,15 +230,11 @@ def evolve(eig: EigenSystem, initial: SiteAmplitudeState, t: float) -> SiteAmpli
         raise ValueError(
             f"state has {initial.n_sites} sites, eigensystem {eig.dimension}"
         )
-    return SiteAmplitudeState(_evolved(eig, initial.amplitudes, t))
-
-
-def _evolved(eig: EigenSystem, amps: np.ndarray, t: float) -> np.ndarray:
-    """The amplitudes ``evolve`` returns, without the state's checks."""
     u = eig.eigenvectors
+    amps = initial.amplitudes
     phases = np.exp(-1j * eig.eigenvalues * t)
     coeffs = u.T @ amps.real + 1j * (u.T @ amps.imag)
-    return u @ (phases * coeffs)
+    return SiteAmplitudeState(u @ (phases * coeffs))
 
 
 def _series_length(x: float, max_terms: int) -> int | None:
@@ -460,6 +479,15 @@ def bell_decomposition(state: SiteAmplitudeState) -> BellDecomposition:
     """Split a state into end-site amplitudes plus orthogonal remainder (``end_pair_readout``)."""
     first, last, concurrence, residual = end_pair_readout(state.amplitudes[np.newaxis])
     return BellDecomposition(float(concurrence[0]), complex(first[0]), complex(last[0]), float(residual[0]))
+
+
+def concurrence_ab(state: SiteAmplitudeState) -> float:
+    """Concurrence of the two end qubits: 2 |a_1 a_N| for one-excitation states.
+
+    Equals 1 exactly when |a_1| = |a_N| = 1/sqrt(2), i.e. when the ends
+    form a Bell pair and the transmission line is empty.
+    """
+    return bell_decomposition(state).concurrence
 
 
 def end_pair_readout(amplitudes: np.ndarray):

@@ -12,27 +12,40 @@ Sweep rows score ``expected_fidelity`` by teleporting the balanced
 input (|0> + |1>)/sqrt(2), the input most sensitive to amplitude skew
 in the resource.
 
-Every sweep goes through one block scorer, ``_score``: each coupling
-row (one perturbed profile) takes ``state_at``'s path, and a block of
-at most ``_PHASE_BLOCK_ENTRIES`` amplitudes is read out at once by the
-kernels ``bell_decomposition`` and ``resource_from_report`` run on one
-row.  ``teleport`` still runs per row: its fidelity is one ``np.vdot``
-per branch, and a batched elementwise dot product gives other last bits.
+Every sweep goes through ``_score``, which never builds a
+``CouplingProfile`` per trial: each coupling row takes ``state_at``, and
+the end amplitudes, concurrence, ``residual_norm`` and resource of a
+block of rows come from one vectorized readout, the kernels that
+``bell_decomposition`` and ``resource_from_report`` run on one row.
+``teleport`` still runs per row: its fidelity is one ``np.vdot`` per
+branch, and a batched elementwise dot product gives other last bits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import CouplingProfile, TridiagonalHamiltonian, engineered_max_coupling, one_excitation_hamiltonian
-from .dynamics import _PHASE_BLOCK_ENTRIES, BellDecomposition, _chebyshev_state, _evolved, bell_decomposition
-from .dynamics import bell_time, center_excited_state, eigendecompose, end_pair_readout, state_at
+from .dynamics import (
+    BellDecomposition,
+    bell_decomposition,
+    bell_time,
+    center_excited_state,
+    eigendecompose,  # noqa: F401  bench/selftest.py checks the tracer patches it here
+    end_pair_readout,
+    state_at,
+)
 from .teleport import EntangledResource, expected_fidelity, teleport
 
 _END_WEIGHT_ATOL = 1e-12
+
+# Most amplitudes a sweep reads out at once (1 MB), so a long sweep never
+# holds trials x N of them.
+_BLOCK_ENTRIES = 1 << 16
 
 # Most trials one noise sweep accepts: about 7 minutes at N = 9 on a 2-core host.
 MAX_TRIALS = 1_000_000
@@ -104,12 +117,17 @@ def perturb(profile: CouplingProfile, spec: PerturbationSpec) -> CouplingProfile
         for idx in (spec.i, spec.j):
             if not 1 <= idx <= n_couplings:
                 raise ValueError(f"swap index {idx} outside 1..{n_couplings}")
-        couplings[spec.i - 1], couplings[spec.j - 1] = couplings[spec.j - 1], couplings[spec.i - 1]
+        couplings[spec.i - 1], couplings[spec.j - 1] = (
+            couplings[spec.j - 1],
+            couplings[spec.i - 1],
+        )
     elif isinstance(spec, NoisePerturbation):
         couplings = np.asarray(couplings) * _noise_factors(spec.seed, spec.sigma, len(couplings))
     else:
         raise TypeError(f"unknown perturbation spec {spec!r}")
-    return CouplingProfile(n_sites=profile.n_sites, mu=profile.mu, couplings=tuple(couplings))
+    return CouplingProfile(
+        n_sites=profile.n_sites, mu=profile.mu, couplings=tuple(couplings)
+    )
 
 
 def _noise_factors(seed: int, sigma: float, size: int) -> np.ndarray:
@@ -217,38 +235,30 @@ def _largest_fitting_chain(mu: float, g_max: float) -> int | None:
     return n if n >= 3 else None
 
 
-def _score(profile: CouplingProfile, trials: range, block_of, param_of) -> list[SweepRow]:
-    """One SweepRow per trial, scored at pi/mu; ``param_of(k)`` gives its param.
-
-    ``block_of(ks)`` gives the coupling rows (one perturbed profile each) of
-    the trials ks, at most ``_PHASE_BLOCK_ENTRIES`` amplitudes at a time.
-    """
+def _score(profile: CouplingProfile, trials) -> list[SweepRow]:
+    """One SweepRow per (trial, param, couplings) of ``trials``, each scored at pi/mu."""
     n, t0, s = profile.n_sites, bell_time(profile.mu), 1.0 / math.sqrt(2.0)
-    center, block, rows = center_excited_state(n), _PHASE_BLOCK_ENTRIES // n or 1, []
-    for start in range(trials.start, trials.stop, block):
-        ks = range(start, min(start + block, trials.stop))
-        couplings = block_of(ks)
-        bad = np.argwhere(~((couplings > 0) & (couplings < math.inf)))
-        if len(bad):
-            value = float(couplings[tuple(bad[0])])
-            raise ValueError(f"coupling D_{bad[0, 1] + 1} must be positive and finite, got {value}")
-        amplitudes = np.empty((len(ks), n), dtype=complex)
-        for amps, off in zip(amplitudes, couplings):
-            h = TridiagonalHamiltonian(n, off)
-            state = _chebyshev_state(h, center, t0, n)  # state_at's path rule
-            amps[:] = _evolved(eigendecompose(h), center.amplitudes, t0) if state is None else state.amplitudes
+    center, trials, rows = center_excited_state(n), iter(trials), []
+    while block := list(itertools.islice(trials, _BLOCK_ENTRIES // n or 1)):
+        amplitudes = np.empty((len(block), n), dtype=complex)
+        for amps, (_, _, couplings) in zip(amplitudes, block):
+            h = TridiagonalHamiltonian(n, couplings)
+            if not max(h.off_diagonal) < math.inf:  # noise can overflow; 1 + eps > 0 keeps D_i > 0
+                bad = h.off_diagonal.index(math.inf) + 1
+                raise ValueError(f"coupling D_{bad} must be positive and finite, got inf")
+            amps[:] = state_at(h, center, t0).amplitudes
         first, last, concurrence, residual = end_pair_readout(amplitudes)
         resources = zip(*(alpha.tolist() for alpha in _renormalized(first, last)))
         rows += [
-            SweepRow(k, param_of(k), c, r, expected_fidelity(teleport(s, s, EntangledResource(*alphas))))
-            for k, c, r, alphas in zip(ks, concurrence.tolist(), residual.tolist(), resources)
+            SweepRow(trial, param, c, r, expected_fidelity(teleport(s, s, EntangledResource(*alphas))))
+            for (trial, param, _), c, r, alphas in zip(block, concurrence.tolist(), residual.tolist(), resources)
         ]
     return rows
 
 
 def sweep_row(profile: CouplingProfile, trial: int, param: float) -> SweepRow:
     """Score one (already perturbed) profile at the readout time pi/mu."""
-    (row,) = _score(profile, range(trial, trial + 1), lambda ks: np.array([profile.couplings]), lambda k: param)
+    (row,) = _score(profile, [(trial, param, profile.couplings)])
     return row
 
 
@@ -265,13 +275,10 @@ def noise_sweep(
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}, got {trials}")
     NoisePerturbation(sigma, seed)  # rejects a bad sigma before any draw
-    trial_seeds = np.random.SeedSequence(seed).generate_state(trials)
     base = np.asarray(profile.couplings)
-
-    def block_of(ks):
-        return np.stack([base * _noise_factors(int(trial_seeds[k]), sigma, len(base)) for k in ks])
-
-    return _score(profile, range(trials), block_of, lambda k: sigma)
+    seeds = np.random.SeedSequence(seed).generate_state(trials).tolist()
+    noisy = (base * _noise_factors(s, sigma, len(base)) for s in seeds)
+    return _score(profile, ((k, sigma, couplings) for k, couplings in enumerate(noisy)))
 
 
 def adjacent_swap_sweep(profile: CouplingProfile) -> list[SweepRow]:
@@ -280,13 +287,6 @@ def adjacent_swap_sweep(profile: CouplingProfile) -> list[SweepRow]:
     Row 0 (param 0) is the unperturbed profile; row i scores the profile
     with couplings i and i+1 exchanged, param = i.
     """
-    base = np.asarray(profile.couplings)
-
-    def block_of(ks):
-        rows = np.tile(base, (len(ks), 1))
-        for r, i in enumerate(ks):
-            if i > 0:
-                rows[r, i - 1], rows[r, i] = base[i], base[i - 1]
-        return rows
-
-    return _score(profile, range(len(base)), block_of, float)
+    c = profile.couplings
+    swapped = ((i, float(i), c[: i - 1] + (c[i], c[i - 1]) + c[i + 1 :]) for i in range(1, len(c)))
+    return _score(profile, itertools.chain([(0, 0.0, c)], swapped))

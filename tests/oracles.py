@@ -9,10 +9,11 @@ register, the closed form of the folded chain's transfer amplitude,
 and a monolithic matrix-product teleportation pipeline.
 
 The sweep references are the one exception: ``sweep_row``,
-``noise_sweep`` and ``adjacent_swap_sweep`` score one profile at a
-time, through the package's ``state_at`` and ``teleport`` and a scalar
-end-pair readout, as the package did before it scored sweeps in
-blocks.  They check the batching, not those kernels.
+``noise_sweep`` and ``adjacent_swap_sweep`` build a ``CouplingProfile``
+per trial, draw its noise one coupling at a time, and score it through
+the package's ``state_at`` and ``teleport`` and a scalar end-pair
+readout.  They check how the sweeps draw and assemble their rows, not
+those kernels.
 """
 
 from __future__ import annotations
@@ -60,12 +61,6 @@ def full_hilbert_hamiltonian(profile) -> np.ndarray:
                 h[s2, s] += d
                 h[s, s2] += d
     return h
-
-
-def dense_hamiltonian(off_diagonal) -> np.ndarray:
-    """Dense zero-diagonal tridiagonal matrix with ``off_diagonal`` as its couplings."""
-    off = np.asarray(off_diagonal, dtype=float)
-    return np.diag(off, 1) + np.diag(off, -1)
 
 
 def excitation_number_operator(n_sites: int) -> np.ndarray:

@@ -17,11 +17,12 @@ from bellchain.chain import (
     validate_profile,
 )
 from bellchain.dynamics import (
+    SYMMETRIC,
     analytic_center_to_end,
-    bell_decomposition,
     bell_time,
     center_excited_state,
     center_to_end_amplitude,
+    concurrence_ab,
     eigendecompose,
     end_to_end_amplitude,
     evolve,
@@ -38,7 +39,6 @@ from oracles import (
     dense_propagate,
     full_hilbert_hamiltonian,
     one_excitation_indices,
-    parity_labels,
     random_qubit_pair,
     teleport_brute_force,
 )
@@ -68,7 +68,7 @@ def _formation_worst_cases(t0: float) -> tuple[float, float]:
         p_first = abs(state.amplitudes[0]) ** 2
         p_last = abs(state.amplitudes[-1]) ** 2
         worst_prob = max(worst_prob, abs(p_first - 0.5), abs(p_last - 0.5))
-        worst_conc = max(worst_conc, abs(bell_decomposition(state).concurrence - 1.0))
+        worst_conc = max(worst_conc, abs(concurrence_ab(state) - 1.0))
     return worst_prob, worst_conc
 
 
@@ -146,9 +146,8 @@ def test_criterion_04_parity_structure():
         eig = eigendecompose(one_excitation_hamiltonian(profile))
         center = (n - 1) // 2
 
-        labels = parity_labels(eig.eigenvectors)
-        for k, label in enumerate(labels):
-            if label != "symmetric":
+        for k, label in enumerate(eig.parity):
+            if label != SYMMETRIC:
                 worst_center = max(
                     worst_center, abs(eig.eigenvectors[center, k])
                 )
@@ -156,7 +155,7 @@ def test_criterion_04_parity_structure():
         # dropping the antisymmetric terms from the spectral sum must not
         # change the center-to-end amplitude: they carry no center weight
         weights = eig.eigenvectors[0, :] * eig.eigenvectors[center, :]
-        symmetric_mask = np.array([p == "symmetric" for p in labels])
+        symmetric_mask = np.array([p == SYMMETRIC for p in eig.parity])
         for t in t_grid:
             phases = np.exp(-1j * eig.eigenvalues * t)
             full_sum = np.sum(weights * phases)
@@ -198,7 +197,7 @@ def test_criterion_05_full_hilbert_oracle():
 
 def test_criterion_06_teleportation_determinism():
     rng = np.random.default_rng(60)
-    bell = EntangledResource(SQRT_HALF, SQRT_HALF)
+    bell = EntangledResource.bell()
     worst_prob = 0.0
     worst_fid = 0.0
     for _ in range(100):

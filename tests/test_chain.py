@@ -16,7 +16,6 @@ from bellchain.chain import (
     validate_profile,
 )
 from oracles import (
-    dense_hamiltonian,
     excitation_number_operator,
     full_hilbert_hamiltonian,
     one_excitation_indices,
@@ -178,7 +177,7 @@ class TestHalvedChain:
 class TestHamiltonians:
     def test_one_excitation_dense_layout(self):
         profile = engineered_couplings(5, 2.0)
-        h = dense_hamiltonian(one_excitation_hamiltonian(profile).off_diagonal)
+        h = one_excitation_hamiltonian(profile).to_dense()
         expected = np.zeros((5, 5))
         for i, d in enumerate(profile.couplings):
             expected[i, i + 1] = expected[i + 1, i] = d
@@ -191,7 +190,7 @@ class TestHamiltonians:
         idx = one_excitation_indices(n)
         block = full[np.ix_(idx, idx)]
         np.testing.assert_allclose(
-            block, dense_hamiltonian(one_excitation_hamiltonian(profile).off_diagonal), atol=1e-14
+            block, one_excitation_hamiltonian(profile).to_dense(), atol=1e-14
         )
 
     def test_full_hilbert_commutes_with_excitation_number(self):

@@ -20,6 +20,8 @@ from bellchain.chain import (
     one_excitation_hamiltonian,
 )
 from bellchain.dynamics import (
+    ANTISYMMETRIC,
+    SYMMETRIC,
     NumericFailure,
     SiteAmplitudeState,
     analytic_center_to_end,
@@ -28,6 +30,7 @@ from bellchain.dynamics import (
     bell_time,
     center_excited_state,
     center_to_end_amplitude,
+    concurrence_ab,
     eigendecompose,
     end_to_end_amplitude,
     evolve,
@@ -42,7 +45,6 @@ from oracles import (
     chebyshev_moments,
     chebyshev_state,
     chebyshev_terms,
-    dense_hamiltonian,
     dense_propagate,
     end_pair_density,
     full_hilbert_hamiltonian,
@@ -76,7 +78,7 @@ class TestEigendecompose:
         eig = eigendecompose(TridiagonalHamiltonian(3, (1.0, 1.0)))
         np.testing.assert_allclose(eig.eigenvalues, [-SQRT2, 0.0, SQRT2], atol=1e-12)
         k0 = int(np.argmin(np.abs(eig.eigenvalues)))
-        assert parity_labels(eig.eigenvectors)[k0] == "antisymmetric"
+        assert eig.parity[k0] == ANTISYMMETRIC
         assert abs(eig.eigenvectors[1, k0]) < 1e-12
 
     def test_two_sites(self):
@@ -85,7 +87,7 @@ class TestEigendecompose:
 
     def test_n9_engineered_parity_census(self):
         eig = engineered_eig(9)
-        anti = [k for k, p in enumerate(parity_labels(eig.eigenvectors)) if p == "antisymmetric"]
+        anti = [k for k, p in enumerate(eig.parity) if p == ANTISYMMETRIC]
         assert len(anti) == 4
         for k in anti:
             assert abs(eig.eigenvectors[4, k]) < 1e-10
@@ -96,7 +98,7 @@ class TestEigendecompose:
         eig = eigendecompose(h)
         u = eig.eigenvectors
         np.testing.assert_allclose(u.T @ u, np.eye(n), atol=1e-10)
-        dense = dense_hamiltonian(h.off_diagonal)
+        dense = h.to_dense()
         scale = np.linalg.norm(dense, 2)
         residual = dense @ u - u * eig.eigenvalues[np.newaxis, :]
         assert np.max(np.abs(residual)) < 1e-10 * scale
@@ -104,10 +106,9 @@ class TestEigendecompose:
     @pytest.mark.parametrize("n", [3, 5, 9, 21])
     def test_parity_labels_match_mirror_residuals(self, n):
         eig = engineered_eig(n)
-        labels = parity_labels(eig.eigenvectors)
         for k in range(n):
             u = eig.eigenvectors[:, k]
-            if labels[k] == "symmetric":
+            if eig.parity[k] == SYMMETRIC:
                 assert np.max(np.abs(u - u[::-1])) < 1e-9
             else:
                 assert np.max(np.abs(u + u[::-1])) < 1e-9
@@ -116,12 +117,25 @@ class TestEigendecompose:
         eig = engineered_eig(9)
         assert np.all(eig.eigenvectors[0, :] > 0)
 
+    def test_parity_is_computed_on_first_access(self):
+        eig = engineered_eig(9)
+        assert "parity" not in eig.__dict__
+        labels = eig.parity
+        assert eig.__dict__["parity"] is labels
+        assert eig.parity is labels
+
     def test_returned_arrays_are_read_only(self):
         eig = engineered_eig(9)
         with pytest.raises(ValueError):
             eig.eigenvalues[0] = 1.0
         with pytest.raises(ValueError):
             eig.eigenvectors[0, 0] = 1.0
+
+    @pytest.mark.parametrize("kind", PROFILE_KINDS)
+    @pytest.mark.parametrize("n", [3, 9, 41])
+    def test_lazy_parity_matches_the_column_loop(self, kind, n):
+        eig = eigendecompose(one_excitation_hamiltonian(profile_of_kind(kind, n)))
+        assert eig.parity == parity_labels(eig.eigenvectors)
 
     @pytest.mark.parametrize("n", [3, 5, 9, 21, 41])
     def test_spectrum_symmetric_about_zero_with_zero_mode(self, n):
@@ -261,7 +275,7 @@ class TestEvolve:
         psi0 = (re + 1j * im) / np.linalg.norm(re + 1j * im)
         h = one_excitation_hamiltonian(profile_of_kind(kind, n))
         out = evolve(eigendecompose(h), SiteAmplitudeState(psi0), t)
-        expected = dense_propagate(dense_hamiltonian(h.off_diagonal), psi0, t)
+        expected = dense_propagate(h.to_dense(), psi0, t)
         np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
 
 
@@ -562,7 +576,7 @@ class TestTransferAmplitudes:
     def test_symmetric_sector_carries_the_whole_amplitude(self, n):
         eig = engineered_eig(n)
         c = (n - 1) // 2
-        mask = np.array([p == "symmetric" for p in parity_labels(eig.eigenvectors)])
+        mask = np.array([p == SYMMETRIC for p in eig.parity])
         for t in (0.3, 1.1, math.pi):
             full = center_to_end_amplitude(eig, t)
             weights = eig.eigenvectors[0, :] * eig.eigenvectors[c, :]
@@ -693,6 +707,7 @@ class TestBellDecomposition:
         d = bell_decomposition(state)
         total = abs(d.alpha_first) ** 2 + abs(d.alpha_last) ** 2 + d.residual_norm**2
         assert total == pytest.approx(1.0, abs=1e-12)
+        assert d.concurrence == concurrence_ab(state)
         # the readout kernel rounds like the scalar product of two complex moduli
         assert d.concurrence == 2.0 * abs(state.amplitudes[0]) * abs(state.amplitudes[-1])
 
@@ -710,24 +725,20 @@ class TestBellDecomposition:
         assert abs(d.alpha_first - d.alpha_last) < 1e-10
 
 
-def concurrence(state):
-    return bell_decomposition(state).concurrence
-
-
 class TestConcurrence:
     def test_center_state_zero(self):
-        assert concurrence(center_excited_state(9)) == 0.0
+        assert concurrence_ab(center_excited_state(9)) == 0.0
 
     def test_engineered_at_bell_time(self):
         state = evolve(engineered_eig(9), center_excited_state(9), math.pi)
-        assert concurrence(state) == pytest.approx(1.0, abs=1e-10)
+        assert concurrence_ab(state) == pytest.approx(1.0, abs=1e-10)
 
     def test_skewed_state_value(self):
         amps = np.zeros(5, dtype=complex)
         amps[0] = math.sqrt(0.8)
         amps[4] = math.sqrt(0.2)
         state = SiteAmplitudeState(amps)
-        assert concurrence(state) == pytest.approx(0.8, abs=1e-12)
+        assert concurrence_ab(state) == pytest.approx(0.8, abs=1e-12)
         rho = end_pair_density(state.amplitudes)
         assert wootters_concurrence(rho) == pytest.approx(0.8, abs=1e-10)
 
@@ -740,8 +751,8 @@ class TestConcurrence:
         raw = rng.normal(size=7) + 1j * rng.normal(size=7)
         state = SiteAmplitudeState(raw / np.linalg.norm(raw))
         oracle = wootters_concurrence(end_pair_density(state.amplitudes))
-        assert concurrence(state) == pytest.approx(oracle, abs=5e-8)
-        assert 0.0 <= concurrence(state) <= 1.0 + 1e-12
+        assert concurrence_ab(state) == pytest.approx(oracle, abs=5e-8)
+        assert 0.0 <= concurrence_ab(state) <= 1.0 + 1e-12
 
 
 class TestFullHilbertOracle:

@@ -365,8 +365,9 @@ def assert_same_rows(rows, reference):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-class TestBlockScorerMatchesPerTrialScoring:
-    """Sweeps score their trials in blocks; ``oracles`` scores them one at a time."""
+class TestSweepsMatchThePerTrialReference:
+    """Sweeps draw each trial's noise in one call, skip CouplingProfile and
+    read trials out in blocks; ``oracles`` scores one profile at a time."""
 
     def test_every_noise_sweep_pool_op_of_the_benchmark(self):
         pool = load_bench_workloads().WORKLOADS["noise_sweep"].pool
@@ -391,7 +392,7 @@ class TestBlockScorerMatchesPerTrialScoring:
         assert redrawn > 10
         assert_same_rows(noise_sweep(profile, 0.7, 200, 3), oracles.noise_sweep(profile, 0.7, 200, 3))
 
-    def test_chebyshev_trials_inside_the_batch(self):
+    def test_chebyshev_trials(self):
         profile = engineered_couplings(401, 1.0)
         h = robustness.one_excitation_hamiltonian(perturb(profile, NoisePerturbation(1e-3, 0)))
         assert dynamics._chebyshev_plan(h, [bell_time(1.0)], 401) is not None
@@ -416,7 +417,7 @@ class TestBlockScorerMatchesPerTrialScoring:
             shapes.append(amplitudes.shape)
             return readout(amplitudes)
 
-        monkeypatch.setattr(robustness, "_PHASE_BLOCK_ENTRIES", 9 * block)
+        monkeypatch.setattr(robustness, "_BLOCK_ENTRIES", 9 * block)
         monkeypatch.setattr(robustness, "end_pair_readout", recording)
         profile = engineered_couplings(9, 1.0)
         assert_same_rows(noise_sweep(profile, 1e-2, 10, 5), oracles.noise_sweep(profile, 1e-2, 10, 5))

@@ -173,7 +173,7 @@ class TestReportPayloads:
         payload = teleport_report(
             complex(1.0, 0.0),
             complex(0.0, 0.0),
-            EntangledResource(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
+            EntangledResource.bell(),
             records,
             seed=None,
         )

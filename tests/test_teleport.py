@@ -41,7 +41,7 @@ unit_pairs = (
 
 class TestEntangledResource:
     def test_bell_is_balanced(self):
-        bell = EntangledResource(SQRT_HALF, SQRT_HALF)
+        bell = EntangledResource.bell()
         assert bell.alpha01 == pytest.approx(SQRT_HALF)
         assert bell.alpha10 == pytest.approx(SQRT_HALF)
 
@@ -101,7 +101,7 @@ class TestMeasureTwo:
     """The (At, A) measurement, made inside teleport()."""
 
     def test_bell_pipeline_outcomes_equiprobable(self):
-        records = teleport(0.6, 0.8, EntangledResource(SQRT_HALF, SQRT_HALF))
+        records = teleport(0.6, 0.8, EntangledResource.bell())
         assert [r.outcome for r in records] == ["00", "01", "10", "11"]
         for r in records:
             assert r.probability == pytest.approx(0.25, abs=1e-12)
@@ -130,24 +130,24 @@ class TestMeasureTwo:
 class TestTeleport:
     def test_rejects_unnormalized_input(self):
         with pytest.raises(ValueError):
-            teleport(1.0, 1.0, EntangledResource(SQRT_HALF, SQRT_HALF))
+            teleport(1.0, 1.0, EntangledResource.bell())
         with pytest.raises(ValueError, match="not normalized"):
-            teleport(complex(math.nan, 0.0), 0.0, EntangledResource(SQRT_HALF, SQRT_HALF))
+            teleport(complex(math.nan, 0.0), 0.0, EntangledResource.bell())
 
     @pytest.mark.parametrize("huge", [1e200, complex(1e308, 1e308)])
     def test_huge_inputs_fail_the_norm_check(self, huge):
         with pytest.raises(ValueError, match="not normalized"):
-            teleport(huge, huge, EntangledResource(SQRT_HALF, SQRT_HALF))
+            teleport(huge, huge, EntangledResource.bell())
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown measurement mode"):
-            teleport(1.0, 0.0, EntangledResource(SQRT_HALF, SQRT_HALF), mode="guess")
+            teleport(1.0, 0.0, EntangledResource.bell(), mode="guess")
 
     def test_bell_resource_is_deterministic(self):
         rng = np.random.default_rng(99)
         for _ in range(10):
             a, b = random_qubit_pair(rng)
-            records = teleport(a, b, EntangledResource(SQRT_HALF, SQRT_HALF))
+            records = teleport(a, b, EntangledResource.bell())
             assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-12)
             for r in records:
                 assert r.probability == pytest.approx(0.25, abs=1e-12)
@@ -232,7 +232,7 @@ class TestTeleport:
         assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-12)
 
     def test_sample_mode_returns_one_branch(self):
-        records = teleport(0.6, 0.8, EntangledResource(SQRT_HALF, SQRT_HALF), mode="sample", seed=5)
+        records = teleport(0.6, 0.8, EntangledResource.bell(), mode="sample", seed=5)
         assert len(records) == 1
         assert records[0].fidelity == pytest.approx(1.0, abs=1e-12)
 
