@@ -166,34 +166,44 @@ def _config_default(dest: str, value, kwargs: dict):
     return converted if nargs else converted[0]
 
 
-def _build_parser(config: dict) -> argparse.ArgumentParser:
+def _build_parser(config: dict, command: str | None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with flags only on ``command``'s.
+
+    Every config key that names a flag of any subcommand is still
+    checked, so a bad key fails whichever subcommand runs.
+    """
     parser = argparse.ArgumentParser(
         prog="bellchain",
         description="Engineered-chain Bell pairs, teleportation and robustness tools",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_parser(name, help):
+        p = sub.add_parser(name, help=help)
+        return p if name == command else None
+
     def add(p, *flags, dest=None, required=False, **kwargs):
         dest = dest or flags[0].lstrip("-").replace("-", "_")
         if dest in config:
             kwargs["default"] = _config_default(dest, config[dest], kwargs)
             required = False
-        p.add_argument(*flags, dest=dest, required=required, **kwargs)
+        if p is not None:
+            p.add_argument(*flags, dest=dest, required=required, **kwargs)
 
-    p = sub.add_parser("couplings", help="write the engineered coupling profile")
+    p = add_parser("couplings", help="write the engineered coupling profile")
     add(p, "--n", type=int, required=True, help="odd chain length")
     add(p, "--mu", type=float, default=1.0, help="coupling scale")
     add(p, "--format", choices=["json", "csv"], default="json")
     add(p, "--out", required=True)
 
-    p = sub.add_parser("evolve", help="center-to-end amplitude over a time grid")
+    p = add_parser("evolve", help="center-to-end amplitude over a time grid")
     add(p, "--profile", help="profile JSON (overrides --n/--mu)")
     add(p, "--n", type=int)
     add(p, "--mu", type=float, default=1.0)
     add(p, "--t-grid", required=True, help="lo:hi:step")
     add(p, "--out", required=True, help="CSV output path")
 
-    p = sub.add_parser("teleport", help="run the teleportation protocol")
+    p = add_parser("teleport", help="run the teleportation protocol")
     add(p, "--a-re", type=float, default=1.0)
     add(p, "--a-im", type=float, default=0.0)
     add(p, "--b-re", type=float, default=0.0)
@@ -205,12 +215,12 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     add(p, "--seed", type=int, default=None)
     add(p, "--out", required=True, help="report JSON path")
 
-    p = sub.add_parser("feasibility", help="chain-length bound for a coupling ceiling")
+    p = add_parser("feasibility", help="chain-length bound for a coupling ceiling")
     add(p, "--mu", type=float, required=True)
     add(p, "--gmax", type=float, required=True)
     add(p, "--out", required=True, help="report JSON path")
 
-    p = sub.add_parser("perturb", help="score perturbed profiles at the readout time")
+    p = add_parser("perturb", help="score perturbed profiles at the readout time")
     add(p, "--profile", help="profile JSON (overrides --n/--mu)")
     add(p, "--n", type=int)
     add(p, "--mu", type=float, default=1.0)
@@ -221,7 +231,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     add(p, "--adjacent", action="store_true", help="baseline plus every adjacent swap")
     add(p, "--out", required=True, help="CSV output path")
 
-    p = sub.add_parser("search", help="search for alternative entangling profiles")
+    p = add_parser("search", help="search for alternative entangling profiles")
     add(p, "--n", type=int, required=True)
     add(p, "--seed", type=int, default=0)
     add(p, "--restarts", type=int, default=8)
@@ -232,8 +242,8 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     add(p, "--d-hi", type=float, default=4.0)
     add(p, "--out", required=True, help="result JSON path")
 
-    for p in sub.choices.values():
-        p.add_argument("--config", help="JSON file with flag defaults")
+    if command in sub.choices:
+        sub.choices[command].add_argument("--config", help="JSON file with flag defaults")
     return parser
 
 
@@ -422,7 +432,9 @@ def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         config_path = _extract_config_path(argv)
-        parser = _build_parser(_load_config(config_path) if config_path else {})
+        # the first token not starting with "-" is the subcommand argparse will pick, if any
+        command = next((token for token in argv if not token.startswith("-")), None)
+        parser = _build_parser(_load_config(config_path) if config_path else {}, command)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -25,14 +25,20 @@ expanded in Chebyshev polynomials of H/Lambda with Bessel coefficients
 (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967), in O(N) memory.
 Its K terms come from a three-term recurrence that updates only the
 sites an excitation can have reached (its light cone, recomputed once
-per block of steps) instead of the whole chain.  One recurrence
-serves both: ``state_at`` sums its weighted terms into the state at
-one time, and ``grid_amplitudes`` keeps one entry of each term, so
-its steps also skip the sites that can no longer reach that entry,
-and then reads every time of a grid from those moments.  The Bessel
-coefficients come from one FFT per time.  K grows like Lambda*|t|
-(about pi*N/4 at the engineered readout time), so each readout takes
-that path when K < N and the dense one otherwise.
+per block of steps) instead of the whole chain.  The chain has no
+on-site terms, so H only hops between the even and the odd sites, and
+T_k(H/Lambda) applied to a start on one sublattice lives on one
+sublattice at each k.  The recurrence therefore runs on two half-length
+buffers, one per sublattice, and each step updates only the sublattice
+its new term lives on: half the work of the whole-chain recurrence,
+with the same operations in the same order on every entry that is not
+zero, so the same bits.  One recurrence serves both: ``state_at`` sums
+its weighted terms into the state at one time, and ``grid_amplitudes``
+keeps one entry of each term, so its steps also skip the sites that can
+no longer reach that entry, and then reads every time of a grid from
+those moments.  The Bessel coefficients come from one FFT per time.
+K grows like Lambda*|t| (about pi*N/4 at the engineered readout time),
+so each readout takes that path when K < N and the dense one otherwise.
 
 scipy is imported inside the functions that call it, not here, so a
 command loads only the parts of scipy its path uses: ``scipy.linalg``
@@ -298,59 +304,84 @@ def _chebyshev_plan(
     return None if n_terms is None else (bound, n_terms)
 
 
-def _step_views(double, scratch, prev, cur, lo: int, hi: int):
-    """Slices for prev <- 2 (H/bound) cur - prev on the sites [lo, hi), lo < hi.
+def _step_views(double, scratch, target, source, s: int, lo: int, hi: int):
+    """Slices for target <- 2 (H/bound) source - target on the sublattice-s sites in [lo, hi), lo < hi.
 
+    ``target`` holds sites s, s+2, ... and ``source`` the other sublattice,
+    so site j = 2i+s has its neighbours j+1 at source[i+s] and j-1 at
+    source[i+s-1]; ``double`` is the pair (double[0::2], double[1::2]).
     As on the whole chain, sites below N-1 take double[j] cur[j+1] - prev[j],
     site N-1 takes -prev[N-1], and then sites above 0 add double[j-1] cur[j-1].
     """
-    n, mid, top = len(prev), min(hi, len(prev) - 1), max(lo, 1)
+    up, down = double[s], double[1 - s]  # double[j] at j = 2i+s, and at the source site j-1
+    first, stop = (lo - s + 1) // 2, (hi - s + 1) // 2
+    mid, bottom = min(stop, len(up)), max(first, 1 - s)
     return (
-        double[lo:mid], cur[lo + 1 : mid + 1], prev[lo:mid], scratch[: mid - lo],
-        prev[n - 1 :] if hi == n else None,
-        double[top - 1 : hi - 1], cur[top - 1 : hi - 1], prev[top:hi], scratch[: hi - top],
+        up[first:mid], source[first + s : mid + s], target[first:mid], scratch[: mid - first],
+        target[stop - 1 :] if stop == len(target) > len(up) else None,
+        down[bottom + s - 1 : stop + s - 1], source[bottom + s - 1 : stop + s - 1], target[bottom:stop],
+        scratch[: stop - bottom],
     )
 
 
 def _chebyshev_terms(h: TridiagonalHamiltonian, start: np.ndarray, bound: float, n_terms: int, row=None):
-    """Yield T_k(H/bound) applied to the real vector ``start``, for k = 0 .. n_terms-1.
+    """Yield (k, s, T_k(H/bound) ``start`` on sublattice s) for k = 0 .. n_terms-1, per class.
 
-    Runs T_{k+1} = 2 (H/bound) T_k - T_{k-1} in real arithmetic on two
-    buffers; the yielded one is overwritten by the next step.  T_k is 0
-    outside the light cone (the support of ``start`` widened by k sites),
-    so blocks of ``_CONE_CHUNK`` steps update only the cone of the
-    block's last step, through views built once per block.  With ``row``
-    given only entry ``row`` stays exact: a block also leaves out the
-    sites that cannot reach ``row`` in the steps left after its first.
-    Every updated entry takes the whole-chain operations in their order.
+    H only hops between the even sites 0, 2, ... and the odd sites 1, 3,
+    ..., so the recurrence T_{k+1} = 2 (H/bound) T_k - T_{k-1} splits
+    into two classes that never mix: class c is the sublattice-c entries
+    at even k and the other sublattice's at odd k, and reads only the
+    sublattice-c entries of ``start``.  Each class whose start slice is
+    not all zero runs in real arithmetic on its own two half-length
+    buffers and yields its term at step k as the buffer of sublattice
+    s = (c + k) mod 2, whose entry i is site 2i+s; the buffer is
+    overwritten two steps later.  The entries a class leaves out are
+    zeros (+0 or -0) in the whole-chain recurrence.  T_k is 0 outside the light
+    cone (the support of the start slice widened by k sites), so blocks
+    of ``_CONE_CHUNK`` steps update only the cone of the block's last
+    step, through views built once per block.  With ``row`` given only
+    entry ``row`` stays exact: a block also leaves out the sites that
+    cannot reach ``row`` in the steps left after its first.  Every
+    updated entry takes the whole-chain operations in their order.
     """
     n = h.dimension
     double = 2.0 * np.asarray(h.off_diagonal) / bound
-    support = np.flatnonzero(start)
-    prev, cur, scratch = start.copy(), np.zeros(n), np.empty(n - 1)
+    half = 0.5 * double
+    halves, doubles = (half[0::2], half[1::2]), (double[0::2].copy(), double[1::2].copy())
+    scratch = np.empty((n + 1) // 2)
+    for c in (0, 1):
+        support = 2 * np.flatnonzero(start[c::2]) + c
+        if not len(support):
+            continue
+        buffers = [start[0::2].copy(), start[1::2].copy()]
+        buffers[1 - c].fill(0.0)
 
-    # cur = T_1 start = (H/bound) start
-    np.multiply(0.5 * double, prev[1:], out=cur[:-1])
-    cur[1:] += 0.5 * double * prev[:-1]
-    yield from (prev, cur)[:n_terms]
-    for first in range(1, n_terms - 1, _CONE_CHUNK):  # step k makes T_{k+1}
-        last = min(first + _CONE_CHUNK, n_terms - 1)
-        lo, hi = max(support[0] - last, 0), min(support[-1] + last + 1, n)
-        if row is not None:
-            reach = n_terms - 2 - first
-            lo, hi = max(lo, row - reach), min(hi, row + reach + 1)
-        views = [_step_views(double, scratch, *pair, lo, hi) for pair in ((prev, cur), (cur, prev)) if lo < hi]
-        for k in range(first, last):
-            if views:
-                up, cur_up, prev_lo, s_up, end, down, cur_down, prev_hi, s_down = views[(k - first) & 1]
-                np.multiply(up, cur_up, out=s_up)
-                np.subtract(s_up, prev_lo, out=prev_lo)
-                if end is not None:
-                    np.multiply(end, -1.0, out=end)
-                np.multiply(down, cur_down, out=s_down)
-                np.add(prev_hi, s_down, out=prev_hi)
-            prev, cur = cur, prev
-            yield cur
+        # T_1 start = (H/bound) start, on the other sublattice
+        up, src_up, dst_up, _, _, down, src_down, dst_down, s_down = _step_views(
+            halves, scratch, buffers[1 - c], buffers[c], 1 - c, 0, n
+        )
+        np.multiply(up, src_up, out=dst_up)
+        np.multiply(down, src_down, out=s_down)
+        np.add(dst_down, s_down, out=dst_down)
+        yield from ((0, c, buffers[c]), (1, 1 - c, buffers[1 - c]))[:n_terms]
+        for first in range(1, n_terms - 1, _CONE_CHUNK):  # step k makes T_{k+1}
+            last = min(first + _CONE_CHUNK, n_terms - 1)
+            lo, hi = max(support[0] - last, 0), min(support[-1] + last + 1, n)
+            if row is not None:
+                reach = n_terms - 2 - first
+                lo, hi = max(lo, row - reach), min(hi, row + reach + 1)
+            views = [_step_views(doubles, scratch, buffers[s], buffers[1 - s], s, lo, hi) for s in (0, 1) if lo < hi]
+            for k in range(first, last):
+                s = (c + k + 1) & 1
+                if views:
+                    up, cur_up, prev_lo, s_up, end, down, cur_down, prev_hi, s_down = views[s]
+                    np.multiply(up, cur_up, out=s_up)
+                    np.subtract(s_up, prev_lo, out=prev_lo)
+                    if end is not None:
+                        np.multiply(end, -1.0, out=end)
+                    np.multiply(down, cur_down, out=s_down)
+                    np.add(prev_hi, s_down, out=prev_hi)
+                yield k + 1, s, buffers[s]
 
 
 def _chebyshev_weights(bessel: np.ndarray) -> np.ndarray:
@@ -367,10 +398,12 @@ def _chebyshev_state(
 ) -> SiteAmplitudeState | None:
     """sum_k c_k J_k(bound t) T_k(H/bound) psi, or None if it needs ``max_terms`` terms.
 
-    One recurrence runs for each of the real and imaginary parts of psi
-    that is not identically zero (the imaginary part of a basis state
-    is).  Each term is added with its real weight to an even or an odd
-    sum, and the odd sum is multiplied by -i once at the end.
+    The recurrence runs on the real and on the imaginary part of psi,
+    each class of it only where its start slice is not all zero (the
+    imaginary part of a basis state runs nothing, a basis state's real
+    part one class).  Each half-length term is added with its real
+    weight to the half of an even or an odd sum that its sublattice
+    holds, and the odd sum is multiplied by -i once at the end.
     """
     plan = _chebyshev_plan(h, [t], max_terms)
     if plan is None:
@@ -380,12 +413,12 @@ def _chebyshev_state(
     bound, n_terms = plan
     (bessel,) = next(_bessel_tables([bound * t], n_terms))
     weights = _chebyshev_weights(bessel)
-    sums = np.zeros((2, 2, h.dimension))  # [real, imaginary part][even-k, odd-k terms]
+    n = h.dimension
+    sums = np.zeros((2, 2, 2, (n + 1) // 2))  # [real, imaginary part][even-k, odd-k terms][s][i] of site 2i+s
     for part, part_sums in zip((initial.amplitudes.real, initial.amplitudes.imag), sums):
-        if part.any():
-            for k, term in enumerate(_chebyshev_terms(h, part, bound, n_terms)):
-                scipy.linalg.blas.daxpy(term, part_sums[k & 1], a=weights[k])
-    (even_re, odd_re), (even_im, odd_im) = sums
+        for k, s, term in _chebyshev_terms(h, part, bound, n_terms):
+            scipy.linalg.blas.daxpy(term, part_sums[k & 1, s], a=weights[k])
+    (even_re, odd_re), (even_im, odd_im) = sums.swapaxes(2, 3).reshape(2, 2, -1)[:, :, :n]
     return SiteAmplitudeState((even_re + odd_im) + 1j * (even_im - odd_re))
 
 
@@ -419,7 +452,10 @@ def grid_amplitudes(h: TridiagonalHamiltonian, row: int, column: int, times) -> 
     bound, n_terms = plan
     start = np.zeros(h.dimension)
     start[column] = 1.0
-    moments = np.array([term[row] for term in _chebyshev_terms(h, start, bound, n_terms, row)])
+    moments = np.zeros(n_terms)  # the moments of k on the column's other sublattice stay +0
+    for k, s, term in _chebyshev_terms(h, start, bound, n_terms, row):
+        if s == row % 2:
+            moments[k] = term[row // 2]
     coefficients = _chebyshev_weights(moments) * np.where(np.arange(n_terms) % 2, -1j, 1.0)
     return np.concatenate([table @ coefficients for table in _bessel_tables(bound * times, n_terms)])
 

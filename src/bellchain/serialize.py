@@ -30,14 +30,15 @@ def format_float(value: float) -> str:
 
 def canonical_json(value) -> str:
     """Deterministic JSON text: dict order preserved, floats via format_float."""
+    # floats first: a profile's digest is mostly floats, and no float is a bool or an int
+    if isinstance(value, float):
+        return format_float(value)
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return format_float(value)
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
@@ -46,7 +47,7 @@ def canonical_json(value) -> str:
         )
         return "{" + items + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in value) + "]"
+        return "[" + ",".join(map(canonical_json, value)) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__} canonically")
 
 
@@ -77,10 +78,20 @@ def complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _json_number(value, what: str) -> float:
+    """A JSON number (not a bool or a string) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} {value} is out of the float range") from None
+
+
 def _as_complex(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"expected [re, im], got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(_json_number(pair[0], "real part"), _json_number(pair[1], "imaginary part"))
 
 
 def profile_to_dict(profile: CouplingProfile) -> dict:
@@ -92,14 +103,20 @@ def profile_to_dict(profile: CouplingProfile) -> dict:
 
 
 def profile_from_dict(data: dict) -> CouplingProfile:
+    """The profile of ``data``: n_sites a JSON integer, mu and each coupling a JSON number."""
     try:
-        return CouplingProfile(
-            n_sites=int(data["n_sites"]),
-            mu=float(data["mu"]),
-            couplings=tuple(float(d) for d in data["couplings"]),
-        )
+        n_sites, mu, couplings = data["n_sites"], data["mu"], data["couplings"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed profile data: {exc}") from exc
+    if isinstance(n_sites, bool) or not isinstance(n_sites, int):
+        raise ValueError(f"n_sites must be a JSON integer, got {n_sites!r}")
+    if not isinstance(couplings, list):
+        raise ValueError(f"couplings must be a JSON list, got {couplings!r}")
+    return CouplingProfile(
+        n_sites=n_sites,
+        mu=_json_number(mu, "mu"),
+        couplings=tuple(_json_number(d, "coupling") for d in couplings),
+    )
 
 
 def read_profile(path: Path | str) -> CouplingProfile:

@@ -1,5 +1,6 @@
 """Command-line interface: payloads, manifests, exit codes, config handling."""
 
+import argparse
 import json
 import math
 import resource
@@ -383,6 +384,65 @@ class TestNonFiniteInputs:
         assert not out.exists()
 
 
+class TestProfileAndResourceTypes:
+    """--profile and --resource files are typed as strictly as --config: one-line exit 2 otherwise."""
+
+    HUGE = "1" + "0" * 400  # a JSON integer beyond the float range
+
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            ('{"n_sites": 1e400, "mu": 1.0, "couplings": [1, 1, 1, 1]}', "n_sites must be a JSON integer, got inf"),
+            ('{"n_sites": 9.9, "mu": 1.0, "couplings": [1, 1, 1, 1, 1, 1, 1, 1]}', "n_sites must be a JSON integer"),
+            ('{"n_sites": 5.0, "mu": 1.0, "couplings": [1, 1, 1, 1]}', "n_sites must be a JSON integer"),
+            ('{"n_sites": true, "mu": 1.0, "couplings": []}', "n_sites must be a JSON integer"),
+            ('{"n_sites": 5, "mu": true, "couplings": [1, 1, 1, 1]}', "mu must be a JSON number, got True"),
+            ('{"n_sites": 5, "mu": "1", "couplings": [1, 1, 1, 1]}', "mu must be a JSON number"),
+            ('{"n_sites": 5, "mu": HUGE, "couplings": [1, 1, 1, 1]}', "out of the float range"),
+            ('{"n_sites": 5, "mu": 1.0, "couplings": [1, 1, 1, "1"]}', "coupling must be a JSON number, got '1'"),
+            ('{"n_sites": 5, "mu": 1.0, "couplings": [1, false, 1, 1]}', "coupling must be a JSON number"),
+            ('{"n_sites": 5, "mu": 1.0, "couplings": [1, HUGE, 1, 1]}', "out of the float range"),
+            ('{"n_sites": 5, "mu": 1.0, "couplings": "1111"}', "couplings must be a JSON list"),
+            ('{"n_sites": 5, "mu": 1.0, "couplings": {"1": 1}}', "couplings must be a JSON list"),
+            ('[5, 1.0, [1, 1, 1, 1]]', "malformed profile data"),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["evolve", "--t-grid", "0:1:0.5"], ["perturb", "--swap", "1", "2"]])
+    def test_profile(self, tmp_path, capsys, command, profile, message):
+        path = tmp_path / "profile.json"
+        path.write_text(profile.replace("HUGE", self.HUGE))
+        out = tmp_path / "x.out"
+        assert run([*command, "--profile", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ('{"alpha01": [true, 0], "alpha10": [0, 0]}', "real part must be a JSON number, got True"),
+            ('{"alpha01": ["0.6", 0], "alpha10": [0, 0.8]}', "real part must be a JSON number"),
+            ('{"alpha01": [0.6, null], "alpha10": [0, 0.8]}', "imaginary part must be a JSON number"),
+            ('{"alpha01": [0.6, 0], "alpha10": [0, HUGE]}', "out of the float range"),
+            ('{"alpha01": [1e400, 0], "alpha10": [0, 0]}', "not normalized"),
+        ],
+    )
+    def test_resource(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "resource.json"
+        path.write_text(payload.replace("HUGE", self.HUGE))
+        out = tmp_path / "x.json"
+        assert run(["teleport", "--resource", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_integer_couplings_and_mu_are_numbers(self, tmp_path):
+        path = tmp_path / "profile.json"
+        path.write_text('{"n_sites": 5, "mu": 1, "couplings": [1, 1, 1, 1]}')
+        out = tmp_path / "x.csv"
+        assert run(["evolve", "--profile", str(path), "--t-grid", "0:1:0.5", "--out", str(out)]) == 0
+
+
 class TestPerturb:
     def test_single_swap(self, tmp_path):
         out = tmp_path / "swap.csv"
@@ -540,6 +600,8 @@ class TestConfigAndEnvironment:
             {"n": 9, "format": "xml"},
             {"n": None},
             {"n": 9, "out": None},
+            {"n": 9, "adjacent": "no"},  # keys naming another subcommand's flag are checked too
+            {"n": 9, "restarts": "many"},
         ],
     )
     def test_config_value_of_wrong_type_is_an_argument_error(self, tmp_path, capsys, config):
@@ -550,6 +612,14 @@ class TestConfigAndEnvironment:
         err = capsys.readouterr().err
         assert err.startswith("error: config value for") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_only_the_invoked_subcommand_gets_its_flags(self):
+        parser = cli._build_parser({}, "evolve")
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {name: [f for a in p._actions for f in a.option_strings] for name, p in sub.choices.items()}
+        assert list(flags) == ["couplings", "evolve", "teleport", "feasibility", "perturb", "search"]
+        assert flags.pop("evolve") == ["-h", "--help", "--profile", "--n", "--mu", "--t-grid", "--out", "--config"]
+        assert all(f == ["-h", "--help"] for f in flags.values())
 
     def test_config_values_convert_like_flag_text(self, tmp_path):
         config_path = tmp_path / "config.json"

@@ -466,46 +466,98 @@ def reference_grid(h, row, column, times):
     return np.concatenate([table @ coefficients for table in tables])
 
 
-class TestLightConeRecurrence:
-    """The windowed recurrence against the whole-chain one in oracles.py, bit for bit."""
+def whole_terms(h, start, bound, n_terms, row=None):
+    """The half-length terms of ``_chebyshev_terms`` put on their sites: row k is T_k, +0 where no class ran."""
+    terms = np.zeros((n_terms, h.dimension))
+    for k, s, term in dynamics._chebyshev_terms(h, start, bound, n_terms, row):
+        terms[k, s::2] = term
+    return terms
 
-    N = 401
+
+def random_chain(n, seed):
+    return TridiagonalHamiltonian(n, tuple(np.random.default_rng(seed).uniform(0.5, 1.5, n - 1)))
+
+
+def sublattice_state(n, sublattices, seed):
+    """A normalized real start on the given sublattices, with -0.0 on the others."""
+    values = np.random.default_rng(seed).normal(size=n)
+    on = np.isin(np.arange(n) % 2, sublattices)
+    values = np.where(on, values / np.linalg.norm(values[on]), -0.0)
+    return SiteAmplitudeState(values)
+
+
+class TestLightConeRecurrence:
+    """The windowed two-sublattice recurrence against the whole-chain one in oracles.py, bit for bit."""
+
     CHUNKS = (1, 3, 64, 10**6)  # 10**6 is above every K here: one block
+    SIZES = (401, 403)  # center site 200 is even, 201 odd
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("kind", PROFILE_KINDS)
     def test_state_matches_whole_chain(self, kind, chunk, monkeypatch):
         monkeypatch.setattr(dynamics, "_CONE_CHUNK", chunk)
-        n = self.N
-        h = one_excitation_hamiltonian(profile_of_kind(kind, n))
-        starts = [basis_state(n, 1), basis_state(n, n), center_excited_state(n), complex_state(n, seed=3)]
         t0 = bell_time(1.0)
-        for initial in starts:
-            for t in (0.4, -0.4, t0, 3.0 * t0):
-                out = dynamics._chebyshev_state(h, initial, t, 10**6).amplitudes
-                assert np.array_equal(bits(out), bits(reference_state(h, initial, t)))
+        for n in self.SIZES:
+            h = one_excitation_hamiltonian(profile_of_kind(kind, n))
+            starts = [basis_state(n, 1), basis_state(n, n), center_excited_state(n), complex_state(n, seed=3)]
+            for initial in starts:
+                for t in (0.4, -0.4, t0, 3.0 * t0):
+                    out = dynamics._chebyshev_state(h, initial, t, 10**6).amplitudes
+                    assert np.array_equal(bits(out), bits(reference_state(h, initial, t)))
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("kind", PROFILE_KINDS)
     def test_short_chain_crossed_by_the_cone(self, kind, chunk, monkeypatch):
         # K far above N: every block window is clamped at both ends of the chain
         monkeypatch.setattr(dynamics, "_CONE_CHUNK", chunk)
-        h = one_excitation_hamiltonian(profile_of_kind(kind, 9))
-        for initial in (basis_state(9, 1), basis_state(9, 9), complex_state(9, seed=9)):
-            out = dynamics._chebyshev_state(h, initial, 40.0, 10**6).amplitudes
-            assert np.array_equal(bits(out), bits(reference_state(h, initial, 40.0)))
+        for n in (3, 5, 9):
+            h = one_excitation_hamiltonian(profile_of_kind(kind, n))
+            for initial in (basis_state(n, 1), basis_state(n, n), basis_state(n, 2), complex_state(n, seed=9)):
+                out = dynamics._chebyshev_state(h, initial, 40.0, 10**6).amplitudes
+                assert np.array_equal(bits(out), bits(reference_state(h, initial, 40.0)))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 10**6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 30, 31])
+    def test_starts_on_one_or_both_sublattices(self, n, chunk, monkeypatch):
+        # the odd sizes put site N-1 on the even sublattice, the even sizes on the odd one
+        monkeypatch.setattr(dynamics, "_CONE_CHUNK", chunk)
+        h = random_chain(n, seed=n)
+        for sublattices in ([0], [1], [0, 1]):
+            initial = sublattice_state(n, sublattices, seed=n)
+            for t in (0.3, 2.0, 25.0):
+                out = dynamics._chebyshev_state(h, initial, t, 10**6).amplitudes
+                assert np.array_equal(bits(out), bits(reference_state(h, initial, t)))
+            bound, n_terms = dynamics._chebyshev_plan(h, [25.0], 10**6)
+            start = initial.amplitudes.real
+            expected = [term[0].copy() for term in chebyshev_terms(h.off_diagonal, start[None], bound, n_terms)]
+            terms = whole_terms(h, start, bound, n_terms)
+            # adding +0.0 turns -0.0 into +0.0 and keeps every other value: the oracle's
+            # entries on the class a -0.0 start slice skips are -0.0 or +0.0
+            assert np.array_equal(bits(terms + 0.0), bits(np.array(expected) + 0.0))
+            if sublattices != [0, 1]:
+                (c,) = sublattices
+                assert not np.any(terms[0::2, 1 - c :: 2]) and not np.any(terms[1::2, c::2])
+
+    def test_long_chain_matches_whole_chain(self):
+        # each half-length daxpy holds above 10,000 entries, where OpenBLAS may split it over threads
+        n = 20003
+        h = one_excitation_hamiltonian(engineered_couplings(n, 1.0))
+        initial = center_excited_state(n)
+        out = dynamics._chebyshev_state(h, initial, bell_time(1.0), 10**6).amplitudes
+        assert np.array_equal(bits(out), bits(reference_state(h, initial, bell_time(1.0))))
 
     @pytest.mark.parametrize("n_terms", [1, 2])
     def test_one_and_two_terms(self, n_terms):
-        h = one_excitation_hamiltonian(profile_of_kind("noisy", self.N))
+        n = self.SIZES[0]
+        h = one_excitation_hamiltonian(profile_of_kind("noisy", n))
         bound, _ = dynamics._chebyshev_plan(h, [1.0], 10**6)
         t = 0.0 if n_terms == 1 else 1e-10 / bound
         assert dynamics._chebyshev_plan(h, [t], 10**6) == (bound, n_terms)
-        for initial in (basis_state(self.N, 1), complex_state(self.N, seed=4)):
+        for initial in (basis_state(n, 1), complex_state(n, seed=4)):
             out = dynamics._chebyshev_state(h, initial, t, 10**6).amplitudes
             assert np.array_equal(bits(out), bits(reference_state(h, initial, t)))
-        start = complex_state(self.N, seed=4).amplitudes.real
-        terms = [term.copy() for term in dynamics._chebyshev_terms(h, start, bound, n_terms)]
+        start = complex_state(n, seed=4).amplitudes.real
+        terms = whole_terms(h, start, bound, n_terms)
         expected = [term[0].copy() for term in chebyshev_terms(h.off_diagonal, start[None], bound, n_terms)]
         assert np.array_equal(bits(terms), bits(expected))
 
@@ -513,24 +565,39 @@ class TestLightConeRecurrence:
     @pytest.mark.parametrize("kind", PROFILE_KINDS)
     def test_grid_matches_whole_chain(self, kind, chunk, monkeypatch):
         monkeypatch.setattr(dynamics, "_CONE_CHUNK", chunk)
-        n = self.N
-        h = one_excitation_hamiltonian(profile_of_kind(kind, n))
+        times = np.linspace(-1.2, 1.5, 19)
+        for n in self.SIZES:
+            h = one_excitation_hamiltonian(profile_of_kind(kind, n))
+            bound, n_terms = dynamics._chebyshev_plan(h, times, n)
+            pairs = [(0, n // 2), (n - 1, n // 2), (n // 2, n // 2), (0, 0), (n - 1, n - 1), (0, 7), (n // 4, n // 2 + 1)]
+            for row, column in pairs:
+                start = np.zeros(n)
+                start[column] = 1.0
+                moments = whole_terms(h, start, bound, n_terms, row)[:, row]
+                expected = chebyshev_moments(h.off_diagonal, row, column, bound, n_terms)
+                assert np.array_equal(bits(moments), bits(expected))
+                out = grid_amplitudes(h, row, column, times)
+                assert np.array_equal(bits(out), bits(reference_grid(h, row, column, times)))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_moments_off_the_rows_sublattice_are_plus_zero(self, n, monkeypatch):
+        h = one_excitation_hamiltonian(profile_of_kind("noisy", n))
         times = np.linspace(-1.2, 1.5, 19)
         bound, n_terms = dynamics._chebyshev_plan(h, times, n)
-        pairs = [(0, n // 2), (n - 1, n // 2), (n // 2, n // 2), (0, 0), (n - 1, n - 1), (0, 7), (n // 4, n // 2 + 1)]
-        for row, column in pairs:
-            start = np.zeros(n)
-            start[column] = 1.0
-            moments = [term[row] for term in dynamics._chebyshev_terms(h, start, bound, n_terms, row)]
-            expected = chebyshev_moments(h.off_diagonal, row, column, bound, n_terms)
-            assert np.array_equal(bits(moments), bits(expected))
-            out = grid_amplitudes(h, row, column, times)
-            assert np.array_equal(bits(out), bits(reference_grid(h, row, column, times)))
+        seen, weights = [], dynamics._chebyshev_weights
+        monkeypatch.setattr(dynamics, "_chebyshev_weights", lambda moments: weights(seen.append(moments) or moments))
+        for row, column in ((0, n // 2), (n - 1, n // 2), (n // 2 + 1, n // 2), (1, 0), (n - 2, n - 1), (0, 0)):
+            grid_amplitudes(h, row, column, times)
+            moments = seen.pop()
+            assert np.array_equal(bits(moments), bits(chebyshev_moments(h.off_diagonal, row, column, bound, n_terms)))
+            on, off = moments[(row - column) % 2 :: 2], moments[(row - column + 1) % 2 :: 2]
+            assert np.any(on)
+            assert np.array_equal(bits(off), bits(np.zeros(len(off))))
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_row_outside_the_cone_reads_exactly_zero(self, chunk, monkeypatch):
         monkeypatch.setattr(dynamics, "_CONE_CHUNK", chunk)
-        n = self.N
+        n = self.SIZES[0]
         h = one_excitation_hamiltonian(profile_of_kind("swapped", n))
         times = np.linspace(0.0, 0.5, 11)
         bound, n_terms = dynamics._chebyshev_plan(h, times, n)
@@ -538,7 +605,7 @@ class TestLightConeRecurrence:
         for row, column in ((n - 1, 0), (0, n - 1), (n // 2 + n_terms, n // 2)):
             start = np.zeros(n)
             start[column] = 1.0
-            moments = [term[row] for term in dynamics._chebyshev_terms(h, start, bound, n_terms, row)]
+            moments = whole_terms(h, start, bound, n_terms, row)[:, row]
             assert np.array_equal(bits(moments), bits(np.zeros(n_terms)))
             out = grid_amplitudes(h, row, column, times)
             assert np.array_equal(bits(out), bits(np.zeros(len(times), dtype=complex)))

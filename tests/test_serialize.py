@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +66,13 @@ class TestCanonicalJson:
     def test_containers_keep_insertion_order(self):
         text = canonical_json({"b": 1, "a": [2, None, {"z": 0.25}]})
         assert text == '{"b":1,"a":[2,null,{"z":0.25}]}'
+
+    def test_mixed_list_text_is_pinned(self):
+        value = [True, 3, 0.1, np.float64(2.5), None, {"k": [False, -0.0, 1e-300, (7, np.float64(1 / 3))]}, "x", 2**70]
+        assert canonical_json(value) == (
+            '[true,3,0.10000000000000001,2.5,null,{"k":[false,-0,1e-300,[7,0.33333333333333331]]},'
+            '"x",1180591620717411303424]'
+        )
 
     def test_output_parses_as_json(self):
         value = {"x": [1.5, "s", None, True], "y": {"n": 3}}
