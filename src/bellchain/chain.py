@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # Relative tolerance for the exact coupling symmetries of engineered profiles.
 SYMMETRY_RTOL = 1e-12
 
@@ -35,6 +33,23 @@ class ResourceLimitError(RuntimeError):
 def _check_mu(mu: float) -> None:
     if not 0 < mu < math.inf:
         raise ValueError(f"mu must be positive and finite, got {mu}")
+
+
+def _check_odd(n_sites: int) -> None:
+    if n_sites < 3 or n_sites % 2 == 0:
+        raise ValueError(f"n_sites must be odd and >= 3, got {n_sites}")
+
+
+def _positive_couplings(values) -> tuple[float, ...]:
+    """The bond strengths D_1, D_2, ... as floats; each must be positive and finite."""
+    couplings = tuple(float(d) for d in values)
+    # A positive min and a finite sum fail on any NaN, inf or non-positive entry; then the
+    # loop names the bad bond (finite couplings whose sum overflows pass it).
+    if not (min(couplings, default=1.0) > 0 and math.isfinite(sum(couplings))):
+        for i, d in enumerate(couplings, start=1):
+            if not 0 < d < math.inf:  # NaN fails too
+                raise ValueError(f"coupling D_{i} must be positive and finite, got {d}")
+    return couplings
 
 
 @dataclass(frozen=True)
@@ -59,18 +74,13 @@ class CouplingProfile:
 
     def __post_init__(self) -> None:
         n = self.n_sites
-        if n < 3 or n % 2 == 0:
-            raise ValueError(f"n_sites must be odd and >= 3, got {n}")
+        _check_odd(n)
         _check_mu(self.mu)
-        couplings = tuple(float(d) for d in self.couplings)
-        if len(couplings) != n - 1:
+        if len(self.couplings) != n - 1:
             raise ValueError(
-                f"expected {n - 1} couplings for {n} sites, got {len(couplings)}"
+                f"expected {n - 1} couplings for {n} sites, got {len(self.couplings)}"
             )
-        for i, d in enumerate(couplings, start=1):
-            if not 0 < d < math.inf:
-                raise ValueError(f"coupling D_{i} must be positive and finite, got {d}")
-        object.__setattr__(self, "couplings", couplings)
+        object.__setattr__(self, "couplings", _positive_couplings(self.couplings))
 
     def coupling(self, i: int) -> float:
         """Return D_i with 1-based index i."""
@@ -81,27 +91,23 @@ class CouplingProfile:
 
 @dataclass(frozen=True)
 class TridiagonalHamiltonian:
-    """Real symmetric tridiagonal matrix with identically zero diagonal."""
+    """Real symmetric tridiagonal matrix with identically zero diagonal.
+
+    Its off-diagonals must be positive and finite, as a ``CouplingProfile``'s
+    couplings: every ``dynamics`` kernel takes this type, bounds the spectrum
+    by Gershgorin sums of them and relies on a simple spectrum.
+    """
 
     dimension: int
     off_diagonal: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        off = tuple(float(d) for d in self.off_diagonal)
-        if len(off) != self.dimension - 1:
+        if len(self.off_diagonal) != self.dimension - 1:
             raise ValueError(
                 f"dimension {self.dimension} needs {self.dimension - 1} "
-                f"off-diagonal entries, got {len(off)}"
+                f"off-diagonal entries, got {len(self.off_diagonal)}"
             )
-        object.__setattr__(self, "off_diagonal", off)
-
-    def to_dense(self) -> np.ndarray:
-        off = np.asarray(self.off_diagonal)
-        h = np.zeros((self.dimension, self.dimension))
-        idx = np.arange(self.dimension - 1)
-        h[idx, idx + 1] = off
-        h[idx + 1, idx] = off
-        return h
+        object.__setattr__(self, "off_diagonal", _positive_couplings(self.off_diagonal))
 
 
 @dataclass(frozen=True)
@@ -125,8 +131,7 @@ def engineered_couplings(n_sites: int, mu: float = 1.0) -> CouplingProfile:
     D_{(N-1)/2} = mu sqrt((N-1)/2) / (2 sqrt(2)); the second half mirrors
     the first.  For N = 3 the bridge is the only independent coupling.
     """
-    if n_sites < 3 or n_sites % 2 == 0:
-        raise ValueError(f"n_sites must be odd and >= 3, got {n_sites}")
+    _check_odd(n_sites)
     _check_mu(mu)
     m = (n_sites + 1) // 2
     half = [0.5 * mu * math.sqrt(k * (m - k)) for k in range(1, (n_sites - 3) // 2 + 1)]
@@ -140,8 +145,7 @@ def engineered_max_coupling(n_sites: int, mu: float = 1.0) -> float:
     The interior values k(M-k) peak at k = floor(M/2); for N = 3 the only
     bond is the bridge.  Grows like mu*N/8 for long chains.
     """
-    if n_sites < 3 or n_sites % 2 == 0:
-        raise ValueError(f"n_sites must be odd and >= 3, got {n_sites}")
+    _check_odd(n_sites)
     if n_sites == 3:
         return mu / (2.0 * math.sqrt(2.0))
     m = (n_sites + 1) // 2

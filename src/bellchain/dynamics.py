@@ -56,14 +56,10 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .chain import ResourceLimitError, TridiagonalHamiltonian
-
-SYMMETRIC = "symmetric"
-ANTISYMMETRIC = "antisymmetric"
 
 _NORM_ATOL = 1e-12
 
@@ -100,11 +96,10 @@ def _check_normalized(norm_sq: float, what: str) -> None:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues (ascending), orthonormal eigenvectors, parity labels.
+    """Eigenvalues (ascending) and orthonormal eigenvectors.
 
     ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``; each column has
-    its first component positive, and ``parity[k]`` says whether the
-    column is even or odd under site reversal.
+    its first component positive.
     """
 
     eigenvalues: np.ndarray
@@ -113,23 +108,6 @@ class EigenSystem:
     @property
     def dimension(self) -> int:
         return len(self.eigenvalues)
-
-    @cached_property
-    def parity(self) -> tuple[str, ...]:
-        """SYMMETRIC or ANTISYMMETRIC per column, computed on first access.
-
-        Each column gets whichever of u -/+ reverse(u) has the smaller
-        residual.  Column by column on purpose: a vectorized form would
-        allocate two N x N temporaries.
-        """
-        parity = []
-        for k in range(self.dimension):
-            u = self.eigenvectors[:, k]
-            mirrored = u[::-1]
-            even = np.max(np.abs(u - mirrored))
-            odd = np.max(np.abs(u + mirrored))
-            parity.append(SYMMETRIC if even <= odd else ANTISYMMETRIC)
-        return tuple(parity)
 
 
 @dataclass(frozen=True)
@@ -193,8 +171,8 @@ def _physical_memory_bytes() -> int | None:
 def eigendecompose(h: TridiagonalHamiltonian) -> EigenSystem:
     """Solve the symmetric tridiagonal eigenproblem.
 
-    Off-diagonals must be positive (this makes the spectrum simple, so
-    the parity of each eigenvector is well defined) and finite.  LAPACK
+    ``TridiagonalHamiltonian`` has already checked that the off-diagonals
+    are positive and finite, so the spectrum is simple.  LAPACK
     ``dstevd`` solves it; a nonzero ``info`` raises NumericFailure.
     Eigenvectors are sign-normalized to a positive first component in
     place, on the arrays LAPACK returned, and both arrays are returned
@@ -205,8 +183,6 @@ def eigendecompose(h: TridiagonalHamiltonian) -> EigenSystem:
     off = np.asarray(h.off_diagonal)
     if h.dimension < 2:
         raise ValueError("eigendecompose needs dimension >= 2")
-    if not (off.min() > 0 and off.max() < math.inf):  # NaN fails both
-        raise ValueError("off-diagonals must be positive and finite")
     needed, memory = 8 * h.dimension**2, _physical_memory_bytes()
     if memory is not None and needed > memory:
         raise ResourceLimitError(
@@ -515,15 +491,6 @@ def bell_decomposition(state: SiteAmplitudeState) -> BellDecomposition:
     """Split a state into end-site amplitudes plus orthogonal remainder (``end_pair_readout``)."""
     first, last, concurrence, residual = end_pair_readout(state.amplitudes[np.newaxis])
     return BellDecomposition(float(concurrence[0]), complex(first[0]), complex(last[0]), float(residual[0]))
-
-
-def concurrence_ab(state: SiteAmplitudeState) -> float:
-    """Concurrence of the two end qubits: 2 |a_1 a_N| for one-excitation states.
-
-    Equals 1 exactly when |a_1| = |a_N| = 1/sqrt(2), i.e. when the ends
-    form a Bell pair and the transmission line is empty.
-    """
-    return bell_decomposition(state).concurrence
 
 
 def end_pair_readout(amplitudes: np.ndarray):

@@ -50,11 +50,6 @@ class EntangledResource:
         object.__setattr__(self, "alpha01", complex(self.alpha01))
         object.__setattr__(self, "alpha10", complex(self.alpha10))
 
-    @classmethod
-    def bell(cls) -> "EntangledResource":
-        s = 1.0 / math.sqrt(2.0)
-        return cls(alpha01=s, alpha10=s)
-
 
 @dataclass(frozen=True)
 class TeleportRecord:

@@ -3,10 +3,12 @@
 Everything here is built from first principles with numpy/scipy and no
 imports from the package under test, so agreement is evidence rather
 than tautology: Wootters concurrence from the spin-flipped density
-matrix, evolution through a dense matrix exponential, the Chebyshev
-recurrence over the whole chain, the chain Hamiltonian on the full 2^N
-register, the closed form of the folded chain's transfer amplitude,
-and a monolithic matrix-product teleportation pipeline.
+matrix, the dense one-excitation block (``dense_tridiagonal``),
+evolution through a dense matrix exponential, the Chebyshev recurrence
+over the whole chain, the chain Hamiltonian on the full 2^N register,
+the mirror parity of each eigenvector (``parity_labels``), the closed
+form of the folded chain's transfer amplitude, and a monolithic
+matrix-product teleportation pipeline.
 
 The sweep references are the one exception: ``sweep_row``,
 ``noise_sweep`` and ``adjacent_swap_sweep`` build a ``CouplingProfile``
@@ -60,6 +62,15 @@ def full_hilbert_hamiltonian(profile) -> np.ndarray:
                 s2 = s ^ mask
                 h[s2, s] += d
                 h[s, s2] += d
+    return h
+
+
+def dense_tridiagonal(off_diagonal) -> np.ndarray:
+    """Dense symmetric matrix with zero diagonal and ``off_diagonal`` beside it."""
+    n = len(off_diagonal) + 1
+    h = np.zeros((n, n))
+    for i, d in enumerate(off_diagonal):
+        h[i, i + 1] = h[i + 1, i] = d
     return h
 
 

@@ -17,12 +17,11 @@ from bellchain.chain import (
     validate_profile,
 )
 from bellchain.dynamics import (
-    SYMMETRIC,
     analytic_center_to_end,
+    bell_decomposition,
     bell_time,
     center_excited_state,
     center_to_end_amplitude,
-    concurrence_ab,
     eigendecompose,
     end_to_end_amplitude,
     evolve,
@@ -39,6 +38,7 @@ from oracles import (
     dense_propagate,
     full_hilbert_hamiltonian,
     one_excitation_indices,
+    parity_labels,
     random_qubit_pair,
     teleport_brute_force,
 )
@@ -68,7 +68,7 @@ def _formation_worst_cases(t0: float) -> tuple[float, float]:
         p_first = abs(state.amplitudes[0]) ** 2
         p_last = abs(state.amplitudes[-1]) ** 2
         worst_prob = max(worst_prob, abs(p_first - 0.5), abs(p_last - 0.5))
-        worst_conc = max(worst_conc, abs(concurrence_ab(state) - 1.0))
+        worst_conc = max(worst_conc, abs(bell_decomposition(state).concurrence - 1.0))
     return worst_prob, worst_conc
 
 
@@ -145,9 +145,10 @@ def test_criterion_04_parity_structure():
         profile = engineered_couplings(n, 1.0)
         eig = eigendecompose(one_excitation_hamiltonian(profile))
         center = (n - 1) // 2
+        labels = parity_labels(eig.eigenvectors)
 
-        for k, label in enumerate(eig.parity):
-            if label != SYMMETRIC:
+        for k, label in enumerate(labels):
+            if label != "symmetric":
                 worst_center = max(
                     worst_center, abs(eig.eigenvectors[center, k])
                 )
@@ -155,7 +156,7 @@ def test_criterion_04_parity_structure():
         # dropping the antisymmetric terms from the spectral sum must not
         # change the center-to-end amplitude: they carry no center weight
         weights = eig.eigenvectors[0, :] * eig.eigenvectors[center, :]
-        symmetric_mask = np.array([p == SYMMETRIC for p in eig.parity])
+        symmetric_mask = np.array([p == "symmetric" for p in labels])
         for t in t_grid:
             phases = np.exp(-1j * eig.eigenvalues * t)
             full_sum = np.sum(weights * phases)
@@ -197,7 +198,7 @@ def test_criterion_05_full_hilbert_oracle():
 
 def test_criterion_06_teleportation_determinism():
     rng = np.random.default_rng(60)
-    bell = EntangledResource.bell()
+    bell = EntangledResource(alpha01=SQRT_HALF, alpha10=SQRT_HALF)
     worst_prob = 0.0
     worst_fid = 0.0
     for _ in range(100):

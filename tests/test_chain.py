@@ -1,6 +1,7 @@
 """Profile construction, symmetry validation, and Hamiltonian builders."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from bellchain.chain import (
     CouplingProfile,
+    TridiagonalHamiltonian,
     engineered_couplings,
     engineered_max_coupling,
     halved_hamiltonian,
@@ -16,6 +18,7 @@ from bellchain.chain import (
     validate_profile,
 )
 from oracles import (
+    dense_tridiagonal,
     excitation_number_operator,
     full_hilbert_hamiltonian,
     one_excitation_indices,
@@ -119,6 +122,25 @@ class TestCouplingProfile:
         with pytest.raises(ValueError, match="coupling D_2 must be positive and finite"):
             CouplingProfile(5, 1.0, (1.0, bad, 1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: CouplingProfile(4, 1.0, (1.0,) * 3), lambda: engineered_couplings(4), lambda: engineered_max_coupling(4)],
+    )
+    def test_one_odd_length_message(self, build):
+        with pytest.raises(ValueError, match=r"^n_sites must be odd and >= 3, got 4$"):
+            build()
+
+
+class TestTridiagonalHamiltonian:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bond", [1, 4, 8])
+    def test_refuses_a_bad_off_diagonal_at_any_bond(self, bond, bad):
+        off = [1.0] * 8
+        off[bond - 1] = bad
+        message = rf"^coupling D_{bond} must be positive and finite, got {re.escape(str(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            TridiagonalHamiltonian(9, tuple(off))
+
 
 class TestValidateProfile:
     def test_uniform_profile_breaks_only_the_bridge(self):
@@ -177,7 +199,7 @@ class TestHalvedChain:
 class TestHamiltonians:
     def test_one_excitation_dense_layout(self):
         profile = engineered_couplings(5, 2.0)
-        h = one_excitation_hamiltonian(profile).to_dense()
+        h = dense_tridiagonal(one_excitation_hamiltonian(profile).off_diagonal)
         expected = np.zeros((5, 5))
         for i, d in enumerate(profile.couplings):
             expected[i, i + 1] = expected[i + 1, i] = d
@@ -190,7 +212,7 @@ class TestHamiltonians:
         idx = one_excitation_indices(n)
         block = full[np.ix_(idx, idx)]
         np.testing.assert_allclose(
-            block, one_excitation_hamiltonian(profile).to_dense(), atol=1e-14
+            block, dense_tridiagonal(one_excitation_hamiltonian(profile).off_diagonal), atol=1e-14
         )
 
     def test_full_hilbert_commutes_with_excitation_number(self):

@@ -1,11 +1,12 @@
-"""Which scipy modules a command loads, checked in fresh interpreters.
+"""The package's exports, and which scipy modules a command loads.
 
 scipy is imported inside the functions that use it, so importing the
 package loads none of it and each command loads only what its path
-calls.  Each case runs in its own interpreter, since a module once
+calls.  Each such case runs in its own interpreter, since a module once
 imported stays in ``sys.modules``.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -20,6 +21,17 @@ SRC = str(Path(bellchain.__file__).resolve().parent.parent)
 
 # Prints the sorted scipy modules loaded after running the code before it.
 REPORT = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+
+
+def test_all_names_exactly_what_the_package_imports():
+    # a name deleted from a module must not linger in __all__, nor an import stay unexported
+    tree = ast.parse(Path(bellchain.__file__).read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(set(bellchain.__all__)) == len(bellchain.__all__)
+    assert len(set(imported)) == len(imported)
+    assert set(bellchain.__all__) == set(imported)
+    for name in bellchain.__all__:
+        assert hasattr(bellchain, name)
 
 
 def scipy_modules(code: str) -> set[str]:

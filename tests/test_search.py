@@ -17,7 +17,7 @@ from bellchain.search import (
     objective,
 )
 from bellchain.chain import one_excitation_hamiltonian
-from oracles import dense_propagate
+from oracles import dense_propagate, dense_tridiagonal
 
 FIVE_SITE_PROBLEM = SearchProblem(
     n_sites=5, t_window=(0.5, 6.0), bounds=(0.05, 3.0)
@@ -100,7 +100,7 @@ class TestObjective:
             free = rng.uniform(0.3, 2.0, size=2)
             t = float(rng.uniform(0.1, 6.0))
             profile = mirror_profile(free, n_sites=5)
-            h = one_excitation_hamiltonian(profile).to_dense()
+            h = dense_tridiagonal(one_excitation_hamiltonian(profile).off_diagonal)
             psi = dense_propagate(h, center_excited_state(5).amplitudes, t)
             expected = (abs(psi[0]) ** 2 - 0.5) ** 2 + (abs(psi[-1]) ** 2 - 0.5) ** 2
             assert objective(profile, t) == pytest.approx(expected, abs=1e-12)

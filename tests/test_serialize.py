@@ -181,7 +181,7 @@ class TestReportPayloads:
         payload = teleport_report(
             complex(1.0, 0.0),
             complex(0.0, 0.0),
-            EntangledResource.bell(),
+            EntangledResource(alpha01=math.sqrt(0.5), alpha10=math.sqrt(0.5)),
             records,
             seed=None,
         )

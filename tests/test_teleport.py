@@ -24,6 +24,7 @@ from oracles import (
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+BELL = EntangledResource(alpha01=SQRT_HALF, alpha10=SQRT_HALF)
 
 
 def _normalized(parts):
@@ -41,7 +42,8 @@ unit_pairs = (
 
 class TestEntangledResource:
     def test_bell_is_balanced(self):
-        bell = EntangledResource.bell()
+        # (-i)^((N-1)/2) / sqrt(2) at both ends is +1/sqrt(2) for N = 9
+        bell = resource_from_profile(engineered_couplings(9, 1.0))
         assert bell.alpha01 == pytest.approx(SQRT_HALF)
         assert bell.alpha10 == pytest.approx(SQRT_HALF)
 
@@ -101,7 +103,7 @@ class TestMeasureTwo:
     """The (At, A) measurement, made inside teleport()."""
 
     def test_bell_pipeline_outcomes_equiprobable(self):
-        records = teleport(0.6, 0.8, EntangledResource.bell())
+        records = teleport(0.6, 0.8, BELL)
         assert [r.outcome for r in records] == ["00", "01", "10", "11"]
         for r in records:
             assert r.probability == pytest.approx(0.25, abs=1e-12)
@@ -130,24 +132,24 @@ class TestMeasureTwo:
 class TestTeleport:
     def test_rejects_unnormalized_input(self):
         with pytest.raises(ValueError):
-            teleport(1.0, 1.0, EntangledResource.bell())
+            teleport(1.0, 1.0, BELL)
         with pytest.raises(ValueError, match="not normalized"):
-            teleport(complex(math.nan, 0.0), 0.0, EntangledResource.bell())
+            teleport(complex(math.nan, 0.0), 0.0, BELL)
 
     @pytest.mark.parametrize("huge", [1e200, complex(1e308, 1e308)])
     def test_huge_inputs_fail_the_norm_check(self, huge):
         with pytest.raises(ValueError, match="not normalized"):
-            teleport(huge, huge, EntangledResource.bell())
+            teleport(huge, huge, BELL)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown measurement mode"):
-            teleport(1.0, 0.0, EntangledResource.bell(), mode="guess")
+            teleport(1.0, 0.0, BELL, mode="guess")
 
     def test_bell_resource_is_deterministic(self):
         rng = np.random.default_rng(99)
         for _ in range(10):
             a, b = random_qubit_pair(rng)
-            records = teleport(a, b, EntangledResource.bell())
+            records = teleport(a, b, BELL)
             assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-12)
             for r in records:
                 assert r.probability == pytest.approx(0.25, abs=1e-12)
@@ -232,7 +234,7 @@ class TestTeleport:
         assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-12)
 
     def test_sample_mode_returns_one_branch(self):
-        records = teleport(0.6, 0.8, EntangledResource.bell(), mode="sample", seed=5)
+        records = teleport(0.6, 0.8, BELL, mode="sample", seed=5)
         assert len(records) == 1
         assert records[0].fidelity == pytest.approx(1.0, abs=1e-12)
 
