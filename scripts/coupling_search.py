@@ -39,7 +39,7 @@ def main(cfg: Config) -> None:
         for v in violations:
             print(f"  {v}")
     else:
-        print("profile matches the engineered family to tolerance")
+        print("profile has the engineered symmetries to tolerance")
     if result.converged:
         report = entanglement_at_t0(result.profile)
         print(f"concurrence at the profile's own readout time: {report.concurrence:.12f}")

@@ -28,10 +28,8 @@ from .dynamics import (
     NumericFailure,
     SiteAmplitudeState,
     analytic_center_to_end,
-    basis_state,
     bell_decomposition,
     bell_time,
-    center_excited_state,
     center_to_end_amplitude,
     eigendecompose,
     end_to_end_amplitude,
@@ -92,10 +90,8 @@ __all__ = [
     "TridiagonalHamiltonian",
     "adjacent_swap_sweep",
     "analytic_center_to_end",
-    "basis_state",
     "bell_decomposition",
     "bell_time",
-    "center_excited_state",
     "center_to_end_amplitude",
     "correction_for",
     "eigendecompose",

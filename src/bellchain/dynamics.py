@@ -17,28 +17,30 @@ simultaneously: a Bell pair between sites 1 and N.
 
 On the dense path every site-to-site amplitude comes from one spectral
 kernel, ``transition_amplitudes``: <i| exp(-iHt) |j> for a few rows i
-over a grid of times.  Only ``evolve``, which propagates a whole state,
-builds its own phases.
+over a grid of times.  Only ``evolve``, which propagates the excitation
+on one site to every site, builds its own phases.
 
-Both readouts also have a path that needs no eigenvectors: exp(-iHt) is
-expanded in Chebyshev polynomials of H/Lambda with Bessel coefficients
-(Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967), in O(N) memory.
-Its K terms come from a three-term recurrence that updates only the
-sites an excitation can have reached (its light cone, recomputed once
-per block of steps) instead of the whole chain.  The chain has no
-on-site terms, so H only hops between the even and the odd sites, and
-T_k(H/Lambda) applied to a start on one sublattice lives on one
-sublattice at each k.  The recurrence therefore runs on two half-length
-buffers, one per sublattice, and each step updates only the sublattice
-its new term lives on: half the work of the whole-chain recurrence,
-with the same operations in the same order on every entry that is not
-zero, so the same bits.  One recurrence serves both: ``state_at`` sums
-its weighted terms into the state at one time, and ``grid_amplitudes``
-keeps one entry of each term, so its steps also skip the sites that can
-no longer reach that entry, and then reads every time of a grid from
-those moments.  The Bessel coefficients come from one FFT per time.
-K grows like Lambda*|t| (about pi*N/4 at the engineered readout time),
-so each readout takes that path when K < N and the dense one otherwise.
+Every propagator starts from one site, as the protocol does from the
+center.  Both readouts also have a path that needs no eigenvectors:
+exp(-iHt) is expanded in Chebyshev polynomials of H/Lambda with Bessel
+coefficients (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967), in
+O(N) memory.  Its K terms come from a three-term recurrence that
+updates only the sites an excitation can have reached (its light cone,
+recomputed once per block of steps) instead of the whole chain.  The
+chain has no on-site terms, so H only hops between the even and the odd
+sites, and T_k(H/Lambda) applied to a start site lives on the start's
+sublattice at even k and on the other one at odd k.  The recurrence
+therefore runs in real arithmetic on two half-length buffers, one per
+sublattice, and each step updates only the sublattice its new term
+lives on: half the work of the whole-chain recurrence, with the same
+operations in the same order on every entry that is not zero, so the
+same bits.  One recurrence serves both: ``state_at`` sums its weighted
+terms into the state at one time, and ``grid_amplitudes`` keeps one
+entry of each term, so its steps also skip the sites that can no longer
+reach that entry, and then reads every time of a grid from those
+moments.  The Bessel coefficients come from one FFT per time.  K grows
+like Lambda*|t| (about pi*N/4 at the engineered readout time), so each
+readout takes that path when K < N and the dense one otherwise.
 
 scipy is imported inside the functions that call it, not here, so a
 command loads only the parts of scipy its path uses: ``scipy.linalg``
@@ -123,10 +125,6 @@ class SiteAmplitudeState:
         _check_normalized(float(np.sum(np.abs(amps) ** 2)), "state")
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def n_sites(self) -> int:
-        return len(self.amplitudes)
-
 
 @dataclass(frozen=True)
 class BellDecomposition:
@@ -144,20 +142,9 @@ class BellDecomposition:
     residual_norm: float
 
 
-def basis_state(n_sites: int, site: int) -> SiteAmplitudeState:
-    """The state with the excitation on ``site`` (1-based)."""
-    if not 1 <= site <= n_sites:
-        raise ValueError(f"site {site} outside 1..{n_sites}")
-    amps = np.zeros(n_sites, dtype=complex)
-    amps[site - 1] = 1.0
-    return SiteAmplitudeState(amps)
-
-
-def center_excited_state(n_sites: int) -> SiteAmplitudeState:
-    """Excitation on the middle site of an odd chain."""
-    if n_sites % 2 == 0:
-        raise ValueError(f"center site undefined for even n_sites {n_sites}")
-    return basis_state(n_sites, (n_sites + 1) // 2)
+def _check_site(site: int, n_sites: int) -> None:
+    if not 0 <= site < n_sites:
+        raise ValueError(f"site {site} outside 0..{n_sites - 1}")
 
 
 def _physical_memory_bytes() -> int | None:
@@ -202,21 +189,14 @@ def eigendecompose(h: TridiagonalHamiltonian) -> EigenSystem:
     return EigenSystem(eigenvalues=eigenvalues, eigenvectors=vectors)
 
 
-def evolve(eig: EigenSystem, initial: SiteAmplitudeState, t: float) -> SiteAmplitudeState:
-    """Propagate: U diag(exp(-i lambda t)) U^T applied to the state.
+def evolve(eig: EigenSystem, site: int, t: float) -> SiteAmplitudeState:
+    """Propagate the excitation on ``site`` (0-based): U diag(exp(-i lambda t)) U^T e_site.
 
-    U^T is applied to the real and imaginary parts separately, so the
-    real eigenvector matrix is never promoted to a complex copy.
+    U^T e_site is row ``site`` of U, so one N x N product remains.
     """
-    if initial.n_sites != eig.dimension:
-        raise ValueError(
-            f"state has {initial.n_sites} sites, eigensystem {eig.dimension}"
-        )
+    _check_site(site, eig.dimension)
     u = eig.eigenvectors
-    amps = initial.amplitudes
-    phases = np.exp(-1j * eig.eigenvalues * t)
-    coeffs = u.T @ amps.real + 1j * (u.T @ amps.imag)
-    return SiteAmplitudeState(u @ (phases * coeffs))
+    return SiteAmplitudeState(u @ (np.exp(-1j * eig.eigenvalues * t) * u[site]))
 
 
 def _series_length(x: float, max_terms: int) -> int | None:
@@ -300,64 +280,55 @@ def _step_views(double, scratch, target, source, s: int, lo: int, hi: int):
     )
 
 
-def _chebyshev_terms(h: TridiagonalHamiltonian, start: np.ndarray, bound: float, n_terms: int, row=None):
-    """Yield (k, s, T_k(H/bound) ``start`` on sublattice s) for k = 0 .. n_terms-1, per class.
+def _chebyshev_terms(h: TridiagonalHamiltonian, site: int, bound: float, n_terms: int, row=None):
+    """Yield (k, s, T_k(H/bound) e_site on sublattice s) for k = 0 .. n_terms-1.
 
     H only hops between the even sites 0, 2, ... and the odd sites 1, 3,
-    ..., so the recurrence T_{k+1} = 2 (H/bound) T_k - T_{k-1} splits
-    into two classes that never mix: class c is the sublattice-c entries
-    at even k and the other sublattice's at odd k, and reads only the
-    sublattice-c entries of ``start``.  Each class whose start slice is
-    not all zero runs in real arithmetic on its own two half-length
-    buffers and yields its term at step k as the buffer of sublattice
-    s = (c + k) mod 2, whose entry i is site 2i+s; the buffer is
-    overwritten two steps later.  The entries a class leaves out are
-    zeros (+0 or -0) in the whole-chain recurrence.  T_k is 0 outside the light
-    cone (the support of the start slice widened by k sites), so blocks
-    of ``_CONE_CHUNK`` steps update only the cone of the block's last
-    step, through views built once per block.  With ``row`` given only
-    entry ``row`` stays exact: a block also leaves out the sites that
-    cannot reach ``row`` in the steps left after its first.  Every
-    updated entry takes the whole-chain operations in their order.
+    ..., so T_k e_site lives on sublattice s = (site + k) mod 2, and the
+    recurrence T_{k+1} = 2 (H/bound) T_k - T_{k-1} runs in real
+    arithmetic on two half-length buffers, one per sublattice, whose
+    entry i is site 2i+s.  The term of step k is the buffer of its
+    sublattice, overwritten two steps later; the other sublattice's
+    entries are zeros in the whole-chain recurrence.  T_0 is e_site and
+    T_1 the two neighbour entries of ``site``.  T_k is 0 outside the
+    light cone [site - k, site + k], so blocks of ``_CONE_CHUNK`` steps
+    update only the cone of the block's last step, through views built
+    once per block.  With ``row`` given only entry ``row`` stays exact:
+    a block also leaves out the sites that cannot reach ``row`` in the
+    steps left after its first.  Every updated entry takes the
+    whole-chain operations in their order.
     """
     n = h.dimension
+    _check_site(site, n)
     double = 2.0 * np.asarray(h.off_diagonal) / bound
-    half = 0.5 * double
-    halves, doubles = (half[0::2], half[1::2]), (double[0::2].copy(), double[1::2].copy())
+    doubles = (double[0::2].copy(), double[1::2].copy())
     scratch = np.empty((n + 1) // 2)
-    for c in (0, 1):
-        support = 2 * np.flatnonzero(start[c::2]) + c
-        if not len(support):
-            continue
-        buffers = [start[0::2].copy(), start[1::2].copy()]
-        buffers[1 - c].fill(0.0)
-
-        # T_1 start = (H/bound) start, on the other sublattice
-        up, src_up, dst_up, _, _, down, src_down, dst_down, s_down = _step_views(
-            halves, scratch, buffers[1 - c], buffers[c], 1 - c, 0, n
-        )
-        np.multiply(up, src_up, out=dst_up)
-        np.multiply(down, src_down, out=s_down)
-        np.add(dst_down, s_down, out=dst_down)
-        yield from ((0, c, buffers[c]), (1, 1 - c, buffers[1 - c]))[:n_terms]
-        for first in range(1, n_terms - 1, _CONE_CHUNK):  # step k makes T_{k+1}
-            last = min(first + _CONE_CHUNK, n_terms - 1)
-            lo, hi = max(support[0] - last, 0), min(support[-1] + last + 1, n)
-            if row is not None:
-                reach = n_terms - 2 - first
-                lo, hi = max(lo, row - reach), min(hi, row + reach + 1)
-            views = [_step_views(doubles, scratch, buffers[s], buffers[1 - s], s, lo, hi) for s in (0, 1) if lo < hi]
-            for k in range(first, last):
-                s = (c + k + 1) & 1
-                if views:
-                    up, cur_up, prev_lo, s_up, end, down, cur_down, prev_hi, s_down = views[s]
-                    np.multiply(up, cur_up, out=s_up)
-                    np.subtract(s_up, prev_lo, out=prev_lo)
-                    if end is not None:
-                        np.multiply(end, -1.0, out=end)
-                    np.multiply(down, cur_down, out=s_down)
-                    np.add(prev_hi, s_down, out=prev_hi)
-                yield k + 1, s, buffers[s]
+    c = site & 1
+    buffers = [np.zeros((n + 1) // 2), np.zeros(n // 2)]
+    buffers[c][site // 2] = 1.0
+    if site > 0:
+        buffers[1 - c][(site - 1) // 2] = 0.5 * double[site - 1]
+    if site < n - 1:
+        buffers[1 - c][(site + 1) // 2] = 0.5 * double[site]
+    yield from ((0, c, buffers[c]), (1, 1 - c, buffers[1 - c]))[:n_terms]
+    for first in range(1, n_terms - 1, _CONE_CHUNK):  # step k makes T_{k+1}
+        last = min(first + _CONE_CHUNK, n_terms - 1)
+        lo, hi = max(site - last, 0), min(site + last + 1, n)
+        if row is not None:
+            reach = n_terms - 2 - first
+            lo, hi = max(lo, row - reach), min(hi, row + reach + 1)
+        views = [_step_views(doubles, scratch, buffers[s], buffers[1 - s], s, lo, hi) for s in (0, 1) if lo < hi]
+        for k in range(first, last):
+            s = (c + k + 1) & 1
+            if views:
+                up, cur_up, prev_lo, s_up, end, down, cur_down, prev_hi, s_down = views[s]
+                np.multiply(up, cur_up, out=s_up)
+                np.subtract(s_up, prev_lo, out=prev_lo)
+                if end is not None:
+                    np.multiply(end, -1.0, out=end)
+                np.multiply(down, cur_down, out=s_down)
+                np.add(prev_hi, s_down, out=prev_hi)
+            yield k + 1, s, buffers[s]
 
 
 def _chebyshev_weights(bessel: np.ndarray) -> np.ndarray:
@@ -370,16 +341,14 @@ def _chebyshev_weights(bessel: np.ndarray) -> np.ndarray:
 
 
 def _chebyshev_state(
-    h: TridiagonalHamiltonian, initial: SiteAmplitudeState, t: float, max_terms: int
+    h: TridiagonalHamiltonian, site: int, t: float, max_terms: int
 ) -> SiteAmplitudeState | None:
-    """sum_k c_k J_k(bound t) T_k(H/bound) psi, or None if it needs ``max_terms`` terms.
+    """sum_k c_k J_k(bound t) T_k(H/bound) e_site, or None if it needs ``max_terms`` terms.
 
-    The recurrence runs on the real and on the imaginary part of psi,
-    each class of it only where its start slice is not all zero (the
-    imaginary part of a basis state runs nothing, a basis state's real
-    part one class).  Each half-length term is added with its real
-    weight to the half of an even or an odd sum that its sublattice
-    holds, and the odd sum is multiplied by -i once at the end.
+    Each half-length term is added with its real weight to the half of
+    an even-k or an odd-k sum that its sublattice holds: the even-k sum
+    on the site's sublattice, the odd-k sum on the other.  The odd sum
+    is multiplied by -i once at the end.
     """
     plan = _chebyshev_plan(h, [t], max_terms)
     if plan is None:
@@ -390,24 +359,21 @@ def _chebyshev_state(
     (bessel,) = next(_bessel_tables([bound * t], n_terms))
     weights = _chebyshev_weights(bessel)
     n = h.dimension
-    sums = np.zeros((2, 2, 2, (n + 1) // 2))  # [real, imaginary part][even-k, odd-k terms][s][i] of site 2i+s
-    for part, part_sums in zip((initial.amplitudes.real, initial.amplitudes.imag), sums):
-        for k, s, term in _chebyshev_terms(h, part, bound, n_terms):
-            scipy.linalg.blas.daxpy(term, part_sums[k & 1, s], a=weights[k])
-    (even_re, odd_re), (even_im, odd_im) = sums.swapaxes(2, 3).reshape(2, 2, -1)[:, :, :n]
-    return SiteAmplitudeState((even_re + odd_im) + 1j * (even_im - odd_re))
+    sums = np.zeros((2, 2, (n + 1) // 2))  # [even-k, odd-k terms][s][i] of site 2i+s
+    for k, s, term in _chebyshev_terms(h, site, bound, n_terms):
+        scipy.linalg.blas.daxpy(term, sums[k & 1, s], a=weights[k])
+    even, odd = sums.swapaxes(1, 2).reshape(2, -1)[:, :n]
+    return SiteAmplitudeState(even - 1j * odd)
 
 
-def state_at(h: TridiagonalHamiltonian, initial: SiteAmplitudeState, t: float) -> SiteAmplitudeState:
-    """exp(-iHt) applied to the state, by whichever path is cheaper.
+def state_at(h: TridiagonalHamiltonian, site: int, t: float) -> SiteAmplitudeState:
+    """exp(-iHt) applied to the excitation on ``site`` (0-based), by whichever path is cheaper.
 
     The Chebyshev series (O(N) memory, K light-cone steps) when it needs
     fewer terms K than there are sites, else ``eigendecompose`` + ``evolve``.
     """
-    if initial.n_sites != h.dimension:
-        raise ValueError(f"state has {initial.n_sites} sites, Hamiltonian {h.dimension}")
-    state = _chebyshev_state(h, initial, t, h.dimension)
-    return evolve(eigendecompose(h), initial, t) if state is None else state
+    state = _chebyshev_state(h, site, t, h.dimension)
+    return evolve(eigendecompose(h), site, t) if state is None else state
 
 
 def grid_amplitudes(h: TridiagonalHamiltonian, row: int, column: int, times) -> np.ndarray:
@@ -426,10 +392,8 @@ def grid_amplitudes(h: TridiagonalHamiltonian, row: int, column: int, times) -> 
         (amps,) = transition_amplitudes(eigendecompose(h), [row], column, times)
         return amps
     bound, n_terms = plan
-    start = np.zeros(h.dimension)
-    start[column] = 1.0
     moments = np.zeros(n_terms)  # the moments of k on the column's other sublattice stay +0
-    for k, s, term in _chebyshev_terms(h, start, bound, n_terms, row):
+    for k, s, term in _chebyshev_terms(h, column, bound, n_terms, row):
         if s == row % 2:
             moments[k] = term[row // 2]
     coefficients = _chebyshev_weights(moments) * np.where(np.arange(n_terms) % 2, -1j, 1.0)

@@ -34,7 +34,6 @@ from .dynamics import (
     BellDecomposition,
     bell_decomposition,
     bell_time,
-    center_excited_state,
     eigendecompose,  # noqa: F401  bench/selftest.py checks the tracer patches it here
     end_pair_readout,
     state_at,
@@ -155,7 +154,7 @@ def entanglement_at_time(profile: CouplingProfile, t: float) -> BellDecompositio
     non-finite t is rejected.
     """
     return bell_decomposition(
-        state_at(one_excitation_hamiltonian(profile), center_excited_state(profile.n_sites), t)
+        state_at(one_excitation_hamiltonian(profile), profile.n_sites // 2, t)
     )
 
 
@@ -242,11 +241,11 @@ def _score(profile: CouplingProfile, trials) -> list[SweepRow]:
     draw that overflows to inf is a ValueError naming its D_i.
     """
     n, t0, s = profile.n_sites, bell_time(profile.mu), 1.0 / math.sqrt(2.0)
-    center, trials, rows = center_excited_state(n), iter(trials), []
+    trials, rows = iter(trials), []
     while block := list(itertools.islice(trials, _BLOCK_ENTRIES // n or 1)):
         amplitudes = np.empty((len(block), n), dtype=complex)
         for amps, (_, _, couplings) in zip(amplitudes, block):
-            amps[:] = state_at(TridiagonalHamiltonian(n, couplings), center, t0).amplitudes
+            amps[:] = state_at(TridiagonalHamiltonian(n, couplings), n // 2, t0).amplitudes
         first, last, concurrence, residual = end_pair_readout(amplitudes)
         resources = zip(*(alpha.tolist() for alpha in _renormalized(first, last)))
         rows += [

@@ -119,9 +119,16 @@ def profile_from_dict(data: dict) -> CouplingProfile:
     )
 
 
+def read_json(path: Path | str):
+    """The JSON value in the file at ``path``; nesting too deep to parse is a ValueError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+
+
 def read_profile(path: Path | str) -> CouplingProfile:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return profile_from_dict(data)
+    return profile_from_dict(read_json(path))
 
 
 def resource_to_dict(resource: EntangledResource) -> dict:
@@ -132,7 +139,7 @@ def resource_to_dict(resource: EntangledResource) -> dict:
 
 
 def read_resource(path: Path | str) -> EntangledResource:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_json(path)
     try:
         return EntangledResource(
             alpha01=_as_complex(data["alpha01"]),

@@ -3,12 +3,13 @@
 Everything here is built from first principles with numpy/scipy and no
 imports from the package under test, so agreement is evidence rather
 than tautology: Wootters concurrence from the spin-flipped density
-matrix, the dense one-excitation block (``dense_tridiagonal``),
-evolution through a dense matrix exponential, the Chebyshev recurrence
-over the whole chain, the chain Hamiltonian on the full 2^N register,
-the mirror parity of each eigenvector (``parity_labels``), the closed
-form of the folded chain's transfer amplitude, and a monolithic
-matrix-product teleportation pipeline.
+matrix, the dense one-excitation block (``dense_tridiagonal``), a
+site's basis amplitudes (``basis_amplitudes``), evolution through a
+dense matrix exponential, the Chebyshev recurrence from one site over
+the whole chain in real arithmetic, the chain Hamiltonian on the full
+2^N register, the mirror parity of each eigenvector
+(``parity_labels``), the closed form of the folded chain's transfer
+amplitude, and a monolithic matrix-product teleportation pipeline.
 
 The sweep references are the one exception: ``sweep_row``,
 ``noise_sweep`` and ``adjacent_swap_sweep`` build a ``CouplingProfile``
@@ -130,63 +131,59 @@ def dense_propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     )
 
 
-def chebyshev_terms(off_diagonal, parts: np.ndarray, bound: float, n_terms: int):
-    """Yield T_k(H/bound) applied to each row of ``parts``, for k = 0 .. n_terms-1.
+def basis_amplitudes(n_sites: int, site: int) -> np.ndarray:
+    """Complex amplitudes of the excitation on ``site`` (0-based): e_site."""
+    amplitudes = np.zeros(n_sites, dtype=complex)
+    amplitudes[site] = 1.0
+    return amplitudes
+
+
+def chebyshev_terms(off_diagonal, site: int, bound: float, n_terms: int):
+    """Yield T_k(H/bound) e_site for k = 0 .. n_terms-1.
 
     H is the zero-diagonal tridiagonal matrix with ``off_diagonal`` as
     its couplings.  Runs T_{k+1} = 2 (H/bound) T_k - T_{k-1} in real
-    arithmetic on every site of every row at every step.  The yielded
-    array is a work buffer that the next step overwrites.
+    arithmetic on every site at every step.  The yielded array is a
+    work buffer that the next step overwrites.
     """
     double = 2.0 * np.asarray(off_diagonal) / bound
-    prev = parts.copy()
+    prev = np.zeros(len(double) + 1)
+    prev[site] = 1.0
     cur = np.zeros_like(prev)
-    scratch = np.empty((len(prev), len(double)))
+    scratch = np.empty(len(double))
 
-    # cur = T_1 psi = (H/bound) psi
-    np.multiply(0.5 * double, prev[:, 1:], out=cur[:, :-1])
-    np.multiply(0.5 * double, prev[:, :-1], out=scratch)
-    cur[:, 1:] += scratch
+    # cur = T_1 e_site = (H/bound) e_site
+    np.multiply(0.5 * double, prev[1:], out=cur[:-1])
+    np.multiply(0.5 * double, prev[:-1], out=scratch)
+    cur[1:] += scratch
     yield prev
     for k in range(1, n_terms):
         yield cur
         if k + 1 < n_terms:
-            # prev <- 2 (H/bound) cur - prev = T_{k+1} psi, then swap names
-            np.multiply(double, cur[:, 1:], out=scratch)
-            np.subtract(scratch, prev[:, :-1], out=prev[:, :-1])
-            prev[:, -1] *= -1.0
-            np.multiply(double, cur[:, :-1], out=scratch)
-            prev[:, 1:] += scratch
+            # prev <- 2 (H/bound) cur - prev = T_{k+1} e_site, then swap names
+            np.multiply(double, cur[1:], out=scratch)
+            np.subtract(scratch, prev[:-1], out=prev[:-1])
+            prev[-1] *= -1.0
+            np.multiply(double, cur[:-1], out=scratch)
+            prev[1:] += scratch
             prev, cur = cur, prev
 
 
-def chebyshev_state(off_diagonal, amplitudes, bound: float, weights) -> np.ndarray:
-    """sum_k w_k (-i)^(k mod 2) T_k(H/bound) psi from the whole-chain recurrence.
+def chebyshev_state(off_diagonal, site: int, bound: float, weights) -> np.ndarray:
+    """sum_k w_k (-i)^(k mod 2) T_k(H/bound) e_site from the whole-chain recurrence.
 
-    The real and imaginary parts of psi that are not identically zero
-    are stacked as rows; each term is added with its real weight to an
-    even or an odd sum over the flattened rows, and the odd sum is
-    multiplied by -i at the end.
+    Each term is added with its real weight to an even-k or an odd-k sum,
+    and the odd sum is multiplied by -i at the end.
     """
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    n = len(amplitudes)
-    parts = np.stack([amplitudes.real, amplitudes.imag])
-    live = np.flatnonzero(np.any(parts, axis=1))
-    sums = np.zeros((2, len(live) * n))  # even-k and odd-k terms, rows flattened
-    for k, term in enumerate(chebyshev_terms(off_diagonal, parts[live], bound, len(weights))):
-        scipy.linalg.blas.daxpy(term.reshape(-1), sums[k & 1], a=weights[k])
-
-    even, odd = np.zeros((2, 2, n))
-    even[live] = sums[0].reshape(len(live), -1)
-    odd[live] = sums[1].reshape(len(live), -1)
-    return (even[0] + odd[1]) + 1j * (even[1] - odd[0])
+    sums = np.zeros((2, len(off_diagonal) + 1))  # even-k and odd-k terms
+    for k, term in enumerate(chebyshev_terms(off_diagonal, site, bound, len(weights))):
+        scipy.linalg.blas.daxpy(term, sums[k & 1], a=weights[k])
+    return sums[0] - 1j * sums[1]
 
 
 def chebyshev_moments(off_diagonal, row: int, column: int, bound: float, n_terms: int) -> np.ndarray:
     """m_k = [T_k(H/bound) e_column]_row for k < n_terms, from the whole-chain recurrence."""
-    start = np.zeros((1, len(off_diagonal) + 1))
-    start[0, column] = 1.0
-    return np.array([term[0, row] for term in chebyshev_terms(off_diagonal, start, bound, n_terms)])
+    return np.array([term[row] for term in chebyshev_terms(off_diagonal, column, bound, n_terms)])
 
 
 def parity_labels(vectors: np.ndarray) -> tuple[str, ...]:
@@ -288,13 +285,11 @@ def end_pair_resource(first: complex, last: complex) -> tuple[complex, complex]:
 def sweep_row(n_sites: int, mu: float, couplings, trial: int, param: float) -> tuple:
     """(trial, param, concurrence, residual_norm, expected_fidelity) of one profile at pi/mu."""
     from bellchain.chain import CouplingProfile, one_excitation_hamiltonian
-    from bellchain.dynamics import center_excited_state, state_at
+    from bellchain.dynamics import state_at
     from bellchain.teleport import EntangledResource, expected_fidelity, teleport
 
     profile = CouplingProfile(n_sites, mu, tuple(couplings))
-    amps = state_at(
-        one_excitation_hamiltonian(profile), center_excited_state(n_sites), math.pi / mu
-    ).amplitudes
+    amps = state_at(one_excitation_hamiltonian(profile), n_sites // 2, math.pi / mu).amplitudes
     concurrence = 2.0 * abs(amps[0]) * abs(amps[-1])
     residual = float(np.sqrt(np.sum(np.abs(amps[1:-1]) ** 2)))
     alpha01, alpha10 = end_pair_resource(complex(amps[0]), complex(amps[-1]))

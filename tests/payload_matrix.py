@@ -42,6 +42,8 @@ COMMANDS = [
     ["search", "--n", "7", "--restarts", "1", "--seed", "3"],
     ["evolve", "--n", "4001", "--t-grid", "3.0:3.3:0.005"],
     ["teleport", "--n", "4003"],
+    ["perturb", "--n", "4003", "--swap", "100", "101"],
+    ["evolve", "--n", "4003", "--t-grid", "3.0:3.3:0.005"],
 ]
 
 SUFFIX = {"evolve": ".csv", "perturb": ".csv"}

@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg.lapack
 
 from bellchain import cli, dynamics
-from bellchain.chain import engineered_couplings
+from bellchain.chain import CouplingProfile, engineered_couplings, validate_profile
 from bellchain.cli import run
 from bellchain.dynamics import NumericFailure, eigendecompose
 from bellchain.robustness import SweepRow
@@ -140,6 +140,39 @@ class TestEvolve:
         for row in rows:
             assert row[4] == "" and row[5] == ""
             assert row[6] == "0"
+
+    @pytest.mark.parametrize(
+        "n, mu, couplings",
+        [
+            # an exact Bell chain with every engineered symmetry but other couplings
+            (7, 2.0, [math.sqrt(7), 6.0, math.sqrt(3.5), math.sqrt(3.5), 6.0, math.sqrt(7)]),
+            # the engineered couplings of mu = 1, saved with mu = 2
+            (9, 2.0, list(engineered_couplings(9, 1.0).couplings)),
+            # a mu whose engineered couplings overflow
+            (9, 1.7e308, list(engineered_couplings(9, 1.0).couplings)),
+        ],
+    )
+    def test_symmetric_profile_off_the_engineered_couplings_blanks_analytic_columns(
+        self, tmp_path, n, mu, couplings
+    ):
+        assert validate_profile(CouplingProfile(n, mu, tuple(couplings))) == []
+        profile_path = tmp_path / "symmetric.json"
+        write_json(profile_path, {"n_sites": n, "mu": mu, "couplings": couplings})
+        out = tmp_path / "amps.csv"
+        argv = ["evolve", "--profile", str(profile_path), "--t-grid", "0:3.2:0.4", "--out", str(out)]
+        assert run(argv) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 9
+        assert all(row[4:] == ["", "", "0"] for row in rows)
+
+    def test_engineered_profile_file_is_analytic(self, tmp_path):
+        profile_path = tmp_path / "engineered.json"
+        write_json(profile_path, profile_to_dict(engineered_couplings(9, 2.0)))
+        out = tmp_path / "amps.csv"
+        argv = ["evolve", "--profile", str(profile_path), "--t-grid", "0:3.2:0.4", "--out", str(out)]
+        assert run(argv) == 0
+        _, rows = read_csv(out)
+        assert all(row[6] == "1" and float(row[5]) < 1e-12 for row in rows)
 
     def test_bad_grid_step(self, tmp_path, capsys):
         code = run(
@@ -434,6 +467,23 @@ class TestProfileAndResourceTypes:
         assert run(["teleport", "--resource", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["couplings", "--n", "9", "--config", "PATH"],
+            ["evolve", "--t-grid", "0:1:0.5", "--profile", "PATH"],
+            ["teleport", "--resource", "PATH"],
+        ],
+    )
+    def test_deeply_nested_json_is_a_one_line_argument_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000)
+        out = tmp_path / "x.out"
+        assert run([str(path) if a == "PATH" else a for a in argv] + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nested too deeply" in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_integer_couplings_and_mu_are_numbers(self, tmp_path):

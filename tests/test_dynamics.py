@@ -1,6 +1,7 @@
 """Spectral decomposition, propagation, closed forms, and concurrence."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.linalg.lapack
 import scipy.special
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellchain.chain import (
@@ -23,10 +24,8 @@ from bellchain.dynamics import (
     NumericFailure,
     SiteAmplitudeState,
     analytic_center_to_end,
-    basis_state,
     bell_decomposition,
     bell_time,
-    center_excited_state,
     center_to_end_amplitude,
     eigendecompose,
     end_to_end_amplitude,
@@ -39,6 +38,7 @@ from bellchain import dynamics
 from bellchain.robustness import NoisePerturbation, SwapPerturbation, perturb
 from oracles import (
     analytic_halved_transfer,
+    basis_amplitudes,
     chebyshev_moments,
     chebyshev_state,
     chebyshev_terms,
@@ -86,7 +86,7 @@ class TestCouplingRule:
         couplings = list(engineered_couplings(401, 1.0).couplings)
         couplings[200] = math.nan
         with pytest.raises(ValueError, match="coupling D_201 must be positive and finite, got nan"):
-            state_at(TridiagonalHamiltonian(401, tuple(couplings)), center_excited_state(401), math.pi)
+            state_at(TridiagonalHamiltonian(401, tuple(couplings)), 200, math.pi)
 
 
 class TestEigendecompose:
@@ -198,20 +198,6 @@ class TestEigendecompose:
 
 
 class TestStates:
-    def test_basis_state_bounds(self):
-        s = basis_state(5, 1)
-        assert s.amplitudes[0] == 1.0
-        with pytest.raises(ValueError):
-            basis_state(5, 0)
-        with pytest.raises(ValueError):
-            basis_state(5, 6)
-
-    def test_center_state(self):
-        s = center_excited_state(9)
-        assert s.amplitudes[4] == 1.0
-        with pytest.raises(ValueError):
-            center_excited_state(4)
-
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             SiteAmplitudeState(np.array([1.0, 1.0]))
@@ -219,49 +205,47 @@ class TestStates:
             SiteAmplitudeState(np.array([1.0, math.nan]))
 
     def test_amplitudes_are_read_only(self):
-        s = basis_state(3, 2)
+        s = SiteAmplitudeState(basis_amplitudes(3, 1))
         with pytest.raises(ValueError):
             s.amplitudes[0] = 1.0
 
 
 class TestEvolve:
     def test_identity_at_t0(self):
-        eig = engineered_eig(5)
-        s = center_excited_state(5)
-        out = evolve(eig, s, 0.0)
-        np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-12)
+        out = evolve(engineered_eig(5), 2, 0.0)
+        np.testing.assert_allclose(out.amplitudes, basis_amplitudes(5, 2), atol=1e-12)
 
     def test_center_to_ends_at_bell_time(self):
         eig = engineered_eig(5)
-        out = evolve(eig, center_excited_state(5), math.pi)
+        out = evolve(eig, 2, math.pi)
         assert abs(out.amplitudes[0]) ** 2 == pytest.approx(0.5, abs=1e-12)
         assert abs(out.amplitudes[4]) ** 2 == pytest.approx(0.5, abs=1e-12)
 
     def test_group_property(self):
+        # column j of exp(-iH 1.9) is the evolved excitation on site j
         eig = engineered_eig(9)
-        s = center_excited_state(9)
-        one_step = evolve(eig, evolve(eig, s, 0.7), 1.9)
-        two_step = evolve(eig, s, 2.6)
-        np.testing.assert_allclose(
-            one_step.amplitudes, two_step.amplitudes, atol=1e-11
-        )
+        propagator = np.column_stack([evolve(eig, j, 1.9).amplitudes for j in range(9)])
+        one_step = propagator @ evolve(eig, 4, 0.7).amplitudes
+        two_step = evolve(eig, 4, 2.6)
+        np.testing.assert_allclose(one_step, two_step.amplitudes, atol=1e-11)
 
     def test_norm_drift_over_long_times(self):
         eig = engineered_eig(9)
-        s = center_excited_state(9)
         for t in np.linspace(0.0, 100.0, 11):
-            out = evolve(eig, s, float(t))
+            out = evolve(eig, 4, float(t))
             assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            evolve(engineered_eig(5), center_excited_state(9), 1.0)
+        # a start site outside the chain
+        for site in (-1, 5, 9):
+            with pytest.raises(ValueError, match=f"site {site} outside 0..4"):
+                evolve(engineered_eig(5), site, 1.0)
 
     @given(t=st.floats(min_value=0.0, max_value=50.0))
     @settings(max_examples=30, deadline=None)
     def test_norm_preserved_any_time(self, t):
         eig = engineered_eig(7)
-        out = evolve(eig, basis_state(7, 2), t)
+        out = evolve(eig, 1, t)
         assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-12
 
     @given(
@@ -271,28 +255,17 @@ class TestEvolve:
         t=st.floats(min_value=0.0, max_value=10.0),
     )
     @settings(max_examples=40, deadline=None)
-    def test_complex_superpositions_match_dense_exponential(self, data, n, kind, t):
-        # The pipeline only evolves basis states, whose imaginary part is
-        # zero; this is what checks the imaginary half of the forward transform.
-        part = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=n, max_size=n)
-        re, im = np.array(data.draw(part)), np.array(data.draw(part))
-        assume(np.linalg.norm(re) > 1e-3 and np.linalg.norm(im) > 1e-3)
-        psi0 = (re + 1j * im) / np.linalg.norm(re + 1j * im)
+    def test_every_site_matches_dense_exponential(self, data, n, kind, t):
+        site = data.draw(st.integers(min_value=0, max_value=n - 1))
         h = one_excitation_hamiltonian(profile_of_kind(kind, n))
-        out = evolve(eigendecompose(h), SiteAmplitudeState(psi0), t)
-        expected = dense_propagate(dense_tridiagonal(h.off_diagonal), psi0, t)
+        out = evolve(eigendecompose(h), site, t)
+        expected = dense_propagate(dense_tridiagonal(h.off_diagonal), basis_amplitudes(n, site), t)
         np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
 
 
-def chebyshev_evolve(h, initial, t):
+def chebyshev_evolve(h, site, t):
     """The Chebyshev series up to a million terms (state_at uses it only below N)."""
-    return dynamics._chebyshev_state(h, initial, t, 10**6)
-
-
-def complex_state(n, seed):
-    rng = np.random.default_rng(seed)
-    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return SiteAmplitudeState(amps / np.linalg.norm(amps))
+    return dynamics._chebyshev_state(h, site, t, 10**6)
 
 
 class TestStateAt:
@@ -301,15 +274,14 @@ class TestStateAt:
     def test_chebyshev_matches_dense_evolve(self, n, kind):
         h = one_excitation_hamiltonian(profile_of_kind(kind, n))
         eig = eigendecompose(h)
-        initial = complex_state(n, seed=n)
         t0 = bell_time(1.0)
-        for t in (0.0, t0, 3.0 * t0):
-            reference = evolve(eig, initial, t).amplitudes
+        for site, t in itertools.product((0, n // 2, n // 2 + 1), (0.0, t0, 3.0 * t0)):
+            reference = evolve(eig, site, t).amplitudes
             np.testing.assert_allclose(
-                chebyshev_evolve(h, initial, t).amplitudes, reference, rtol=0, atol=1e-12
+                chebyshev_evolve(h, site, t).amplitudes, reference, rtol=0, atol=1e-12
             )
             np.testing.assert_allclose(
-                state_at(h, initial, t).amplitudes, reference, rtol=0, atol=1e-12
+                state_at(h, site, t).amplitudes, reference, rtol=0, atol=1e-12
             )
 
     def test_long_chain_matches_closed_form_without_eigensolve(self, monkeypatch):
@@ -319,9 +291,7 @@ class TestStateAt:
         monkeypatch.setattr(dynamics, "eigendecompose", no_eigensolve)
         n = 8001
         t0 = bell_time(1.0)
-        state = state_at(
-            one_excitation_hamiltonian(engineered_couplings(n, 1.0)), center_excited_state(n), t0
-        )
+        state = state_at(one_excitation_hamiltonian(engineered_couplings(n, 1.0)), n // 2, t0)
         expected = analytic_center_to_end(n, 1.0, t0)
         assert abs(state.amplitudes[0] - expected) < 1e-11
         assert abs(state.amplitudes[-1] - expected) < 1e-11
@@ -336,11 +306,10 @@ class TestStateAt:
 
         monkeypatch.setattr(dynamics, "eigendecompose", counting)
         h = one_excitation_hamiltonian(engineered_couplings(9, 1.0))
-        initial = center_excited_state(9)
         t0 = bell_time(1.0)
-        state = state_at(h, initial, t0)
+        state = state_at(h, 4, t0)
         assert calls == [9]
-        assert np.array_equal(state.amplitudes, evolve(eigendecompose(h), initial, t0).amplitudes)
+        assert np.array_equal(state.amplitudes, evolve(eigendecompose(h), 4, t0).amplitudes)
 
     def test_size_rule_compares_terms_with_sites(self):
         t0 = bell_time(1.0)
@@ -382,26 +351,33 @@ class TestStateAt:
         assert np.array_equal(np.concatenate(blocked), whole)
 
     def test_negative_time_inverts_the_propagator(self):
+        # H is real symmetric, so exp(iHt) is the conjugate and the transpose of
+        # exp(-iHt): <site| exp(iHt) exp(-iHt) |site> is the unconjugated product
+        # of the two evolved columns
         h = one_excitation_hamiltonian(profile_of_kind("noisy", 401))
-        initial = complex_state(401, seed=1)
-        there = chebyshev_evolve(h, initial, 2.0)
-        back = chebyshev_evolve(h, there, -2.0)
-        np.testing.assert_allclose(back.amplitudes, initial.amplitudes, rtol=0, atol=1e-12)
+        for site in (0, 200, 201):
+            there = chebyshev_evolve(h, site, 2.0).amplitudes
+            back = chebyshev_evolve(h, site, -2.0).amplitudes
+            np.testing.assert_allclose(back, there.conj(), rtol=0, atol=1e-12)
+            assert abs(np.dot(back, there) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e308])
     def test_rejects_non_finite_phase(self, t):
         h = one_excitation_hamiltonian(engineered_couplings(9, 1.0))
         with pytest.raises(ValueError, match="not finite"):
-            state_at(h, center_excited_state(9), t)
+            state_at(h, 4, t)
         with pytest.raises(ValueError, match="not finite"):
-            chebyshev_evolve(h, center_excited_state(9), t)
+            chebyshev_evolve(h, 4, t)
         with pytest.raises(ValueError, match="not finite"):
             grid_amplitudes(h, 0, 4, [0.0, t])
 
     def test_dimension_mismatch(self):
-        h = one_excitation_hamiltonian(engineered_couplings(9, 1.0))
-        with pytest.raises(ValueError, match="sites"):
-            state_at(h, center_excited_state(7), 1.0)
+        # a start site outside the chain, on both paths
+        for n, t in ((9, 1.0), (401, 0.5)):
+            h = one_excitation_hamiltonian(engineered_couplings(n, 1.0))
+            for site in (-1, n):
+                with pytest.raises(ValueError, match=f"site {site} outside 0..{n - 1}"):
+                    state_at(h, site, t)
 
 
 def refuse_eigensolve(*args, **kwargs):
@@ -441,6 +417,12 @@ class TestGridAmplitudes:
         assert grid_amplitudes(h, n // 2, n // 2, [0.0]).tolist() == [1.0]
         assert grid_amplitudes(h, 0, n // 2, [0.0]).tolist() == [0.0]
 
+    def test_column_outside_the_chain_is_refused(self):
+        h = one_excitation_hamiltonian(engineered_couplings(401, 1.0))
+        for column in (-1, 401):
+            with pytest.raises(ValueError, match=f"site {column} outside 0..400"):
+                grid_amplitudes(h, 0, column, self.GRID)
+
     def test_long_chain_matches_closed_form_without_eigensolve(self, monkeypatch):
         monkeypatch.setattr(scipy.linalg.lapack, "dstevd", refuse_eigensolve)
         n = 20001
@@ -450,16 +432,48 @@ class TestGridAmplitudes:
         assert np.max(np.abs(amps - expected)) < 1e-11
 
 
+class TestSecondExactBellChain:
+    """An exact Bell chain outside the engineered (Krawtchouk) family, on three readout paths.
+
+    Couplings (sqrt 7, 6, sqrt 3.5, sqrt 3.5, 6, sqrt 7) have every engineered
+    symmetry but are not the engineered N = 7 chain of any mu; from the center
+    they still put a maximally entangled pair on the ends at t = pi/2 (mu = 2),
+    so these checks reach beyond the one closed form.
+    """
+
+    H = TridiagonalHamiltonian(7, (math.sqrt(7), 6.0, math.sqrt(3.5), math.sqrt(3.5), 6.0, math.sqrt(7)))
+    T = math.pi / 2
+
+    def test_dense_state_at(self):
+        assert dynamics._chebyshev_plan(self.H, [self.T], 7) is None
+        assert bell_decomposition(state_at(self.H, 3, self.T)).concurrence >= 1.0 - 1e-12
+
+    def test_chebyshev_state(self):
+        state = dynamics._chebyshev_state(self.H, 3, self.T, 10**6)
+        assert bell_decomposition(state).concurrence >= 1.0 - 1e-12
+
+    def test_chebyshev_grid_matches_transition_amplitudes(self, monkeypatch):
+        times = np.linspace(0.0, self.T, 9)
+        expected = transition_amplitudes(eigendecompose(self.H), [0, 6], 3, times)
+        plan = dynamics._chebyshev_plan
+        monkeypatch.setattr(dynamics, "_chebyshev_plan", lambda h, times, max_terms: plan(h, times, 10**6))
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", refuse_eigensolve)
+        first, last = (grid_amplitudes(self.H, row, 3, times) for row in (0, 6))
+        np.testing.assert_allclose(first, expected[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(last, expected[1], rtol=0, atol=1e-12)
+        assert 2.0 * abs(first[-1]) * abs(last[-1]) >= 1.0 - 1e-12
+
+
 def bits(values):
     return np.ascontiguousarray(values).view(np.uint64)
 
 
-def reference_state(h, initial, t):
+def reference_state(h, site, t):
     """``_chebyshev_state`` with its terms from the whole-chain recurrence."""
     bound, n_terms = dynamics._chebyshev_plan(h, [t], 10**6)
     (bessel,) = next(dynamics._bessel_tables([bound * t], n_terms))
     weights = dynamics._chebyshev_weights(bessel)
-    return chebyshev_state(h.off_diagonal, initial.amplitudes, bound, weights)
+    return chebyshev_state(h.off_diagonal, site, bound, weights)
 
 
 def reference_grid(h, row, column, times):
@@ -471,24 +485,16 @@ def reference_grid(h, row, column, times):
     return np.concatenate([table @ coefficients for table in tables])
 
 
-def whole_terms(h, start, bound, n_terms, row=None):
-    """The half-length terms of ``_chebyshev_terms`` put on their sites: row k is T_k, +0 where no class ran."""
+def whole_terms(h, site, bound, n_terms, row=None):
+    """The half-length terms of ``_chebyshev_terms`` put on their sites: row k is T_k, +0 off its sublattice."""
     terms = np.zeros((n_terms, h.dimension))
-    for k, s, term in dynamics._chebyshev_terms(h, start, bound, n_terms, row):
+    for k, s, term in dynamics._chebyshev_terms(h, site, bound, n_terms, row):
         terms[k, s::2] = term
     return terms
 
 
 def random_chain(n, seed):
     return TridiagonalHamiltonian(n, tuple(np.random.default_rng(seed).uniform(0.5, 1.5, n - 1)))
-
-
-def sublattice_state(n, sublattices, seed):
-    """A normalized real start on the given sublattices, with -0.0 on the others."""
-    values = np.random.default_rng(seed).normal(size=n)
-    on = np.isin(np.arange(n) % 2, sublattices)
-    values = np.where(on, values / np.linalg.norm(values[on]), -0.0)
-    return SiteAmplitudeState(values)
 
 
 class TestLightConeRecurrence:
@@ -504,11 +510,11 @@ class TestLightConeRecurrence:
         t0 = bell_time(1.0)
         for n in self.SIZES:
             h = one_excitation_hamiltonian(profile_of_kind(kind, n))
-            starts = [basis_state(n, 1), basis_state(n, n), center_excited_state(n), complex_state(n, seed=3)]
-            for initial in starts:
+            # the ends, the center and its neighbour on the other sublattice
+            for site in (0, n - 1, n // 2, n // 2 + 1):
                 for t in (0.4, -0.4, t0, 3.0 * t0):
-                    out = dynamics._chebyshev_state(h, initial, t, 10**6).amplitudes
-                    assert np.array_equal(bits(out), bits(reference_state(h, initial, t)))
+                    out = dynamics._chebyshev_state(h, site, t, 10**6).amplitudes
+                    assert np.array_equal(bits(out), bits(reference_state(h, site, t)))
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("kind", PROFILE_KINDS)
@@ -517,39 +523,35 @@ class TestLightConeRecurrence:
         monkeypatch.setattr(dynamics, "_CONE_CHUNK", chunk)
         for n in (3, 5, 9):
             h = one_excitation_hamiltonian(profile_of_kind(kind, n))
-            for initial in (basis_state(n, 1), basis_state(n, n), basis_state(n, 2), complex_state(n, seed=9)):
-                out = dynamics._chebyshev_state(h, initial, 40.0, 10**6).amplitudes
-                assert np.array_equal(bits(out), bits(reference_state(h, initial, 40.0)))
+            for site in (0, n - 1, 1):
+                out = dynamics._chebyshev_state(h, site, 40.0, 10**6).amplitudes
+                assert np.array_equal(bits(out), bits(reference_state(h, site, 40.0)))
 
     @pytest.mark.parametrize("chunk", [1, 3, 10**6])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 30, 31])
     def test_starts_on_one_or_both_sublattices(self, n, chunk, monkeypatch):
-        # the odd sizes put site N-1 on the even sublattice, the even sizes on the odd one
+        # every site, so starts on both sublattices; the odd sizes put site N-1
+        # on the even sublattice, the even sizes on the odd one
         monkeypatch.setattr(dynamics, "_CONE_CHUNK", chunk)
         h = random_chain(n, seed=n)
-        for sublattices in ([0], [1], [0, 1]):
-            initial = sublattice_state(n, sublattices, seed=n)
+        bound, n_terms = dynamics._chebyshev_plan(h, [25.0], 10**6)
+        for site in range(n):
             for t in (0.3, 2.0, 25.0):
-                out = dynamics._chebyshev_state(h, initial, t, 10**6).amplitudes
-                assert np.array_equal(bits(out), bits(reference_state(h, initial, t)))
-            bound, n_terms = dynamics._chebyshev_plan(h, [25.0], 10**6)
-            start = initial.amplitudes.real
-            expected = [term[0].copy() for term in chebyshev_terms(h.off_diagonal, start[None], bound, n_terms)]
-            terms = whole_terms(h, start, bound, n_terms)
-            # adding +0.0 turns -0.0 into +0.0 and keeps every other value: the oracle's
-            # entries on the class a -0.0 start slice skips are -0.0 or +0.0
+                out = dynamics._chebyshev_state(h, site, t, 10**6).amplitudes
+                assert np.array_equal(bits(out), bits(reference_state(h, site, t)))
+            expected = [term.copy() for term in chebyshev_terms(h.off_diagonal, site, bound, n_terms)]
+            terms = whole_terms(h, site, bound, n_terms)
+            # adding +0.0 turns -0.0 into +0.0 and keeps every other value
             assert np.array_equal(bits(terms + 0.0), bits(np.array(expected) + 0.0))
-            if sublattices != [0, 1]:
-                (c,) = sublattices
-                assert not np.any(terms[0::2, 1 - c :: 2]) and not np.any(terms[1::2, c::2])
+            c = site % 2
+            assert not np.any(terms[0::2, 1 - c :: 2]) and not np.any(terms[1::2, c::2])
 
     def test_long_chain_matches_whole_chain(self):
         # each half-length daxpy holds above 10,000 entries, where OpenBLAS may split it over threads
         n = 20003
         h = one_excitation_hamiltonian(engineered_couplings(n, 1.0))
-        initial = center_excited_state(n)
-        out = dynamics._chebyshev_state(h, initial, bell_time(1.0), 10**6).amplitudes
-        assert np.array_equal(bits(out), bits(reference_state(h, initial, bell_time(1.0))))
+        out = dynamics._chebyshev_state(h, n // 2, bell_time(1.0), 10**6).amplitudes
+        assert np.array_equal(bits(out), bits(reference_state(h, n // 2, bell_time(1.0))))
 
     @pytest.mark.parametrize("n_terms", [1, 2])
     def test_one_and_two_terms(self, n_terms):
@@ -558,13 +560,12 @@ class TestLightConeRecurrence:
         bound, _ = dynamics._chebyshev_plan(h, [1.0], 10**6)
         t = 0.0 if n_terms == 1 else 1e-10 / bound
         assert dynamics._chebyshev_plan(h, [t], 10**6) == (bound, n_terms)
-        for initial in (basis_state(n, 1), complex_state(n, seed=4)):
-            out = dynamics._chebyshev_state(h, initial, t, 10**6).amplitudes
-            assert np.array_equal(bits(out), bits(reference_state(h, initial, t)))
-        start = complex_state(n, seed=4).amplitudes.real
-        terms = whole_terms(h, start, bound, n_terms)
-        expected = [term[0].copy() for term in chebyshev_terms(h.off_diagonal, start[None], bound, n_terms)]
-        assert np.array_equal(bits(terms), bits(expected))
+        for site in (0, n // 2 + 1, n - 1):
+            out = dynamics._chebyshev_state(h, site, t, 10**6).amplitudes
+            assert np.array_equal(bits(out), bits(reference_state(h, site, t)))
+            terms = whole_terms(h, site, bound, n_terms)
+            expected = [term.copy() for term in chebyshev_terms(h.off_diagonal, site, bound, n_terms)]
+            assert np.array_equal(bits(terms), bits(expected))
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("kind", PROFILE_KINDS)
@@ -576,9 +577,7 @@ class TestLightConeRecurrence:
             bound, n_terms = dynamics._chebyshev_plan(h, times, n)
             pairs = [(0, n // 2), (n - 1, n // 2), (n // 2, n // 2), (0, 0), (n - 1, n - 1), (0, 7), (n // 4, n // 2 + 1)]
             for row, column in pairs:
-                start = np.zeros(n)
-                start[column] = 1.0
-                moments = whole_terms(h, start, bound, n_terms, row)[:, row]
+                moments = whole_terms(h, column, bound, n_terms, row)[:, row]
                 expected = chebyshev_moments(h.off_diagonal, row, column, bound, n_terms)
                 assert np.array_equal(bits(moments), bits(expected))
                 out = grid_amplitudes(h, row, column, times)
@@ -608,9 +607,7 @@ class TestLightConeRecurrence:
         bound, n_terms = dynamics._chebyshev_plan(h, times, n)
         assert n_terms < n // 2
         for row, column in ((n - 1, 0), (0, n - 1), (n // 2 + n_terms, n // 2)):
-            start = np.zeros(n)
-            start[column] = 1.0
-            moments = whole_terms(h, start, bound, n_terms, row)[:, row]
+            moments = whole_terms(h, column, bound, n_terms, row)[:, row]
             assert np.array_equal(bits(moments), bits(np.zeros(n_terms)))
             out = grid_amplitudes(h, row, column, times)
             assert np.array_equal(bits(out), bits(np.zeros(len(times), dtype=complex)))
@@ -641,7 +638,7 @@ class TestTransferAmplitudes:
         eig = engineered_eig(n)
         c = (n - 1) // 2
         for t in np.linspace(0.0, 2 * math.pi, 17):
-            state = evolve(eig, center_excited_state(n), float(t))
+            state = evolve(eig, c, float(t))
             assert abs(state.amplitudes[0] - state.amplitudes[-1]) < 1e-10
 
     @pytest.mark.parametrize("n", [5, 9, 21])
@@ -676,7 +673,7 @@ class TestTransitionAmplitudes:
         amps = np.array(transition_amplitudes(eig, range(7), 2, times))
         assert amps.shape == (7, 9)
         for k, t in enumerate(times):
-            state = evolve(eig, basis_state(7, 3), float(t))
+            state = evolve(eig, 2, float(t))
             np.testing.assert_allclose(amps[:, k], state.amplitudes, atol=1e-12)
 
     def test_blocks_of_times_agree_with_one_block(self, monkeypatch):
@@ -766,7 +763,7 @@ class TestBellDecomposition:
         assert d.concurrence == pytest.approx(1.0, abs=1e-15)
 
     def test_interior_basis_state(self):
-        d = bell_decomposition(basis_state(4, 2))
+        d = bell_decomposition(SiteAmplitudeState(basis_amplitudes(4, 1)))
         assert d.alpha_first == 0.0
         assert d.alpha_last == 0.0
         assert d.residual_norm == 1.0
@@ -785,23 +782,23 @@ class TestBellDecomposition:
     def test_phase_at_bell_time(self):
         # (-i)^((n-1)/2): pi for n=5, 0 for n=9
         for n, expected in ((5, math.pi), (9, 0.0)):
-            state = evolve(engineered_eig(n), center_excited_state(n), math.pi)
+            state = evolve(engineered_eig(n), n // 2, math.pi)
             d = bell_decomposition(state)
             delta = (cmath.phase(d.alpha_first) - expected + math.pi) % (2 * math.pi) - math.pi
             assert abs(delta) < 1e-10
 
     def test_mirror_evolution_keeps_end_amplitudes_equal(self):
-        state = evolve(engineered_eig(9), center_excited_state(9), 1.234)
+        state = evolve(engineered_eig(9), 4, 1.234)
         d = bell_decomposition(state)
         assert abs(d.alpha_first - d.alpha_last) < 1e-10
 
 
 class TestConcurrence:
     def test_center_state_zero(self):
-        assert bell_decomposition(center_excited_state(9)).concurrence == 0.0
+        assert bell_decomposition(SiteAmplitudeState(basis_amplitudes(9, 4))).concurrence == 0.0
 
     def test_engineered_at_bell_time(self):
-        state = evolve(engineered_eig(9), center_excited_state(9), math.pi)
+        state = evolve(engineered_eig(9), 4, math.pi)
         assert bell_decomposition(state).concurrence == pytest.approx(1.0, abs=1e-10)
 
     def test_skewed_state_value(self):
@@ -837,7 +834,7 @@ class TestFullHilbertOracle:
         psi0[idx[(n - 1) // 2]] = 1.0
         for t in (0.4, math.pi):
             dense = dense_propagate(full, psi0, t)
-            sector = evolve(eig, center_excited_state(n), t)
+            sector = evolve(eig, (n - 1) // 2, t)
             np.testing.assert_allclose(
                 dense[idx], sector.amplitudes, atol=1e-9
             )

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bellchain.chain import engineered_couplings, validate_profile
-from bellchain.dynamics import basis_state, center_excited_state
 from bellchain.robustness import entanglement_at_t0
 from bellchain.search import (
     CONVERGED_TOL,
@@ -17,7 +16,7 @@ from bellchain.search import (
     objective,
 )
 from bellchain.chain import one_excitation_hamiltonian
-from oracles import dense_propagate, dense_tridiagonal
+from oracles import basis_amplitudes, dense_propagate, dense_tridiagonal
 
 FIVE_SITE_PROBLEM = SearchProblem(
     n_sites=5, t_window=(0.5, 6.0), bounds=(0.05, 3.0)
@@ -101,7 +100,7 @@ class TestObjective:
             t = float(rng.uniform(0.1, 6.0))
             profile = mirror_profile(free, n_sites=5)
             h = dense_tridiagonal(one_excitation_hamiltonian(profile).off_diagonal)
-            psi = dense_propagate(h, center_excited_state(5).amplitudes, t)
+            psi = dense_propagate(h, basis_amplitudes(5, 2), t)
             expected = (abs(psi[0]) ** 2 - 0.5) ** 2 + (abs(psi[-1]) ** 2 - 0.5) ** 2
             assert objective(profile, t) == pytest.approx(expected, abs=1e-12)
 
@@ -156,12 +155,6 @@ class TestMinimize:
         from bellchain.dynamics import eigendecompose, evolve
 
         eig = eigendecompose(one_excitation_hamiltonian(result.profile))
-        state = evolve(eig, center_excited_state(5), result.best_time)
+        state = evolve(eig, 2, result.best_time)
         assert abs(state.amplitudes[0]) ** 2 == pytest.approx(0.5, abs=1e-4)
         assert abs(state.amplitudes[-1]) ** 2 == pytest.approx(0.5, abs=1e-4)
-
-
-def test_basis_state_helper_matches_center():
-    np.testing.assert_allclose(
-        center_excited_state(5).amplitudes, basis_state(5, 3).amplitudes
-    )
