@@ -42,7 +42,7 @@ def _check_odd(n_sites: int) -> None:
 
 def _positive_couplings(values) -> tuple[float, ...]:
     """The bond strengths D_1, D_2, ... as floats; each must be positive and finite."""
-    couplings = tuple(float(d) for d in values)
+    couplings = tuple(map(float, values))
     # A positive min and a finite sum fail on any NaN, inf or non-positive entry; then the
     # loop names the bad bond (finite couplings whose sum overflows pass it).
     if not (min(couplings, default=1.0) > 0 and math.isfinite(sum(couplings))):

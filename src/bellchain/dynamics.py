@@ -38,9 +38,13 @@ same bits.  One recurrence serves both: ``state_at`` sums its weighted
 terms into the state at one time, and ``grid_amplitudes`` keeps one
 entry of each term, so its steps also skip the sites that can no longer
 reach that entry, and then reads every time of a grid from those
-moments.  The Bessel coefficients come from one FFT per time.  K grows
-like Lambda*|t| (about pi*N/4 at the engineered readout time), so each
-readout takes that path when K < N and the dense one otherwise.
+moments.  Both take the Bessel coefficients J_k(Lambda t) from one
+trapezoidal rule: ``state_at`` forms them with one FFT, and the grid
+never forms them, but sums them against its moments with one folded
+quadrature per time (``_bessel_sums``), in real cosines and sines at
+the M/4 + 1 <= K + 1 nodes of a quarter period.  K grows like Lambda*|t| (about pi*N/4 at the engineered
+readout time), so each readout takes that path when K < N and the dense
+one otherwise.
 
 scipy is imported inside the functions that call it, not here, so a
 command loads only the parts of scipy its path uses: ``scipy.linalg``
@@ -207,7 +211,7 @@ def _series_length(x: float, max_terms: int) -> int | None:
     when order max_terms - 1 is not past |x| or still above the
     tolerance, and otherwise K is found by bisection on single values.
     The test reads ``scipy.special.jv``: the tail lies below the rounding
-    floor of the table that ``_bessel_tables`` builds.
+    floor of the trapezoidal rule of ``_bessel_row``.
     """
     import scipy.special
 
@@ -223,24 +227,61 @@ def _series_length(x: float, max_terms: int) -> int | None:
     return hi
 
 
-def _bessel_tables(xs, n_terms: int):
-    """Yield J_k(x) for k < ``n_terms``, one row per x, over consecutive blocks of xs.
+def _quadrature_size(n_terms: int) -> int:
+    """Nodes M of the trapezoidal Bessel rule for K = ``n_terms`` orders: the power of two >= 2 K, and >= 4.
 
-    Each row is the trapezoidal rule for the Fourier coefficients of
-    exp(i x sin theta) = sum_k J_k(x) exp(i k theta): one FFT of M
-    samples, where M is the power of two >= 2 K.  The rule returns
-    J_k + J_{k-M} + J_{k+M} + ..., and every order it aliases in is at
-    least M - K >= K, so below the tail tolerance.  A block holds at
-    most ``_PHASE_BLOCK_ENTRIES`` samples, so a long grid never holds
-    its whole table.
+    The rule returns J_k + J_{k-M} + J_{k+M} + ..., and every order it
+    aliases in is at least M - K >= K, so below the tail tolerance.  Four
+    nodes are the fewest that hold a quarter period, which the folded
+    sums of ``_bessel_sums`` need.
     """
-    xs = np.asarray(xs, dtype=float)
-    size = 1 << (2 * n_terms - 1).bit_length()
-    sines = np.sin(np.arange(size) * (2.0 * math.pi / size))
-    block = _PHASE_BLOCK_ENTRIES // size or 1
+    return max(4, 1 << (2 * n_terms - 1).bit_length())
+
+
+def _bessel_row(x: float, n_terms: int) -> np.ndarray:
+    """J_k(x) for k < ``n_terms``.
+
+    The trapezoidal rule for the Fourier coefficients of
+    exp(i x sin theta) = sum_k J_k(x) exp(i k theta): one FFT of the M
+    samples of ``_quadrature_size``.
+    """
+    size = _quadrature_size(n_terms)
+    samples = np.exp(1j * (x * np.sin(np.arange(size) * (2.0 * math.pi / size))))
+    return np.fft.fft(samples)[:n_terms].real / size
+
+
+def _bessel_sums(weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum_k c_k J_k(x) for each x of ``xs``, with c_k = w_k (-i)^(k mod 2) for the real ``weights`` w_k.
+
+    The trapezoidal rule of ``_bessel_row``, summed over k before the
+    nodes theta_m = 2 pi m / M instead of after:
+    J_k(x) = (1/M) sum_m [cos(x sin theta_m) cos k theta_m + sin(x sin theta_m) sin k theta_m].
+    One real FFT of the zero-padded weights gives sum_k w_k exp(-i k theta_m),
+    which does not depend on x.  cos(x sin theta) and sin(x sin theta)
+    are both even about pi/2, and about pi the cosine is even and the
+    sine odd, so the M nodes fold onto the M/4 + 1 nodes of [0, pi/2]:
+    the even orders keep their cosine sums, which give the real part, and
+    the odd orders their sine sums, which give the imaginary part.  Each
+    x then costs M/4 + 1 cosines, as many sines and two dot products,
+    and a block of times holds at most ``_PHASE_BLOCK_ENTRIES`` phases.
+    ``einsum`` sums each row in the same order whatever the block, so the
+    bits of a time do not depend on the grid around it.
+    """
+    size = _quadrature_size(len(weights))
+    quarter = size // 4
+    spectrum = np.fft.rfft(weights, size)  # nodes 0 .. M/2
+    folded = np.stack([spectrum.real, spectrum.imag])
+    folded = folded[:, : quarter + 1] + folded[:, 2 * quarter : quarter - 1 : -1]  # nodes m and M/2 - m
+    folded[:, [0, quarter]] *= 0.5  # nodes 0 and M/4 are their own mirror images
+    even, odd = folded * (2.0 / size)  # 2/M: rfft leaves out the conjugate nodes M - m
+    nodes = np.sin(np.arange(quarter + 1) * (2.0 * math.pi / size))
+    block = _PHASE_BLOCK_ENTRIES // (quarter + 1) or 1
+    sums = np.empty(len(xs), dtype=complex)
     for start in range(0, len(xs), block):
-        samples = np.exp(1j * np.multiply.outer(xs[start : start + block], sines))
-        yield np.fft.fft(samples)[:, :n_terms].real / size
+        phases = np.multiply.outer(xs[start : start + block], nodes)
+        sums.real[start : start + block] = np.einsum("ij,j->i", np.cos(phases), even)
+        sums.imag[start : start + block] = np.einsum("ij,j->i", np.sin(phases), odd)
+    return sums
 
 
 def _chebyshev_plan(
@@ -356,7 +397,7 @@ def _chebyshev_state(
     import scipy.linalg.blas  # daxpy's rounding fixes the payload bits; y += a*x moves them
 
     bound, n_terms = plan
-    (bessel,) = next(_bessel_tables([bound * t], n_terms))
+    bessel = _bessel_row(bound * t, n_terms)
     weights = _chebyshev_weights(bessel)
     n = h.dimension
     sums = np.zeros((2, 2, (n + 1) // 2))  # [even-k, odd-k terms][s][i] of site 2i+s
@@ -383,9 +424,13 @@ def grid_amplitudes(h: TridiagonalHamiltonian, row: int, column: int, times) -> 
     (K taken at the largest |t|), one recurrence from e_column keeps the
     moments m_k = [T_k(H/Lambda) e_column]_row, and every time is the
     sum_k c_k J_k(Lambda t) m_k.  That costs K steps over the sites inside
-    both light cones, O(N) memory and one Bessel table per block of times.  Otherwise ``eigendecompose`` +
-    ``transition_amplitudes``.
+    both light cones and O(N) memory, and then one folded Bessel
+    quadrature (``_bessel_sums``): M/4 + 1 <= K + 1 real cosines and as
+    many sines per time.  Otherwise ``eigendecompose`` + ``transition_amplitudes``.
+    A row or column outside the chain is a ValueError on both paths.
     """
+    _check_site(row, h.dimension)
+    _check_site(column, h.dimension)
     times = np.asarray(times, dtype=float)
     plan = _chebyshev_plan(h, times, h.dimension)
     if plan is None:
@@ -396,8 +441,7 @@ def grid_amplitudes(h: TridiagonalHamiltonian, row: int, column: int, times) -> 
     for k, s, term in _chebyshev_terms(h, column, bound, n_terms, row):
         if s == row % 2:
             moments[k] = term[row // 2]
-    coefficients = _chebyshev_weights(moments) * np.where(np.arange(n_terms) % 2, -1j, 1.0)
-    return np.concatenate([table @ coefficients for table in _bessel_tables(bound * times, n_terms)])
+    return _bessel_sums(_chebyshev_weights(moments), bound * times)
 
 
 def transition_amplitudes(

@@ -333,22 +333,13 @@ class TestStateAt:
         assert dynamics._series_length(first_zero, 5) is None
 
     @pytest.mark.parametrize("x", [0.0, -7.3, 12.5, 50.0, 3143.0])
-    def test_fft_bessel_table_matches_jv(self, x):
+    def test_fft_bessel_row_matches_jv(self, x):
         n_terms = dynamics._series_length(x, 10**6)
-        (table,) = next(dynamics._bessel_tables([x], n_terms))
+        row = dynamics._bessel_row(x, n_terms)
         expected = scipy.special.jv(np.arange(n_terms), x)
-        np.testing.assert_allclose(table, expected, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(row, expected, rtol=0, atol=1e-13)
         if x == 0.0:
-            assert table.tolist() == [1.0]
-
-    def test_blocked_bessel_table_equals_unblocked(self, monkeypatch):
-        xs = np.linspace(-40.0, 60.0, 23)
-        n_terms = dynamics._series_length(60.0, 10**6)
-        (whole,) = dynamics._bessel_tables(xs, n_terms)
-        monkeypatch.setattr(dynamics, "_PHASE_BLOCK_ENTRIES", 1000)  # 3 rows of 256 samples
-        blocked = list(dynamics._bessel_tables(xs, n_terms))
-        assert [len(table) for table in blocked] == [3] * 7 + [2]
-        assert np.array_equal(np.concatenate(blocked), whole)
+            assert row.tolist() == [1.0]
 
     def test_negative_time_inverts_the_propagator(self):
         # H is real symmetric, so exp(iHt) is the conjugate and the transpose of
@@ -417,19 +408,23 @@ class TestGridAmplitudes:
         assert grid_amplitudes(h, n // 2, n // 2, [0.0]).tolist() == [1.0]
         assert grid_amplitudes(h, 0, n // 2, [0.0]).tolist() == [0.0]
 
-    def test_column_outside_the_chain_is_refused(self):
-        h = one_excitation_hamiltonian(engineered_couplings(401, 1.0))
-        for column in (-1, 401):
-            with pytest.raises(ValueError, match=f"site {column} outside 0..400"):
-                grid_amplitudes(h, 0, column, self.GRID)
+    @pytest.mark.parametrize("n", [401, 9])  # the Chebyshev path and the dense one
+    def test_site_outside_the_chain_is_refused(self, n):
+        h = one_excitation_hamiltonian(engineered_couplings(n, 1.0))
+        assert (dynamics._chebyshev_plan(h, self.GRID, n) is None) is (n == 9)
+        for site in (-1, n):
+            with pytest.raises(ValueError, match=f"site {site} outside 0..{n - 1}"):
+                grid_amplitudes(h, site, n // 2, self.GRID)
+            with pytest.raises(ValueError, match=f"site {site} outside 0..{n - 1}"):
+                grid_amplitudes(h, 0, site, self.GRID)
 
-    def test_long_chain_matches_closed_form_without_eigensolve(self, monkeypatch):
+    @pytest.mark.parametrize("n, tolerance", [(4001, 2.5e-13), (20001, 1e-11)])
+    def test_long_chain_matches_closed_form_without_eigensolve(self, n, tolerance, monkeypatch):
         monkeypatch.setattr(scipy.linalg.lapack, "dstevd", refuse_eigensolve)
-        n = 20001
         times = 3.0 + np.arange(61) * 0.005
         amps = grid_amplitudes(one_excitation_hamiltonian(engineered_couplings(n, 1.0)), 0, n // 2, times)
         expected = [analytic_center_to_end(n, 1.0, t) for t in times]
-        assert np.max(np.abs(amps - expected)) < 1e-11
+        assert np.max(np.abs(amps - expected)) <= tolerance
 
 
 class TestSecondExactBellChain:
@@ -471,7 +466,7 @@ def bits(values):
 def reference_state(h, site, t):
     """``_chebyshev_state`` with its terms from the whole-chain recurrence."""
     bound, n_terms = dynamics._chebyshev_plan(h, [t], 10**6)
-    (bessel,) = next(dynamics._bessel_tables([bound * t], n_terms))
+    bessel = dynamics._bessel_row(bound * t, n_terms)
     weights = dynamics._chebyshev_weights(bessel)
     return chebyshev_state(h.off_diagonal, site, bound, weights)
 
@@ -480,9 +475,21 @@ def reference_grid(h, row, column, times):
     """``grid_amplitudes`` with its moments from the whole-chain recurrence."""
     bound, n_terms = dynamics._chebyshev_plan(h, times, 10**6)
     moments = chebyshev_moments(h.off_diagonal, row, column, bound, n_terms)
-    coefficients = dynamics._chebyshev_weights(moments) * np.where(np.arange(n_terms) % 2, -1j, 1.0)
-    tables = dynamics._bessel_tables(bound * np.asarray(times), n_terms)
-    return np.concatenate([table @ coefficients for table in tables])
+    return dynamics._bessel_sums(dynamics._chebyshev_weights(moments), bound * np.asarray(times))
+
+
+def table_sums(weights, xs):
+    """sum_k c_k J_k(x) as a table of J_k(x) times the complex coefficients c_k = w_k (-i)^(k mod 2)."""
+    coefficients = weights * np.where(np.arange(len(weights)) % 2, -1j, 1.0)
+    table = np.array([dynamics._bessel_row(x, len(weights)) for x in xs])
+    return table @ coefficients
+
+
+def table_grid(h, row, column, times):
+    """``grid_amplitudes`` with the whole-chain moments summed over a Bessel table instead of the quadrature."""
+    bound, n_terms = dynamics._chebyshev_plan(h, times, 10**6)
+    moments = chebyshev_moments(h.off_diagonal, row, column, bound, n_terms)
+    return table_sums(dynamics._chebyshev_weights(moments), bound * np.asarray(times))
 
 
 def whole_terms(h, site, bound, n_terms, row=None):
@@ -612,6 +619,65 @@ class TestLightConeRecurrence:
             out = grid_amplitudes(h, row, column, times)
             assert np.array_equal(bits(out), bits(np.zeros(len(times), dtype=complex)))
             assert np.array_equal(bits(out), bits(reference_grid(h, row, column, times)))
+
+
+class TestBesselQuadrature:
+    """The folded quadrature of ``_bessel_sums`` against the table of J_k(x) it replaced."""
+
+    @pytest.mark.parametrize("n_terms", [1, 2, 3, 4, 5, 6, 9])
+    def test_matches_the_table_of_the_same_rule(self, n_terms):
+        # K = 1 and 2 have M = 4 nodes, the fewest with a quarter; any x, since
+        # both sides run the same trapezoidal rule whether or not it has converged
+        rng = np.random.default_rng(n_terms)
+        weights = rng.standard_normal(n_terms)
+        xs = np.concatenate([[0.0], rng.uniform(-3.0 * n_terms, 3.0 * n_terms, 40)])
+        np.testing.assert_allclose(dynamics._bessel_sums(weights, xs), table_sums(weights, xs), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n_terms", [1, 2, 3])
+    def test_smallest_series(self, n_terms, monkeypatch):
+        n = 401
+        h = one_excitation_hamiltonian(profile_of_kind("noisy", n))
+        eig = eigendecompose(h)
+        monkeypatch.setattr(dynamics, "eigendecompose", refuse_eigensolve)
+        bound, _ = dynamics._chebyshev_plan(h, [1.0], 10**6)
+        t = {1: 0.0, 2: 1e-10, 3: 1e-7}[n_terms] / bound
+        times = [-t, t]
+        assert dynamics._chebyshev_plan(h, times, n) == (bound, n_terms)
+        for column in (n // 2, n // 2 + 1):  # starts on both sublattices
+            for row in (column, column + 1, column - 2, column + 3):
+                amps = grid_amplitudes(h, row, column, times)
+                (expected,) = transition_amplitudes(eig, [row], column, times)
+                np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(amps, table_grid(h, row, column, times), rtol=1e-12, atol=1e-16)
+                if n_terms == 1:
+                    assert amps.tolist() == [float(row == column)] * 2
+                # K terms reach K - 1 sites away; beyond, every moment and so every sum is 0
+                assert bool(amps[1] != 0.0) is (abs(row - column) < n_terms)
+
+    def test_blocked_equals_unblocked(self, monkeypatch):
+        weights = np.random.default_rng(5).standard_normal(100)  # M = 256: 65 folded nodes
+        xs = np.linspace(-60.0, 60.0, 23)
+        whole = dynamics._bessel_sums(weights, xs)
+        for entries in (65, 200, 1000):  # 1, 3 and 15 times per block
+            monkeypatch.setattr(dynamics, "_PHASE_BLOCK_ENTRIES", entries)
+            assert np.array_equal(bits(dynamics._bessel_sums(weights, xs)), bits(whole))
+        h = one_excitation_hamiltonian(profile_of_kind("swapped", 401))
+        times = np.linspace(-1.0, 1.4, 17)
+        blocked = grid_amplitudes(h, 3, 200, times)  # M = 512: 7 times per block of 1000
+        monkeypatch.setattr(dynamics, "_PHASE_BLOCK_ENTRIES", 1 << 16)
+        assert np.array_equal(bits(grid_amplitudes(h, 3, 200, times)), bits(blocked))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_agrees_with_the_table_sum_on_random_chains(self, seed):
+        n = 301 + 2 * seed
+        h = random_chain(n, seed)
+        times = np.linspace(-9.0, 7.0, 33)  # negative times, K about 60
+        _, n_terms = dynamics._chebyshev_plan(h, times, n)
+        assert n_terms > 40
+        column = n // 2
+        for row in (column, column + 1, column - 10, column + 17, 0):  # both sublattices, and off the cone
+            amps = grid_amplitudes(h, row, column, times)
+            np.testing.assert_allclose(amps, table_grid(h, row, column, times), rtol=0, atol=1e-12)
 
 
 class TestTransferAmplitudes:
