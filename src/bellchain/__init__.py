@@ -32,7 +32,6 @@ from .dynamics import (
     bell_time,
     center_to_end_amplitude,
     eigendecompose,
-    end_to_end_amplitude,
     evolve,
     grid_amplitudes,
     state_at,
@@ -95,7 +94,6 @@ __all__ = [
     "center_to_end_amplitude",
     "correction_for",
     "eigendecompose",
-    "end_to_end_amplitude",
     "engineered_couplings",
     "engineered_max_coupling",
     "entanglement_at_t0",

@@ -2,10 +2,16 @@
 
 Subcommands wrap the library one-to-one and write machine-readable
 payloads (canonical JSON or CSV) plus a ``<out>.manifest.json`` sidecar
-recording the command line, a digest of the resolved parameters, the
-master seed, the tool version and the wall time.  Payload bytes are a
-pure function of parameters and seed; only the manifest's wall time
-varies between identical runs.
+recording the command line, a config digest, the master seed, the tool
+version and the wall time.  Payload bytes are a pure function of
+parameters and seed; only the manifest's wall time varies between
+identical runs.  ``run`` resolves ``--out`` once, calls the subcommand's
+handler as ``handler(args, out)``, which returns the master seed or
+None, and writes the manifest itself.  The config digest is the
+``serialize.json_digest`` of the parsed flags, config-file defaults
+applied, without ``--out`` and ``--config``; an input file
+(``--profile``, ``--resource``) enters as the sha256 of its bytes.  So
+the digest names the inputs, never where the payload went.
 
 Exit codes: 0 success, 2 argument error (including a chain too long
 for the dense eigensolve to fit in physical memory, and any run that
@@ -18,6 +24,7 @@ variable is set, relative ``--out`` paths are resolved against it.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import os
 import sys
@@ -79,14 +86,6 @@ def _odd_n(value) -> int:
     return _check_sites(n)
 
 
-def _resolve_out(raw: str) -> Path:
-    path = Path(raw)
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not path.is_absolute():
-        path = Path(base) / path
-    return path
-
-
 def _parse_grid(text: str) -> np.ndarray:
     parts = str(text).split(":")
     if len(parts) != 3:
@@ -114,7 +113,7 @@ def _profile_from_args(args) -> CouplingProfile:
         return profile
     if getattr(args, "n", None) is None:
         raise ValueError("need either --profile or --n")
-    return engineered_couplings(_odd_n(args.n), float(args.mu))
+    return engineered_couplings(_odd_n(args.n), args.mu)
 
 
 def _extract_config_path(argv: list[str]) -> str | None:
@@ -246,13 +245,9 @@ def _build_parser(config: dict, command: str | None) -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_couplings(args) -> tuple[dict, Path, int | None]:
-    n = _odd_n(args.n)
-    mu = float(args.mu)
-    fmt = str(args.format)
-    profile = engineered_couplings(n, mu)
-    out = _resolve_out(args.out)
-    if fmt == "json":
+def _cmd_couplings(args, out: Path) -> None:
+    profile = engineered_couplings(_odd_n(args.n), args.mu)
+    if args.format == "json":
         serialize.write_json(out, serialize.profile_to_dict(profile))
     else:
         serialize.write_csv(
@@ -263,17 +258,18 @@ def _cmd_couplings(args) -> tuple[dict, Path, int | None]:
                 for i, d in enumerate(profile.couplings)
             ],
         )
-    params = {"command": "couplings", "n": n, "mu": mu, "format": fmt}
-    return params, out, None
 
 
-def _cmd_evolve(args) -> tuple[dict, Path, int | None]:
+def _cmd_evolve(args, out: Path) -> None:
     profile = _profile_from_args(args)
     t_grid = _parse_grid(args.t_grid)
-    # the closed form holds only for the engineered couplings, not for every chain with
-    # their symmetries; math.isclose finds no finite bond close to an overflowed mu * D_i
-    unit = engineered_couplings(profile.n_sites).couplings
-    engineered = all(math.isclose(d, profile.mu * e, rel_tol=SYMMETRY_RTOL) for d, e in zip(profile.couplings, unit))
+    # a --n chain is engineered by construction; the closed form holds only for the engineered
+    # couplings, not for every chain with their symmetries, and math.isclose finds no finite
+    # bond close to an overflowed mu * D_i
+    engineered = not args.profile or all(
+        math.isclose(d, profile.mu * e, rel_tol=SYMMETRY_RTOL)
+        for d, e in zip(profile.couplings, engineered_couplings(profile.n_sites).couplings)
+    )
     h = one_excitation_hamiltonian(profile)
     amps = grid_amplitudes(h, 0, (profile.n_sites - 1) // 2, t_grid)
 
@@ -296,63 +292,39 @@ def _cmd_evolve(args) -> tuple[dict, Path, int | None]:
             cells += ["", "", "0"]
         rows.append(cells)
 
-    out = _resolve_out(args.out)
     serialize.write_csv(
         out,
         ["t", "re_amp", "im_amp", "prob", "analytic_prob", "abs_err", "analytic_valid"],
         rows,
     )
-    params = {
-        "command": "evolve",
-        "profile": serialize.profile_to_dict(profile),
-        "t_grid": str(args.t_grid),
-    }
-    return params, out, None
 
 
-def _cmd_teleport(args) -> tuple[dict, Path, int | None]:
-    a = complex(float(args.a_re), float(args.a_im))
-    b = complex(float(args.b_re), float(args.b_im))
-    if getattr(args, "resource", None):
+def _cmd_teleport(args, out: Path) -> int | None:
+    a = complex(args.a_re, args.a_im)
+    b = complex(args.b_re, args.b_im)
+    if args.resource:
         resource = serialize.read_resource(args.resource)
     else:
         if args.n is None:
             raise ValueError("need either --resource or --n")
-        profile = _profile_from_args(args)
-        resource = resource_from_profile(profile)
+        resource = resource_from_profile(_profile_from_args(args))
 
-    mode = str(args.mode)
-    seed = None if args.seed is None else int(args.seed)
-    if mode == "sample" and seed is None:
+    if args.mode == "sample" and args.seed is None:
         raise ValueError("sample mode needs --seed")
     branches = teleport(a, b, resource)
-    records = branches if mode == "enumerate" else teleport(a, b, resource, mode, seed)
-    master_seed = seed if mode == "sample" else None
-
-    out = _resolve_out(args.out)
+    records = branches if args.mode == "enumerate" else teleport(a, b, resource, args.mode, args.seed)
+    master_seed = args.seed if args.mode == "sample" else None
     serialize.write_json(
         out, serialize.teleport_report(a, b, resource, records, master_seed, branches)
     )
-    params = {
-        "command": "teleport",
-        "a": serialize.complex_pair(a),
-        "b": serialize.complex_pair(b),
-        "resource": serialize.resource_to_dict(resource),
-        "mode": mode,
-        "seed": master_seed,
-    }
-    return params, out, master_seed
+    return master_seed
 
 
-def _cmd_feasibility(args) -> tuple[dict, Path, int | None]:
-    report = feasibility(float(args.mu), float(args.gmax))
-    out = _resolve_out(args.out)
-    serialize.write_json(out, serialize.feasibility_to_dict(report))
-    params = {"command": "feasibility", "mu": report.mu, "g_max": report.g_max}
-    return params, out, None
+def _cmd_feasibility(args, out: Path) -> None:
+    serialize.write_json(out, serialize.feasibility_to_dict(feasibility(args.mu, args.gmax)))
 
 
-def _cmd_perturb(args) -> tuple[dict, Path, int | None]:
+def _cmd_perturb(args, out: Path) -> int | None:
     profile = _profile_from_args(args)
     modes = [args.swap is not None, args.sigma is not None, bool(args.adjacent)]
     if sum(modes) != 1:
@@ -360,64 +332,30 @@ def _cmd_perturb(args) -> tuple[dict, Path, int | None]:
 
     master_seed: int | None = None
     if args.swap is not None:
-        i, j = (int(v) for v in args.swap)
-        swapped = perturb(profile, SwapPerturbation(i, j))
-        rows = [sweep_row(swapped, trial=0, param=float(i))]
-        mode_params = {"mode": "swap", "i": i, "j": j}
+        i, j = args.swap
+        rows = [sweep_row(perturb(profile, SwapPerturbation(i, j)), trial=0, param=float(i))]
     elif args.sigma is not None:
-        sigma = float(args.sigma)
-        trials = int(args.trials)
-        master_seed = int(args.seed)
-        rows = noise_sweep(profile, sigma, trials, master_seed)
-        mode_params = {
-            "mode": "noise",
-            "sigma": sigma,
-            "trials": trials,
-            "seed": master_seed,
-        }
+        master_seed = args.seed
+        rows = noise_sweep(profile, args.sigma, args.trials, master_seed)
     else:
         if profile.n_sites > MAX_ADJACENT_SITES:
             raise ValueError(
                 f"--adjacent on {profile.n_sites} sites exceeds the limit of {MAX_ADJACENT_SITES}"
             )
         rows = adjacent_swap_sweep(profile)
-        mode_params = {"mode": "adjacent"}
-
-    out = _resolve_out(args.out)
     serialize.sweep_rows_to_csv(out, rows)
-    params = {
-        "command": "perturb",
-        "profile": serialize.profile_to_dict(profile),
-        **mode_params,
-    }
-    return params, out, master_seed
+    return master_seed
 
 
-def _cmd_search(args) -> tuple[dict, Path, int | None]:
+def _cmd_search(args, out: Path) -> int:
     problem = SearchProblem(
         n_sites=_odd_n(args.n),
-        t_window=(float(args.t_min), float(args.t_max)),
-        bounds=(float(args.d_lo), float(args.d_hi)),
+        t_window=(args.t_min, args.t_max),
+        bounds=(args.d_lo, args.d_hi),
     )
-    seed = int(args.seed)
-    result = minimize(
-        problem,
-        seed=seed,
-        max_iters=int(args.max_iters),
-        restarts=int(args.restarts),
-    )
-    out = _resolve_out(args.out)
-    serialize.write_json(out, serialize.search_result_to_dict(problem, result, seed))
-    params = {
-        "command": "search",
-        "n": problem.n_sites,
-        "seed": seed,
-        "restarts": int(args.restarts),
-        "max_iters": int(args.max_iters),
-        "t_window": list(problem.t_window),
-        "bounds": list(problem.bounds),
-    }
-    return params, out, seed
+    result = minimize(problem, seed=args.seed, max_iters=args.max_iters, restarts=args.restarts)
+    serialize.write_json(out, serialize.search_result_to_dict(problem, result, args.seed))
+    return args.seed
 
 
 _HANDLERS = {
@@ -428,6 +366,25 @@ _HANDLERS = {
     "perturb": _cmd_perturb,
     "search": _cmd_search,
 }
+
+
+def _digest_inputs(args) -> dict:
+    """The parsed flags but --out and --config, by name: what the manifest's digest covers.
+
+    An input file enters as the sha256 of its bytes.  A non-finite float,
+    which canonical JSON refuses, enters as its repr: a flag the handler
+    ignores (--mu beside --profile) is never checked.
+    """
+    inputs = {}
+    for key, value in sorted(vars(args).items()):
+        if key in ("out", "config"):
+            continue
+        if key in ("profile", "resource") and value:
+            value = hashlib.sha256(Path(value).read_bytes()).hexdigest()
+        elif isinstance(value, float) and not math.isfinite(value):
+            value = repr(value)
+        inputs[key] = value
+    return inputs
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -452,10 +409,14 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if exc.code is None else 2
 
     started = time.perf_counter()
+    out = Path(args.out)
+    if os.environ.get(OUT_DIR_ENV) and not out.is_absolute():
+        out = Path(os.environ[OUT_DIR_ENV]) / out
     try:
-        params, out_path, master_seed = _HANDLERS[args.command](args)
+        inputs = _digest_inputs(args)  # before the handler, which may write over an input file
+        master_seed = _HANDLERS[args.command](args, out)
         wall = time.perf_counter() - started
-        serialize.write_manifest(out_path, argv, params, master_seed, wall)
+        serialize.write_manifest(out, argv, inputs, master_seed, wall)
     except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

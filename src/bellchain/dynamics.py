@@ -294,7 +294,7 @@ def _chebyshev_plan(
     """
     off = h.off_diagonal
     bound = max(map(operator.add, (0.0, *off), (*off, 0.0)))
-    t_max = float(np.abs(times).max())
+    t_max = float(np.abs(times).max(initial=0.0))
     if not math.isfinite(bound * t_max):
         raise ValueError(f"evolution time {t_max!r} times spectral bound {bound!r} is not finite")
     n_terms = _series_length(bound * t_max, max_terms)
@@ -471,11 +471,6 @@ def center_to_end_amplitude(eig: EigenSystem, t: float) -> complex:
     if eig.dimension % 2 == 0:
         raise ValueError("center-to-end amplitude needs an odd chain")
     return complex(transition_amplitudes(eig, [0], (eig.dimension - 1) // 2, [t])[0][0])
-
-
-def end_to_end_amplitude(eig: EigenSystem, t: float) -> complex:
-    """<1| exp(-iHt) |M> between the first and last sites."""
-    return complex(transition_amplitudes(eig, [0], eig.dimension - 1, [t])[0][0])
 
 
 def analytic_center_to_end(n_sites: int, mu: float, t: float) -> complex:

@@ -2,8 +2,10 @@
 
 All floats are printed with 17 significant digits so values round-trip
 exactly; the same canonical JSON text doubles as the input to the
-configuration digest, which therefore only depends on the resolved
-parameters and never on the platform.
+manifest's configuration digest.  The CLI digests a run's parsed flags
+without ``--out`` and ``--config``, with each input file as the sha256
+of its bytes, so the digest depends only on the inputs and never on
+the platform or on where the payload went.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ from bellchain.dynamics import (
     bell_time,
     center_to_end_amplitude,
     eigendecompose,
-    end_to_end_amplitude,
     evolve,
+    transition_amplitudes,
 )
 from bellchain.robustness import (
     SwapPerturbation,
@@ -118,14 +118,14 @@ def test_criterion_03_halved_chain_transfer():
         full_eig = eigendecompose(one_excitation_hamiltonian(profile))
 
         # unit-probability transfer across the folded chain at mu t = pi
-        pst_prob = abs(end_to_end_amplitude(halved_eig, math.pi)) ** 2
+        pst_prob = abs(transition_amplitudes(halved_eig, [0], m - 1, [math.pi])[0][0]) ** 2
         worst_pst = max(worst_pst, abs(pst_prob - 1.0))
 
         # the full chain's center-to-end amplitude is the folded chain's
         # end-to-end amplitude divided by sqrt(2), at every time
         for t in t_grid:
             full_amp = center_to_end_amplitude(full_eig, float(t))
-            half_amp = end_to_end_amplitude(halved_eig, float(t))
+            half_amp = transition_amplitudes(halved_eig, [0], m - 1, [float(t)])[0][0]
             worst_factor = max(worst_factor, abs(full_amp - half_amp * SQRT_HALF))
     assert worst_pst < 1e-10
     assert worst_factor < 1e-10

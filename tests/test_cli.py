@@ -1,6 +1,7 @@
 """Command-line interface: payloads, manifests, exit codes, config handling."""
 
 import argparse
+import hashlib
 import json
 import math
 import resource
@@ -17,7 +18,7 @@ from bellchain.chain import CouplingProfile, engineered_couplings, validate_prof
 from bellchain.cli import run
 from bellchain.dynamics import NumericFailure, eigendecompose
 from bellchain.robustness import SweepRow
-from bellchain.serialize import profile_to_dict, write_json
+from bellchain.serialize import json_digest, profile_to_dict, write_json
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -164,6 +165,20 @@ class TestEvolve:
         _, rows = read_csv(out)
         assert len(rows) == 9
         assert all(row[4:] == ["", "", "0"] for row in rows)
+
+    def test_n_chain_builds_its_engineered_profile_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return engineered_couplings(*args)
+
+        monkeypatch.setattr(cli, "engineered_couplings", counted)
+        out = tmp_path / "amps.csv"
+        assert run(["evolve", "--n", "9", "--t-grid", "0:3.2:0.4", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        _, rows = read_csv(out)
+        assert all(row[6] == "1" for row in rows)
 
     def test_engineered_profile_file_is_analytic(self, tmp_path):
         profile_path = tmp_path / "engineered.json"
@@ -718,6 +733,63 @@ class TestConfigAndEnvironment:
         assert out.exists()
 
 
+class TestConfigDigest:
+    """The digest covers the parsed flags but --out and --config, and input files by their bytes."""
+
+    @staticmethod
+    def digest(argv, out):
+        assert run([*argv, "--out", str(out)]) == 0
+        return manifest_of(out)["config_digest"]
+
+    def test_is_the_digest_of_the_parsed_flags(self, tmp_path):
+        flags = {"command": "couplings", "format": "json", "mu": 1.0, "n": 9}
+        assert self.digest(["couplings", "--n", "9"], tmp_path / "p.json") == json_digest(flags)
+
+    def test_config_value_digests_like_the_flag(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n": 9, "swap": [3, 4]}))
+        from_config = self.digest(["perturb", "--config", str(config_path)], tmp_path / "config.csv")
+        from_flags = self.digest(["perturb", "--swap", "3", "4", "--n", "9"], tmp_path / "flags.csv")
+        assert from_config == from_flags
+
+    def test_changes_with_a_flag_value(self, tmp_path):
+        argv = ["feasibility", "--mu", "1", "--gmax", "1.125"]
+        assert self.digest(argv, tmp_path / "a.json") != self.digest([*argv[:-1], "1.25"], tmp_path / "b.json")
+
+    def test_changes_with_the_bytes_of_a_profile_file(self, tmp_path):
+        profile_path = tmp_path / "profile.json"
+        argv = ["evolve", "--profile", str(profile_path), "--t-grid", "0:1:0.5"]
+        write_json(profile_path, profile_to_dict(engineered_couplings(9, 1.0)))
+        first = self.digest(argv, tmp_path / "a.csv")
+        write_json(profile_path, profile_to_dict(engineered_couplings(9, 2.0)))
+        assert self.digest(argv, tmp_path / "b.csv") != first
+
+    def test_input_file_is_hashed_before_the_payload_overwrites_it(self, tmp_path):
+        resource_path = tmp_path / "resource.json"
+        write_json(resource_path, {"alpha01": [SQRT_HALF, 0.0], "alpha10": [SQRT_HALF, 0.0]})
+        flags = {"a_im": 0.0, "a_re": 1.0, "b_im": 0.0, "b_re": 0.0, "command": "teleport", "mode": "enumerate",
+                 "mu": 1.0, "n": None, "resource": hashlib.sha256(resource_path.read_bytes()).hexdigest(), "seed": None}
+        argv = ["teleport", "--resource", str(resource_path)]
+        assert self.digest(argv, resource_path) == json_digest(flags)
+
+    def test_does_not_depend_on_out_or_the_out_dir(self, tmp_path, monkeypatch):
+        argv = ["couplings", "--n", "9", "--mu", "2"]
+        absolute = self.digest(argv, tmp_path / "abs.json")
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / sub))
+            assert run([*argv, "--out", f"{sub}.json"]) == 0
+            assert manifest_of(tmp_path / sub / f"{sub}.json")["config_digest"] == absolute
+
+    def test_an_ignored_non_finite_flag_still_digests(self, tmp_path):
+        profile_path = tmp_path / "profile.json"
+        write_json(profile_path, profile_to_dict(engineered_couplings(5, 1.0)))
+        argv = ["evolve", "--profile", str(profile_path), "--t-grid", "0:1:0.5"]
+        finite = self.digest([*argv, "--mu", "1"], tmp_path / "a.csv")
+        assert self.digest([*argv, "--mu", "inf"], tmp_path / "b.csv") != finite
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 class TestExitCodes:
     def test_no_arguments_is_an_argument_error(self, capsys):
         assert run([]) == 2
@@ -728,7 +800,7 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_numeric_failure_maps_to_exit_4(self, tmp_path, monkeypatch, capsys):
-        def boom(args):
+        def boom(args, out):
             raise NumericFailure(9)
 
         monkeypatch.setitem(cli._HANDLERS, "feasibility", boom)
@@ -753,7 +825,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 3.73 GiB")])
     def test_memory_error_maps_to_exit_2(self, tmp_path, monkeypatch, capsys, exc):
-        def exhaust(args):
+        def exhaust(args, out):
             raise exc
 
         monkeypatch.setitem(cli._HANDLERS, "couplings", exhaust)

@@ -28,7 +28,6 @@ from bellchain.dynamics import (
     bell_time,
     center_to_end_amplitude,
     eigendecompose,
-    end_to_end_amplitude,
     evolve,
     grid_amplitudes,
     state_at,
@@ -727,7 +726,7 @@ class TestTransferAmplitudes:
         eig_half = eigendecompose(halved_hamiltonian(profile))
         for t in np.linspace(0.1, 2 * math.pi, 13):
             full = center_to_end_amplitude(eig_full, float(t))
-            half = end_to_end_amplitude(eig_half, float(t))
+            half = transition_amplitudes(eig_half, [0], eig_half.dimension - 1, [float(t)])[0][0]
             assert abs(full - half / SQRT2) < 1e-10
 
 
@@ -753,11 +752,15 @@ class TestTransitionAmplitudes:
     def test_scalar_readouts_use_the_kernel(self):
         eig = engineered_eig(9)
         assert center_to_end_amplitude(eig, 1.3) == transition_amplitudes(eig, [0], 4, [1.3])[0][0]
-        assert end_to_end_amplitude(eig, 1.3) == transition_amplitudes(eig, [0], 8, [1.3])[0][0]
 
-    def test_empty_grid(self):
-        (amps,) = transition_amplitudes(engineered_eig(5), [0], 2, [])
+    @pytest.mark.parametrize("n", [5, 9, 401])
+    def test_empty_grid(self, n):
+        h = one_excitation_hamiltonian(engineered_couplings(n))
+        (amps,) = transition_amplitudes(eigendecompose(h), [0], n // 2, [])
         assert amps.shape == (0,)
+        # an empty grid plans the series at t = 0, so N = 9 takes the Chebyshev path as N = 401 does
+        amps = grid_amplitudes(h, 0, n // 2, [])
+        assert amps.shape == (0,) and amps.dtype == complex
 
 
 class TestClosedForms:
