@@ -17,7 +17,9 @@ Exit codes: 0 success, 2 argument error (including a chain too long
 for the dense eigensolve to fit in physical memory, and any run that
 exhausts memory), 3 I/O error, 4 numeric failure.  A JSON config file
 (``--config``) supplies defaults for any flag of the invoked subcommand;
-explicit flags win.  When the ``BELLCHAIN_OUT_DIR`` environment
+explicit flags win.  ``--n`` or ``--mu``, as a flag or from the config
+file, beside the ``--profile`` or ``--resource`` file that replaces them
+is an argument error.  When the ``BELLCHAIN_OUT_DIR`` environment
 variable is set, relative ``--out`` paths are resolved against it.
 """
 
@@ -195,9 +197,9 @@ def _build_parser(config: dict, command: str | None) -> argparse.ArgumentParser:
     add(p, "--out", required=True)
 
     p = add_parser("evolve", help="center-to-end amplitude over a time grid")
-    add(p, "--profile", help="profile JSON (overrides --n/--mu)")
+    add(p, "--profile", help="profile JSON, in place of --n/--mu")
     add(p, "--n", type=int)
-    add(p, "--mu", type=float, default=1.0)
+    add(p, "--mu", type=float, help="coupling scale (default 1.0)")
     add(p, "--t-grid", required=True, help="lo:hi:step")
     add(p, "--out", required=True, help="CSV output path")
 
@@ -207,8 +209,8 @@ def _build_parser(config: dict, command: str | None) -> argparse.ArgumentParser:
     add(p, "--b-re", type=float, default=0.0)
     add(p, "--b-im", type=float, default=0.0)
     add(p, "--n", type=int, help="build the resource from this engineered chain")
-    add(p, "--mu", type=float, default=1.0)
-    add(p, "--resource", help="resource JSON (overrides --n/--mu)")
+    add(p, "--mu", type=float, help="coupling scale (default 1.0)")
+    add(p, "--resource", help="resource JSON, in place of --n/--mu")
     add(p, "--mode", choices=["enumerate", "sample"], default="enumerate")
     add(p, "--seed", type=int, default=None)
     add(p, "--out", required=True, help="report JSON path")
@@ -219,9 +221,9 @@ def _build_parser(config: dict, command: str | None) -> argparse.ArgumentParser:
     add(p, "--out", required=True, help="report JSON path")
 
     p = add_parser("perturb", help="score perturbed profiles at the readout time")
-    add(p, "--profile", help="profile JSON (overrides --n/--mu)")
+    add(p, "--profile", help="profile JSON, in place of --n/--mu")
     add(p, "--n", type=int)
-    add(p, "--mu", type=float, default=1.0)
+    add(p, "--mu", type=float, help="coupling scale (default 1.0)")
     add(p, "--swap", type=int, nargs=2, metavar=("I", "J"))
     add(p, "--sigma", type=float)
     add(p, "--trials", type=int, default=100)
@@ -368,12 +370,33 @@ _HANDLERS = {
 }
 
 
+# The input file that stands in for --n and --mu, per subcommand that has one.
+_INPUT_FILE = {"evolve": "profile", "perturb": "profile", "teleport": "resource"}
+
+
+def _check_chain_flags(args) -> None:
+    """Refuse --n or --mu beside the input file that replaces them, then default --mu to 1.0.
+
+    The handler would ignore them, and the digest would still cover
+    them.  The parser leaves --mu at None so that a value given on the
+    command line or in the config file shows, whatever it is.
+    """
+    source = _INPUT_FILE.get(args.command)
+    if source is None:
+        return
+    given = [f"--{flag}" for flag in ("n", "mu") if getattr(args, flag) is not None]
+    if getattr(args, source) and given:
+        raise ValueError(f"--{source} replaces {' and '.join(given)}; give one or the other")
+    if args.mu is None:
+        args.mu = 1.0
+
+
 def _digest_inputs(args) -> dict:
     """The parsed flags but --out and --config, by name: what the manifest's digest covers.
 
     An input file enters as the sha256 of its bytes.  A non-finite float,
-    which canonical JSON refuses, enters as its repr: a flag the handler
-    ignores (--mu beside --profile) is never checked.
+    which canonical JSON refuses, enters as its repr: the digest is taken
+    before the handler checks its flags, so the handler's message names it.
     """
     inputs = {}
     for key, value in sorted(vars(args).items()):
@@ -413,6 +436,7 @@ def run(argv: list[str] | None = None) -> int:
     if os.environ.get(OUT_DIR_ENV) and not out.is_absolute():
         out = Path(os.environ[OUT_DIR_ENV]) / out
     try:
+        _check_chain_flags(args)
         inputs = _digest_inputs(args)  # before the handler, which may write over an input file
         master_seed = _HANDLERS[args.command](args, out)
         wall = time.perf_counter() - started

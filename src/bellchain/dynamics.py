@@ -38,10 +38,13 @@ same bits.  One recurrence serves both: ``state_at`` sums its weighted
 terms into the state at one time, and ``grid_amplitudes`` keeps one
 entry of each term, so its steps also skip the sites that can no longer
 reach that entry, and then reads every time of a grid from those
-moments.  Both take the Bessel coefficients J_k(Lambda t) from one
-trapezoidal rule: ``state_at`` forms them with one FFT, and the grid
-never forms them, but sums them against its moments with one folded
-quadrature per time (``_bessel_sums``), in real cosines and sines at
+moments.  ``grid_amplitudes`` serves the ``evolve`` grid and, at the
+single time pi/mu, the end pair of ``teleport``
+(``robustness.resource_from_profile``), which needs no other site.
+Both take the Bessel coefficients J_k(Lambda t) from one trapezoidal
+rule: ``state_at`` forms them with one FFT, and the grid never forms
+them, but sums them against its moments with one folded quadrature per
+time (``_bessel_sums``), in real cosines and sines at
 the M/4 + 1 <= K + 1 nodes of a quarter period.  K grows like Lambda*|t| (about pi*N/4 at the engineered
 readout time), so each readout takes that path when K < N and the dense
 one otherwise.

@@ -8,6 +8,14 @@ scores the surviving entanglement, converts end amplitudes into a
 (renormalized) pure resource for the protocol, and evaluates how long a
 chain fits under a hardware coupling ceiling.
 
+The resource behind ``teleport --n`` (``resource_from_profile``) needs
+only the two end amplitudes, so it reads them with
+``grid_amplitudes`` at the one time pi/mu, the row-pruned moment
+recurrence, and never builds the N-site state; a mirror-symmetric
+chain reads one end and reuses it for the other.  Sweeps and
+``entanglement_at_t0`` still build the whole state with ``state_at``:
+their rows report ``residual_norm``, the weight on the interior.
+
 Sweep rows score ``expected_fidelity`` by teleporting the balanced
 input (|0> + |1>)/sqrt(2), the input most sensitive to amplitude skew
 in the resource.
@@ -36,6 +44,7 @@ from .dynamics import (
     bell_time,
     eigendecompose,  # noqa: F401  bench/selftest.py checks the tracer patches it here
     end_pair_readout,
+    grid_amplitudes,
     state_at,
 )
 from .teleport import EntangledResource, expected_fidelity, teleport
@@ -189,8 +198,23 @@ def _renormalized(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def resource_from_profile(profile: CouplingProfile) -> EntangledResource:
-    """Resource produced by this profile at its own readout time."""
-    return resource_from_report(entanglement_at_t0(profile))
+    """Resource produced by this profile at its own readout time pi/mu.
+
+    It reads only the two end amplitudes of the evolved center
+    excitation, each with ``grid_amplitudes`` at the one time pi/mu: on a
+    long chain a Chebyshev moment recurrence pruned to the sites that can
+    reach the end, not the whole state of ``entanglement_at_t0``.  When
+    the couplings equal their reverse bit for bit, as every engineered
+    profile's do, H and the center start are mirror symmetric, so
+    a_N = a_1 exactly: row 0 is read once and serves both ends.  Any
+    other profile reads row N-1 as well.
+    """
+    h, t0 = one_excitation_hamiltonian(profile), bell_time(profile.mu)
+    center, couplings = profile.n_sites // 2, profile.couplings
+    first = grid_amplitudes(h, 0, center, [t0])
+    last = first if couplings == couplings[::-1] else grid_amplitudes(h, profile.n_sites - 1, center, [t0])
+    (alpha01,), (alpha10,) = _renormalized(first, last)
+    return EntangledResource(alpha01=alpha01, alpha10=alpha10)
 
 
 def feasibility(mu: float, g_max: float) -> FeasibilityReport:

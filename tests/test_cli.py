@@ -781,16 +781,35 @@ class TestConfigDigest:
             assert run([*argv, "--out", f"{sub}.json"]) == 0
             assert manifest_of(tmp_path / sub / f"{sub}.json")["config_digest"] == absolute
 
-    def test_an_ignored_non_finite_flag_still_digests(self, tmp_path):
-        profile_path = tmp_path / "profile.json"
-        write_json(profile_path, profile_to_dict(engineered_couplings(5, 1.0)))
-        argv = ["evolve", "--profile", str(profile_path), "--t-grid", "0:1:0.5"]
-        finite = self.digest([*argv, "--mu", "1"], tmp_path / "a.csv")
-        assert self.digest([*argv, "--mu", "inf"], tmp_path / "b.csv") != finite
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, config, given",
+        [
+            (["evolve", "--t-grid", "0:1:0.5", "--profile", "PROFILE", "--n", "5"], {}, "--n"),
+            (["evolve", "--t-grid", "0:1:0.5", "--profile", "PROFILE", "--mu", "1"], {}, "--mu"),
+            (["evolve", "--t-grid", "0:1:0.5", "--profile", "PROFILE", "--mu", "inf"], {}, "--mu"),
+            (["evolve", "--t-grid", "0:1:0.5", "--profile", "PROFILE"], {"mu": 1.0}, "--mu"),
+            (["perturb", "--swap", "1", "2", "--profile", "PROFILE", "--n", "5", "--mu", "2"], {}, "--n and --mu"),
+            (["perturb", "--adjacent", "--profile", "PROFILE"], {"n": 5}, "--n"),
+            (["teleport", "--resource", "RESOURCE", "--n", "5"], {}, "--n"),
+            (["teleport", "--resource", "RESOURCE", "--mu", "1"], {}, "--mu"),
+        ],
+    )
+    def test_n_or_mu_beside_the_input_file_is_an_argument_error(self, tmp_path, capsys, argv, config, given):
+        files = {"PROFILE": tmp_path / "profile.json", "RESOURCE": tmp_path / "resource.json"}
+        write_json(files["PROFILE"], profile_to_dict(engineered_couplings(5, 1.0)))
+        write_json(files["RESOURCE"], {"alpha01": [SQRT_HALF, 0.0], "alpha10": [SQRT_HALF, 0.0]})
+        argv = [str(files.get(token, token)) for token in argv]
+        if config:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "config.json")]
+        out = tmp_path / "x.out"
+        assert run([*argv, "--out", str(out)]) == 2
+        source = "--resource" if argv[0] == "teleport" else "--profile"
+        assert capsys.readouterr().err == f"error: {source} replaces {given}; give one or the other\n"
+        assert not out.exists()
+
     def test_no_arguments_is_an_argument_error(self, capsys):
         assert run([]) == 2
         capsys.readouterr()

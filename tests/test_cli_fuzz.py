@@ -1,8 +1,10 @@
 """Fuzzed command lines: every input ends in a documented exit code.
 
-Each example draws a subcommand, a value for each of its flags (valid
-small values, wrong types, negative, zero, non-finite and huge ones) and
-moves some flags into a ``--config`` file as JSON values of any type.
+Each example draws a subcommand, which of its flags to pass (so also
+combinations that clash, such as ``--n`` beside ``--profile``), a value
+for each (valid small values, wrong types, negative, zero, non-finite
+and huge ones) and moves some flags into a ``--config`` file as JSON
+values of any type.
 Sizes that really run stay small; every huge size drawn is one that a
 cap or guard rejects before anything is allocated, except a subnormal
 ``--mu`` on the huge chain, whose Chebyshev series has a single term.
@@ -11,6 +13,7 @@ cap or guard rejects before anything is allocated, except a subnormal
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -19,8 +22,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellchain import dynamics
+from bellchain.chain import engineered_couplings
 from bellchain.cli import run
+from bellchain.serialize import profile_to_dict, write_json
 
+SQRT_HALF = 1.0 / math.sqrt(2.0)
 BAD_INT = ["", "x", "5.0", "nan", "-3", "0", "1", "4"]
 BAD_FLOAT = ["", "x", "nan", "inf", "-inf", "-1", "0", "1e-310", "1e308", "1e309"]
 # Above the trial cap, the restart cap or both; never run.
@@ -44,6 +50,12 @@ GRIDS = pick(["0:3.2:0.1", "0:0:1", "1:2:0.5"], BAD_GRIDS)
 # shorter one would run the eigenvector-free path on that size.
 HUGE_N = "100001"
 HUGE_N_GRIDS = pick(["0:10:1"], BAD_GRIDS)
+# Input files: one the test writes (a 5-site engineered profile, a Bell
+# resource) and one that does not exist.
+PROFILE = st.sampled_from(["PROFILE", "no-such-profile.json"])
+RESOURCE = st.sampled_from(["RESOURCE", "no-such-resource.json"])
+# The input file that stands in for --n and --mu.
+SOURCE = {"evolve": "--profile", "perturb": "--profile", "teleport": "--resource"}
 SWAP = st.lists(pick(["1", "2", "3", "4", "8"], ["0", "-1", "100", "x"]), min_size=2, max_size=2)
 PRESENT = st.just(None)  # a store_true flag
 
@@ -56,12 +68,13 @@ FLAGS = {
         {"--mu": MU, "--format": pick(["json", "csv"], ["xml"])},
     ),
     "evolve": (
-        {"--n": pick(["3", "9", "41", HUGE_N], BAD_INT), "--t-grid": GRIDS},
-        {"--mu": MU, "--profile": st.just("no-such-profile.json")},
+        {"--t-grid": GRIDS},
+        {"--n": pick(["3", "9", "41", HUGE_N], BAD_INT), "--mu": MU, "--profile": PROFILE},
     ),
     "teleport": (
-        {"--n": ODD_N},
+        {},
         {
+            "--n": ODD_N,
             "--a-re": AMPLITUDE,
             "--a-im": AMPLITUDE,
             "--b-re": AMPLITUDE,
@@ -69,7 +82,7 @@ FLAGS = {
             "--mu": MU,
             "--mode": pick(["enumerate", "sample"], ["both"]),
             "--seed": SEEDS,
-            "--resource": st.just("no-such-resource.json"),
+            "--resource": RESOURCE,
         },
     ),
     "feasibility": (
@@ -77,8 +90,10 @@ FLAGS = {
         {"--gmax": pick(["1.125", "7.3e8", "1e300", "1e-10"], BAD_FLOAT)},
     ),
     "perturb": (
-        {"--n": ODD_N, "--trials": pick(["1", "2", "5"], HUGE_COUNT, BAD_INT)},
+        {"--trials": pick(["1", "2", "5"], HUGE_COUNT, BAD_INT)},
         {
+            "--n": ODD_N,
+            "--profile": PROFILE,
             "--mu": MU,
             "--swap": SWAP,
             "--sigma": pick(["0", "1e-3", "0.5", "3"], BAD_FLOAT),
@@ -126,7 +141,7 @@ def invocations(draw):
     command = draw(st.sampled_from(sorted(FLAGS)))
     always, sometimes = FLAGS[command]
     flags = draw(st.fixed_dictionaries(always, optional=sometimes))
-    if command == "evolve" and flags["--n"] == HUGE_N:
+    if command == "evolve" and flags.get("--n") == HUGE_N:
         flags["--t-grid"] = draw(HUGE_N_GRIDS)
     in_config = draw(st.sets(st.sampled_from(sorted(flags)))) if flags else set()
     config = {
@@ -159,14 +174,21 @@ def run_quietly(argv):
     )
 )
 @example(case=(["perturb", "--n", "5", "--trials", "1"], {"adjacent": "no"}, "dir"))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_every_command_line_ends_in_a_documented_exit_code(case):
     argv, config, where = case
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         dynamics, "_physical_memory_bytes", lambda: 2**30
     ):
         out = Path(tmp) / ("absent" if where == "missing dir" else "") / "payload"
-        argv = [*argv, "--out", str(out)]
+        files = {"PROFILE": Path(tmp) / "profile.json", "RESOURCE": Path(tmp) / "resource.json"}
+        write_json(files["PROFILE"], profile_to_dict(engineered_couplings(5)))
+        write_json(files["RESOURCE"], {"alpha01": [SQRT_HALF, 0.0], "alpha10": [SQRT_HALF, 0.0]})
+        given = {token for token in argv if token.startswith("--")}
+        given |= {"--" + key.replace("_", "-") for key in config}
+        argv = [str(files.get(token, token)) for token in argv] + ["--out", str(out)]
+        config = {key: str(files.get(value, value)) if isinstance(value, str) else value
+                  for key, value in config.items()}
         if config or where == "missing config":
             config_path = Path(tmp) / "config.json"
             if where != "missing config":
@@ -178,6 +200,8 @@ def test_every_command_line_ends_in_a_documented_exit_code(case):
         assert code in {0, 2, 3, 4}, err
         assert "Traceback" not in err
         if not isinstance(config.get("adjacent", False), bool) and where != "missing config":
+            assert code == 2, err
+        if SOURCE.get(argv[0]) in given and given & {"--n", "--mu"} and where != "missing config":
             assert code == 2, err
         if code == 0:
             assert out.exists() and manifest.exists()

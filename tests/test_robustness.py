@@ -187,6 +187,51 @@ class TestResourceExtraction:
         assert ef < 1.0 - 1e-6
 
 
+def _one_bond_up_one_ulp(profile: CouplingProfile) -> CouplingProfile:
+    couplings = list(profile.couplings)
+    couplings[10] = math.nextafter(couplings[10], math.inf)
+    return CouplingProfile(profile.n_sites, profile.mu, tuple(couplings))
+
+
+class TestResourceFromProfile:
+    """The end-pair read behind ``teleport --n`` against the whole-state readout it replaced."""
+
+    @pytest.mark.parametrize(
+        "profile, rows",
+        [
+            (engineered_couplings(9, 1.0), [0]),  # dense
+            (engineered_couplings(4001, 1.0), [0]),  # Chebyshev
+            (engineered_couplings(4003, 1.0), [0]),  # the center on the odd sublattice
+            (perturb(engineered_couplings(9, 1.0), SwapPerturbation(3, 4)), [0, 8]),
+            (perturb(engineered_couplings(4001, 1.0), SwapPerturbation(5, 6)), [0, 4000]),
+            (_one_bond_up_one_ulp(engineered_couplings(4001, 1.0)), [0, 4000]),
+        ],
+        ids=["dense-9", "chebyshev-4001", "odd-center-4003", "swap-9", "swap-4001", "one-ulp-4001"],
+    )
+    def test_matches_the_whole_state_readout(self, monkeypatch, profile, rows):
+        read = []
+
+        def grid_amplitudes(h, row, column, times):
+            read.append(row)
+            return dynamics.grid_amplitudes(h, row, column, times)
+
+        monkeypatch.setattr(robustness, "grid_amplitudes", grid_amplitudes)
+        fast = resource_from_profile(profile)
+        slow = resource_from_report(entanglement_at_t0(profile))
+        assert read == rows
+        assert abs(fast.alpha01 - slow.alpha01) <= 1e-14
+        assert abs(fast.alpha10 - slow.alpha10) <= 1e-14
+
+    @pytest.mark.parametrize("n", [9, 4001, 4003])
+    def test_bitwise_palindrome_reads_equal_ends_on_the_closed_form(self, n):
+        resource = resource_from_profile(engineered_couplings(n, 1.0))
+        assert resource.alpha01 == resource.alpha10
+        # (-i sin(mu t0 / 2))^((N-1)/2) / sqrt 2 with sin = 1; analytic_center_to_end
+        # takes that power in polar form and is itself ~2e-13 off at N = 4001
+        closed_form = (-1j) ** ((n - 1) // 2 % 4) / math.sqrt(2.0)
+        assert abs(resource.alpha01 - closed_form) <= 1e-14
+
+
 class TestFeasibility:
     def test_reference_hardware_numbers(self):
         report = feasibility(mu=1.0e4, g_max=7.3e8)
