@@ -66,8 +66,9 @@ OUT_DIR_ENV = "BELLCHAIN_OUT_DIR"
 # Longest --t-grid accepted; the whole grid is evaluated in one call.
 MAX_GRID_POINTS = 100_000
 
-# Longest chain accepted, from --n or a --profile file: one readout at
-# the engineered time takes about 45 s at this length on a 2-core host.
+# Longest chain accepted, from --n or a --profile file: at this length on
+# a 2-core host a whole run at the engineered time takes about 7 s for the
+# end pair of ``teleport`` and 23 s for the full state of ``perturb --swap``.
 MAX_SITES = 100_001
 
 # Longest chain ``perturb --adjacent`` accepts: it runs one readout per

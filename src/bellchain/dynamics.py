@@ -45,18 +45,21 @@ Both take the Bessel coefficients J_k(Lambda t) from one trapezoidal
 rule: ``state_at`` forms them with one FFT, and the grid never forms
 them, but sums them against its moments with one folded quadrature per
 time (``_bessel_sums``), in real cosines and sines at
-the M/4 + 1 <= K + 1 nodes of a quarter period.  K grows like Lambda*|t| (about pi*N/4 at the engineered
-readout time), so each readout takes that path when K < N and the dense
-one otherwise.
+the M/4 + 1 <= K + 1 nodes of a quarter period.  The series stops at
+the first order K past Lambda*|t| where Kapteyn's closed-form bound on
+|J_k| (DLMF 10.14.8) is below the tail tolerance, so sizing it takes no
+Bessel function.  K grows like Lambda*|t| (about pi*N/4 at the
+engineered readout time), so each readout takes that path when K < N
+and the dense one otherwise.
 
 scipy is imported inside the functions that call it, not here, so a
 command loads only the parts of scipy its path uses: ``scipy.linalg``
 for the dense eigensolve (``eigendecompose`` calls LAPACK ``dstevd``, the
 routine ``eigh_tridiagonal`` picks, and skips that wrapper's checks, about
 17 us per call at N = 9 on a 2-core host) and for the ``daxpy`` sums of
-``_chebyshev_state``, ``scipy.special`` for the series length
-(``_series_length``).  ``couplings`` and ``feasibility`` never load
-scipy, and the Chebyshev ``evolve`` grid loads only ``scipy.special``.
+``_chebyshev_state``.  ``couplings`` and ``feasibility`` never load
+scipy, and neither does a ``grid_amplitudes`` readout on the Chebyshev
+path: the ``evolve`` grid and the ``teleport`` end pair.
 """
 
 from __future__ import annotations
@@ -209,17 +212,23 @@ def evolve(eig: EigenSystem, site: int, t: float) -> SiteAmplitudeState:
 def _series_length(x: float, max_terms: int) -> int | None:
     """Number of Chebyshev terms K at Bessel argument x, or None if K >= ``max_terms``.
 
-    K is the first order above |x| with |J_k(x)| <= _BESSEL_TOL.  Past |x|
-    the Bessel values decay monotonically, so K >= max_terms exactly
-    when order max_terms - 1 is not past |x| or still above the
-    tolerance, and otherwise K is found by bisection on single values.
-    The test reads ``scipy.special.jv``: the tail lies below the rounding
-    floor of the trapezoidal rule of ``_bessel_row``.
+    K is the first order k above |x| at which Kapteyn's bound (DLMF
+    10.14.8) puts |J_k(x)| at or below _BESSEL_TOL: with z = |x|/k <= 1
+    and s = sqrt(1 - z^2), |J_k(kz)| <= (z e^s / (1 + s))^k, tested on a
+    log scale.  Past |x| the bound falls strictly with k, so K >=
+    max_terms exactly when order max_terms - 1 is not past |x| or its
+    bound is still above the tolerance, and otherwise K is found by
+    bisection.  The bound is closed-form, so the series length needs no
+    Bessel function.
     """
-    import scipy.special
+    log_tol = math.log(_BESSEL_TOL)
 
     def negligible(k: int) -> bool:
-        return k > abs(x) and abs(scipy.special.jv(k, x)) <= _BESSEL_TOL
+        if k <= abs(x):
+            return False
+        z = abs(x) / k
+        s = math.sqrt((1.0 - z) * (1.0 + z))
+        return z == 0.0 or k * (math.log(z) + s - math.log1p(s)) <= log_tol
 
     lo, hi = math.floor(abs(x)), max_terms - 1
     if not negligible(hi):
@@ -477,10 +486,16 @@ def center_to_end_amplitude(eig: EigenSystem, t: float) -> complex:
 
 
 def analytic_center_to_end(n_sites: int, mu: float, t: float) -> complex:
-    """Closed-form center-to-end amplitude of the engineered N-site chain."""
+    """Closed-form center-to-end amplitude of the engineered N-site chain.
+
+    (-i sin(mu t/2))^m with m = (N-1)/2 is sin^m as a real power times
+    (-i)^m from m mod 4, so the phase is exact: a complex power goes
+    through the polar form and is off by about m ulp.
+    """
     if n_sites % 2 == 0:
         raise ValueError(f"n_sites must be odd, got {n_sites}")
-    return (-1j * math.sin(0.5 * mu * t)) ** ((n_sites - 1) // 2) / math.sqrt(2.0)
+    m = (n_sites - 1) // 2
+    return (1 + 0j, -1j, -1 + 0j, 1j)[m % 4] * (math.sin(0.5 * mu * t) ** m / math.sqrt(2.0))
 
 
 def bell_time(mu: float) -> float:

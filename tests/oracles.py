@@ -6,7 +6,8 @@ than tautology: Wootters concurrence from the spin-flipped density
 matrix, the dense one-excitation block (``dense_tridiagonal``), a
 site's basis amplitudes (``basis_amplitudes``), evolution through a
 dense matrix exponential, the Chebyshev recurrence from one site over
-the whole chain in real arithmetic, the chain Hamiltonian on the full
+the whole chain in real arithmetic, the series length that ``jv``
+itself gives and Kapteyn's bound on |J_k|, the chain Hamiltonian on the full
 2^N register, the mirror parity of each eigenvector
 (``parity_labels``), the closed form of the folded chain's transfer
 amplitude, and a monolithic matrix-product teleportation pipeline.
@@ -26,6 +27,7 @@ import math
 import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
+import scipy.special
 
 _SY = np.array([[0.0, -1j], [1j, 0.0]])
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -184,6 +186,39 @@ def chebyshev_state(off_diagonal, site: int, bound: float, weights) -> np.ndarra
 def chebyshev_moments(off_diagonal, row: int, column: int, bound: float, n_terms: int) -> np.ndarray:
     """m_k = [T_k(H/bound) e_column]_row for k < n_terms, from the whole-chain recurrence."""
     return np.array([term[row] for term in chebyshev_terms(off_diagonal, column, bound, n_terms)])
+
+
+def jv_series_length(x: float, max_terms: int, tol: float) -> int | None:
+    """First order k above |x| with |J_k(x)| <= ``tol`` by ``scipy.special.jv``, or None if it is >= ``max_terms``.
+
+    Past |x| the Bessel values decay monotonically, so the order is found
+    by bisection on single values.
+    """
+
+    def negligible(k: int) -> bool:
+        return k > abs(x) and abs(scipy.special.jv(k, x)) <= tol
+
+    lo, hi = math.floor(abs(x)), max_terms - 1
+    if not negligible(hi):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if negligible(mid) else (mid, hi)
+    return hi
+
+
+def kapteyn_bound(k: int, x: float) -> float:
+    """An upper bound on |J_k(x)| for an order k >= 0.
+
+    Past |x| it is Kapteyn's (z e^s / (1 + s))^k with z = |x|/k and
+    s = sqrt(1 - z^2) (DLMF 10.14.8), taken as a power; up to |x| it is
+    |J_k| <= 1.
+    """
+    if k <= abs(x):
+        return 1.0
+    z = abs(x) / k
+    s = math.sqrt(1.0 - z * z)
+    return (z * math.exp(s) / (1.0 + s)) ** k
 
 
 def parity_labels(vectors: np.ndarray) -> tuple[str, ...]:

@@ -1,6 +1,7 @@
 """Spectral decomposition, propagation, closed forms, and concurrence."""
 
 import cmath
+import fractions
 import itertools
 import math
 
@@ -45,6 +46,8 @@ from oracles import (
     dense_tridiagonal,
     end_pair_density,
     full_hilbert_hamiltonian,
+    jv_series_length,
+    kapteyn_bound,
     one_excitation_indices,
     parity_labels,
     wootters_concurrence,
@@ -312,7 +315,7 @@ class TestStateAt:
 
     def test_size_rule_compares_terms_with_sites(self):
         t0 = bell_time(1.0)
-        for n, chebyshev in ((9, False), (101, False), (1001, True), (4001, True)):
+        for n, chebyshev in ((9, False), (101, False), (387, False), (389, True), (1001, True), (4001, True)):
             h = one_excitation_hamiltonian(engineered_couplings(n, 1.0))
             assert (dynamics._chebyshev_plan(h, [t0], n) is not None) is chebyshev
             _, n_terms = dynamics._chebyshev_plan(h, [t0], 10**6)
@@ -322,14 +325,35 @@ class TestStateAt:
         assert dynamics._series_length(0.0, 3) == 1
         n_terms = dynamics._series_length(50.0, 10**6)
         assert n_terms > 51
-        # the last kept order is still above the tail tolerance
-        assert abs(scipy.special.jv(n_terms - 1, 50.0)) > dynamics._BESSEL_TOL
+        self.check_series_length(50.0, n_terms, 16)
         assert dynamics._series_length(50.0, 51) is None
         assert dynamics._series_length(50.0, n_terms) is None
         assert dynamics._series_length(50.0, n_terms + 1) is not None
         # J_4 vanishes at its first zero, 7.588...; an order below x never ends the series
         first_zero = float(scipy.special.jn_zeros(4, 1)[0])
         assert dynamics._series_length(first_zero, 5) is None
+
+    @staticmethod
+    def check_series_length(x, n_terms, excess):
+        # every dropped order is below the tolerance, K exceeds the jv-minimal
+        # order by at most ``excess``, and Kapteyn's bound still keeps order K-1
+        tol = dynamics._BESSEL_TOL
+        assert np.all(np.abs(scipy.special.jv(np.arange(n_terms, n_terms + 65), x)) <= tol)
+        k_jv = jv_series_length(x, 10**6, tol)
+        assert k_jv <= n_terms <= k_jv + excess
+        assert kapteyn_bound(n_terms - 1, x) > tol
+
+    @given(x=st.floats(min_value=0.0, max_value=5000.0))
+    @settings(max_examples=60, deadline=None)
+    def test_series_length_from_kapteyn_bound(self, x):
+        # the bound is loosest near the turning point; up to x = 5000 it costs at most 17 orders
+        self.check_series_length(x, dynamics._series_length(x, 10**6), 17)
+
+    @pytest.mark.parametrize("x, n_terms, excess", [(3143.16, 3320, 14), (78540.0, 79054, 49)])
+    def test_series_length_at_long_chains(self, x, n_terms, excess):
+        # about Lambda t0 for N = 4001 and for the site cap
+        assert dynamics._series_length(x, 10**6) == n_terms
+        self.check_series_length(x, n_terms, excess)
 
     @pytest.mark.parametrize("x", [0.0, -7.3, 12.5, 50.0, 3143.0])
     def test_fft_bessel_row_matches_jv(self, x):
@@ -779,6 +803,24 @@ class TestClosedForms:
     def test_rejects_even_n(self):
         with pytest.raises(ValueError):
             analytic_center_to_end(4, 1.0, 1.0)
+
+    @pytest.mark.parametrize("n", [401, 4001, 4003, 20001])
+    def test_center_to_end_phase_is_exact_at_t0(self, n):
+        # (-i)^((N-1)/2) is real for N = 1 mod 4 and imaginary for N = 3 mod 4
+        value = analytic_center_to_end(n, 1.0, bell_time(1.0))
+        vanishing, kept = (value.imag, value.real) if n % 4 == 1 else (value.real, value.imag)
+        assert vanishing == 0.0
+        assert abs(kept) == pytest.approx(1 / SQRT2, rel=1e-15)
+
+    def test_center_to_end_matches_complex_power(self):
+        for n, t in itertools.product(range(3, 200, 2), np.linspace(0.0, 2 * math.pi, 41).tolist()):
+            m, sine = (n - 1) // 2, math.sin(0.5 * t)
+            value = analytic_center_to_end(n, 1.0, t)
+            # the complex power's polar form is off by about m ulp: 1.6e-15 at N = 193
+            assert abs(value - (-1j * sine) ** m / SQRT2) <= 2e-15
+            # sine^m is exact as a fraction, so the real power is within rounding of it
+            exact = float(fractions.Fraction(sine) ** m / fractions.Fraction(SQRT2))
+            assert value == pytest.approx((-1j) ** (m % 4) * exact, rel=4.5e-16, abs=0.0)
 
     def test_halved_transfer_peaks_at_one(self):
         for m in (2, 3, 8, 21):

@@ -67,6 +67,31 @@ def test_teleport_loads_linalg_but_not_optimize(tmp_path):
     assert "scipy.optimize" not in loaded
 
 
+@pytest.mark.parametrize("argv", [["teleport", "--n", "9"], ["perturb", "--n", "9", "--swap", "3", "4"]])
+def test_dense_path_loads_no_special_functions(tmp_path, argv):
+    # the series length that sends a short chain to the eigensolve needs no Bessel function
+    loaded = after_cli_run(argv, tmp_path / "out")
+    assert "scipy.linalg" in loaded
+    assert "scipy.special" not in loaded
+
+
+CHEBYSHEV_READOUTS = [["teleport", "--n", "1001"], ["evolve", "--n", "401", "--t-grid", "0:1:0.5"]]
+
+
+@pytest.mark.parametrize("argv", CHEBYSHEV_READOUTS)
+def test_chebyshev_readouts_load_no_scipy(tmp_path, argv):
+    assert after_cli_run(argv, tmp_path / "out") == set()
+
+
+@pytest.mark.parametrize("argv", CHEBYSHEV_READOUTS)
+def test_chebyshev_readouts_run_without_scipy(tmp_path, argv):
+    # a None entry in sys.modules makes every import of scipy fail
+    out = tmp_path / "out"
+    code = f"import sys\nsys.modules['scipy'] = None\nfrom bellchain import cli\nassert cli.run({[*argv, '--out', str(out)]!r}) == 0"
+    assert scipy_modules(code) == {"scipy"}  # the None entry itself
+    assert out.stat().st_size > 0
+
+
 def test_search_loads_optimize(tmp_path):
     loaded = after_cli_run(["search", "--n", "5", "--restarts", "1"], tmp_path / "out.json")
     assert "scipy.optimize" in loaded
