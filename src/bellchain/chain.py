@@ -20,7 +20,7 @@ swap operations are 1-based to match the usual D_1 ... D_{N-1} labeling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # Relative tolerance for the exact coupling symmetries of engineered profiles.
 SYMMETRY_RTOL = 1e-12
@@ -66,11 +66,15 @@ class CouplingProfile:
     couplings:
         The N-1 bond strengths D_1 ... D_{N-1}, all positive and finite,
         stored 0-indexed.
+    hamiltonian:
+        The one-excitation block, built once from ``couplings``; building
+        it is their check.  Not compared, hashed or shown.
     """
 
     n_sites: int
     mu: float
     couplings: tuple[float, ...]
+    hamiltonian: TridiagonalHamiltonian = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.n_sites
@@ -80,7 +84,9 @@ class CouplingProfile:
             raise ValueError(
                 f"expected {n - 1} couplings for {n} sites, got {len(self.couplings)}"
             )
-        object.__setattr__(self, "couplings", _positive_couplings(self.couplings))
+        h = TridiagonalHamiltonian(n, self.couplings)
+        object.__setattr__(self, "hamiltonian", h)
+        object.__setattr__(self, "couplings", h.off_diagonal)
 
     def coupling(self, i: int) -> float:
         """Return D_i with 1-based index i."""
@@ -191,8 +197,8 @@ def validate_profile(profile: CouplingProfile) -> list[ProfileViolation]:
 
 
 def one_excitation_hamiltonian(profile: CouplingProfile) -> TridiagonalHamiltonian:
-    """One-excitation block of the chain Hamiltonian: off-diagonals D_j."""
-    return TridiagonalHamiltonian(profile.n_sites, profile.couplings)
+    """One-excitation block of the chain Hamiltonian: off-diagonals D_j, built with the profile."""
+    return profile.hamiltonian
 
 
 def halved_hamiltonian(profile: CouplingProfile) -> TridiagonalHamiltonian:

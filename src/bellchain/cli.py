@@ -14,8 +14,8 @@ applied, without ``--out`` and ``--config``; an input file
 the digest names the inputs, never where the payload went.
 
 Exit codes: 0 success, 2 argument error (including a chain too long
-for the dense eigensolve to fit in physical memory, and any run that
-exhausts memory), 3 I/O error, 4 numeric failure.  A JSON config file
+for the dense eigensolve to fit in memory, and any run that exhausts
+memory), 3 I/O error, 4 numeric failure.  A JSON config file
 (``--config``) supplies defaults for any flag of the invoked subcommand;
 explicit flags win.  ``--n`` or ``--mu``, as a flag or from the config
 file, beside the ``--profile`` or ``--resource`` file that replaces them
@@ -82,13 +82,6 @@ def _check_sites(n: int) -> int:
     return n
 
 
-def _odd_n(value) -> int:
-    n = int(value)
-    if n < 3 or n % 2 != 1:
-        raise ValueError("n must be odd and >= 3")
-    return _check_sites(n)
-
-
 def _parse_grid(text: str) -> np.ndarray:
     parts = str(text).split(":")
     if len(parts) != 3:
@@ -116,7 +109,7 @@ def _profile_from_args(args) -> CouplingProfile:
         return profile
     if getattr(args, "n", None) is None:
         raise ValueError("need either --profile or --n")
-    return engineered_couplings(_odd_n(args.n), args.mu)
+    return engineered_couplings(_check_sites(args.n), args.mu)
 
 
 def _extract_config_path(argv: list[str]) -> str | None:
@@ -249,7 +242,7 @@ def _build_parser(config: dict, command: str | None) -> argparse.ArgumentParser:
 
 
 def _cmd_couplings(args, out: Path) -> None:
-    profile = engineered_couplings(_odd_n(args.n), args.mu)
+    profile = engineered_couplings(_check_sites(args.n), args.mu)
     if args.format == "json":
         serialize.write_json(out, serialize.profile_to_dict(profile))
     else:
@@ -352,7 +345,7 @@ def _cmd_perturb(args, out: Path) -> int | None:
 
 def _cmd_search(args, out: Path) -> int:
     problem = SearchProblem(
-        n_sites=_odd_n(args.n),
+        n_sites=_check_sites(args.n),
         t_window=(args.t_min, args.t_max),
         bounds=(args.d_lo, args.d_hi),
     )

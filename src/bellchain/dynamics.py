@@ -32,8 +32,9 @@ sites, and T_k(H/Lambda) applied to a start site lives on the start's
 sublattice at even k and on the other one at odd k.  The recurrence
 therefore runs in real arithmetic on two half-length buffers, one per
 sublattice, and each step updates only the sublattice its new term
-lives on: half the work of the whole-chain recurrence, with the same
-operations in the same order on every entry that is not zero, so the
+lives on: half the work of the whole-chain recurrence.  Guard entries
+past both chain ends give the end sites the interior's step, so every
+updated site takes the whole chain's operations in their order: the
 same bits.  One recurrence serves both: ``state_at`` sums its weighted
 terms into the state at one time, and ``grid_amplitudes`` keeps one
 entry of each term, so its steps also skip the sites that can no longer
@@ -157,12 +158,16 @@ def _check_site(site: int, n_sites: int) -> None:
         raise ValueError(f"site {site} outside 0..{n_sites - 1}")
 
 
-def _physical_memory_bytes() -> int | None:
-    """Installed RAM, or None where ``os.sysconf`` cannot tell."""
+def _memory_limit_bytes() -> int | None:
+    """The smaller of installed RAM and the address-space limit (RLIMIT_AS) if set; None where unknown."""
     try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
+        import resource  # Unix only, as the sysconf names are
+
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (ImportError, AttributeError, ValueError, OSError):
         return None
+    return memory if soft == resource.RLIM_INFINITY else min(memory, soft)
 
 
 def eigendecompose(h: TridiagonalHamiltonian) -> EigenSystem:
@@ -174,23 +179,24 @@ def eigendecompose(h: TridiagonalHamiltonian) -> EigenSystem:
     Eigenvectors are sign-normalized to a positive first component in
     place, on the arrays LAPACK returned, and both arrays are returned
     read-only.
-    A chain whose 8 N^2 bytes of eigenvectors exceed physical memory
-    raises ResourceLimitError before anything is allocated.
+    A chain whose N^2 doubles of eigenvectors and 1 + 4N + N^2 of
+    ``dstevd`` workspace exceed ``_memory_limit_bytes`` raises
+    ResourceLimitError before anything is allocated.
     """
-    off = np.asarray(h.off_diagonal)
-    if h.dimension < 2:
+    n, off = h.dimension, np.asarray(h.off_diagonal)
+    if n < 2:
         raise ValueError("eigendecompose needs dimension >= 2")
-    needed, memory = 8 * h.dimension**2, _physical_memory_bytes()
+    needed, memory = 8 * (2 * n * n + 4 * n + 1), _memory_limit_bytes()
     if memory is not None and needed > memory:
         raise ResourceLimitError(
-            f"dense eigenvectors of {h.dimension} sites need {needed / 2**30:.1f} GiB, "
-            f"more than the {memory / 2**30:.1f} GiB of physical memory"
+            f"dense eigenvectors of {n} sites need {needed / 2**30:.1f} GiB, "
+            f"more than the {memory / 2**30:.1f} GiB memory limit"
         )
     import scipy.linalg.lapack
 
-    eigenvalues, vectors, info = scipy.linalg.lapack.dstevd(np.zeros(h.dimension), off)
+    eigenvalues, vectors, info = scipy.linalg.lapack.dstevd(np.zeros(n), off)
     if info != 0:
-        raise NumericFailure(h.dimension)
+        raise NumericFailure(n)
 
     # First component of a Jacobi-matrix eigenvector is never zero.
     np.negative(vectors, out=vectors, where=vectors[0] < 0)
@@ -313,26 +319,6 @@ def _chebyshev_plan(
     return None if n_terms is None else (bound, n_terms)
 
 
-def _step_views(double, scratch, target, source, s: int, lo: int, hi: int):
-    """Slices for target <- 2 (H/bound) source - target on the sublattice-s sites in [lo, hi), lo < hi.
-
-    ``target`` holds sites s, s+2, ... and ``source`` the other sublattice,
-    so site j = 2i+s has its neighbours j+1 at source[i+s] and j-1 at
-    source[i+s-1]; ``double`` is the pair (double[0::2], double[1::2]).
-    As on the whole chain, sites below N-1 take double[j] cur[j+1] - prev[j],
-    site N-1 takes -prev[N-1], and then sites above 0 add double[j-1] cur[j-1].
-    """
-    up, down = double[s], double[1 - s]  # double[j] at j = 2i+s, and at the source site j-1
-    first, stop = (lo - s + 1) // 2, (hi - s + 1) // 2
-    mid, bottom = min(stop, len(up)), max(first, 1 - s)
-    return (
-        up[first:mid], source[first + s : mid + s], target[first:mid], scratch[: mid - first],
-        target[stop - 1 :] if stop == len(target) > len(up) else None,
-        down[bottom + s - 1 : stop + s - 1], source[bottom + s - 1 : stop + s - 1], target[bottom:stop],
-        scratch[: stop - bottom],
-    )
-
-
 def _chebyshev_terms(h: TridiagonalHamiltonian, site: int, bound: float, n_terms: int, row=None):
     """Yield (k, s, T_k(H/bound) e_site on sublattice s) for k = 0 .. n_terms-1.
 
@@ -340,48 +326,56 @@ def _chebyshev_terms(h: TridiagonalHamiltonian, site: int, bound: float, n_terms
     ..., so T_k e_site lives on sublattice s = (site + k) mod 2, and the
     recurrence T_{k+1} = 2 (H/bound) T_k - T_{k-1} runs in real
     arithmetic on two half-length buffers, one per sublattice, whose
-    entry i is site 2i+s.  The term of step k is the buffer of its
-    sublattice, overwritten two steps later; the other sublattice's
-    entries are zeros in the whole-chain recurrence.  T_0 is e_site and
-    T_1 the two neighbour entries of ``site``.  T_k is 0 outside the
-    light cone [site - k, site + k], so blocks of ``_CONE_CHUNK`` steps
-    update only the cone of the block's last step, through views built
-    once per block.  With ``row`` given only entry ``row`` stays exact:
-    a block also leaves out the sites that cannot reach ``row`` in the
-    steps left after its first.  Every updated entry takes the
-    whole-chain operations in their order.
+    entry i + 1 is site 2i+s; the term of step k is the view [1:-1] of
+    its buffer, overwritten two steps later.  T_0 is e_site and T_1 the
+    two neighbour entries of ``site``.  Each step is one rule for every
+    site j: prev[j] = bonds[j+1] cur[j+1] - prev[j], then prev[j] +=
+    bonds[j] cur[j-1].  The doubled bonds have a -0.0 guard past each
+    chain end and each buffer a +0 guard entry, never written, at each
+    end, so a guard product is -0, and -0 - x = -x and x + (-0) = x for
+    every x, signed zeros too: site N-1 gets the whole chain's -prev
+    and site 0 its skipped add, where +0 guard bonds would flip zeros.
+    T_k is 0 outside the light cone [site - k, site + k], so blocks of
+    ``_CONE_CHUNK`` steps update only the cone of the block's last step,
+    through views built once per block.  With ``row`` given only entry
+    ``row`` stays exact: a block also leaves out the sites that cannot
+    reach ``row`` in the steps left after its first.
     """
     n = h.dimension
     _check_site(site, n)
-    double = 2.0 * np.asarray(h.off_diagonal) / bound
-    doubles = (double[0::2].copy(), double[1::2].copy())
+    bonds = np.concatenate(([-0.0], 2.0 * np.asarray(h.off_diagonal) / bound, [-0.0]))  # bonds[j]: sites j-1, j
+    halves = (bonds[0::2].copy(), bonds[1::2].copy())
     scratch = np.empty((n + 1) // 2)
     c = site & 1
-    buffers = [np.zeros((n + 1) // 2), np.zeros(n // 2)]
-    buffers[c][site // 2] = 1.0
+    buffers = [np.zeros((n + 1) // 2 + 2), np.zeros(n // 2 + 2)]
+    terms = [buffer[1:-1] for buffer in buffers]
+    terms[c][site // 2] = 1.0
     if site > 0:
-        buffers[1 - c][(site - 1) // 2] = 0.5 * double[site - 1]
+        terms[1 - c][(site - 1) // 2] = 0.5 * bonds[site]
     if site < n - 1:
-        buffers[1 - c][(site + 1) // 2] = 0.5 * double[site]
-    yield from ((0, c, buffers[c]), (1, 1 - c, buffers[1 - c]))[:n_terms]
+        terms[1 - c][(site + 1) // 2] = 0.5 * bonds[site + 1]
+    yield from ((0, c, terms[c]), (1, 1 - c, terms[1 - c]))[:n_terms]
     for first in range(1, n_terms - 1, _CONE_CHUNK):  # step k makes T_{k+1}
         last = min(first + _CONE_CHUNK, n_terms - 1)
         lo, hi = max(site - last, 0), min(site + last + 1, n)
         if row is not None:
             reach = n_terms - 2 - first
             lo, hi = max(lo, row - reach), min(hi, row + reach + 1)
-        views = [_step_views(doubles, scratch, buffers[s], buffers[1 - s], s, lo, hi) for s in (0, 1) if lo < hi]
+        # sites 2i+s in [lo, hi) for i in [a, b); their neighbours 2i+s+1, 2i+s-1 are entries i+s+1, i+s
+        windows = [((lo - s + 1) // 2, (hi - s + 1) // 2) for s in (0, 1)]
+        views = [
+            (halves[1 - s][a + s : b + s], buffers[1 - s][a + s + 1 : b + s + 1], halves[s][a:b],
+             buffers[1 - s][a + s : b + s], buffers[s][a + 1 : b + 1], scratch[a:b])
+            for s, (a, b) in enumerate(windows)
+        ]
         for k in range(first, last):
             s = (c + k + 1) & 1
-            if views:
-                up, cur_up, prev_lo, s_up, end, down, cur_down, prev_hi, s_down = views[s]
-                np.multiply(up, cur_up, out=s_up)
-                np.subtract(s_up, prev_lo, out=prev_lo)
-                if end is not None:
-                    np.multiply(end, -1.0, out=end)
-                np.multiply(down, cur_down, out=s_down)
-                np.add(prev_hi, s_down, out=prev_hi)
-            yield k + 1, s, buffers[s]
+            right, cur_right, left, cur_left, prev, tmp = views[s]
+            np.multiply(right, cur_right, out=tmp)
+            np.subtract(tmp, prev, out=prev)
+            np.multiply(left, cur_left, out=tmp)
+            np.add(prev, tmp, out=prev)
+            yield k + 1, s, terms[s]
 
 
 def _chebyshev_weights(bessel: np.ndarray) -> np.ndarray:

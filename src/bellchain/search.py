@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import CouplingProfile, one_excitation_hamiltonian
+from .chain import CouplingProfile, _check_odd, one_excitation_hamiltonian
 from .dynamics import EigenSystem, eigendecompose, transition_amplitudes
 
 CONVERGED_TOL = 1e-10
@@ -51,8 +51,7 @@ class SearchProblem:
     bounds: tuple[float, float] = (0.05, 4.0)
 
     def __post_init__(self) -> None:
-        if self.n_sites < 3 or self.n_sites % 2 == 0:
-            raise ValueError(f"n_sites must be an odd integer >= 3, got {self.n_sites}")
+        _check_odd(self.n_sites)
         t_lo, t_hi = self.t_window
         # The result's mu is pi / best_time with best_time >= t_lo.
         if not (0 < t_lo < t_hi < math.inf and math.pi / t_lo < math.inf):

@@ -91,11 +91,13 @@ def one_excitation_indices(n_sites: int) -> list[int]:
 def analytic_halved_transfer(m_sites: int, mu: float, t: float) -> complex:
     """Closed-form end-to-end amplitude of the M-site folded chain.
 
-    Has modulus 1 at mu*t = pi: perfect state transfer.
+    (-i sin(mu t/2))^(M-1) is (-i)^((M-1) mod 4) times sin^(M-1) as a
+    real power, so the phase is exact.  Has modulus 1 at mu*t = pi:
+    perfect state transfer.
     """
     if m_sites < 2:
         raise ValueError(f"m_sites must be >= 2, got {m_sites}")
-    return (-1j * math.sin(0.5 * mu * t)) ** (m_sites - 1)
+    return (1 + 0j, -1j, -1 + 0j, 1j)[(m_sites - 1) % 4] * math.sin(0.5 * mu * t) ** (m_sites - 1)
 
 
 def wootters_concurrence(rho: np.ndarray) -> float:

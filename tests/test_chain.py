@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellchain import chain
 from bellchain.chain import (
     CouplingProfile,
     TridiagonalHamiltonian,
@@ -17,6 +18,7 @@ from bellchain.chain import (
     one_excitation_hamiltonian,
     validate_profile,
 )
+from bellchain.search import SearchProblem
 from oracles import (
     dense_tridiagonal,
     excitation_number_operator,
@@ -124,11 +126,33 @@ class TestCouplingProfile:
 
     @pytest.mark.parametrize(
         "build",
-        [lambda: CouplingProfile(4, 1.0, (1.0,) * 3), lambda: engineered_couplings(4), lambda: engineered_max_coupling(4)],
+        [
+            lambda: CouplingProfile(4, 1.0, (1.0,) * 3),
+            lambda: engineered_couplings(4),
+            lambda: engineered_max_coupling(4),
+            lambda: SearchProblem(n_sites=4),
+        ],
     )
     def test_one_odd_length_message(self, build):
         with pytest.raises(ValueError, match=r"^n_sites must be odd and >= 3, got 4$"):
             build()
+
+    def test_couplings_are_checked_once(self, monkeypatch):
+        calls = []
+        check = chain._positive_couplings
+        monkeypatch.setattr(chain, "_positive_couplings", lambda values: check(calls.append(values) or values))
+        profile = engineered_couplings(9)
+        h = one_excitation_hamiltonian(profile)
+        assert len(calls) == 1
+        assert h.off_diagonal == profile.couplings
+        assert h is one_excitation_hamiltonian(profile)
+
+    def test_hamiltonian_is_left_out_of_equality_hash_and_repr(self):
+        profile = engineered_couplings(9)
+        twin = CouplingProfile(9, 1.0, profile.couplings)
+        assert twin == profile and hash(twin) == hash(profile)
+        assert twin.hamiltonian is not profile.hamiltonian
+        assert "hamiltonian" not in repr(profile)
 
 
 class TestTridiagonalHamiltonian:

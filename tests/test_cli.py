@@ -77,7 +77,7 @@ class TestCouplings:
     def test_even_n_is_an_argument_error(self, tmp_path, capsys):
         code = run(["couplings", "--n", "8", "--out", str(tmp_path / "x.json")])
         assert code == 2
-        assert "n must be odd and >= 3" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: n_sites must be odd and >= 3, got 8\n"
 
     def test_missing_directory_is_an_io_error(self, tmp_path):
         out = tmp_path / "no" / "such" / "dir" / "x.json"
@@ -884,11 +884,12 @@ class TestLongChains:
         assert not out.exists()
 
     def test_chain_at_the_site_cap_is_accepted(self):
-        assert cli._odd_n(str(cli.MAX_SITES)) == cli.MAX_SITES
+        assert cli._check_sites(cli.MAX_SITES) == cli.MAX_SITES
+        assert engineered_couplings(cli.MAX_SITES).n_sites == cli.MAX_SITES
 
     @pytest.mark.skipif(
-        (dynamics._physical_memory_bytes() or math.inf) >= 8 * 100_001**2,
-        reason="physical memory unknown, or large enough for 100,001-site eigenvectors",
+        (dynamics._memory_limit_bytes() or math.inf) >= 16 * 100_001**2,
+        reason="memory limit unknown, or large enough for 100,001-site eigenvectors and workspace",
     )
     def test_dense_eigensolve_beyond_physical_memory_is_refused_unallocated(
         self, tmp_path, monkeypatch, capsys
@@ -929,17 +930,13 @@ class TestLongChains:
         assert run(["perturb", "--adjacent", "--n", str(n), "--out", str(tmp_path / "a.csv")]) == 0
         assert sizes == [n]
 
-    @pytest.mark.skipif(
-        (dynamics._physical_memory_bytes() or 0) < 8 * 20001**2,
-        reason="physical memory unknown or below 3 GiB: the eigensolve is refused before allocating",
-    )
     def test_eigensolve_beyond_the_address_space_is_a_one_line_argument_error(self, tmp_path):
         def limit_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (2_000_000 << 10, 2_000_000 << 10))
 
         out = tmp_path / "amps.csv"
         # the grid's Chebyshev series needs more terms than sites: the dense path,
-        # whose 2.98 GiB of eigenvectors do not fit in 2 GB
+        # whose 5.96 GiB of eigenvectors and workspace the guard refuses in 2 GB
         proc = subprocess.run(
             [sys.executable, "-m", "bellchain", "evolve", "--n", "20001", "--t-grid", "0:100:1",
              "--out", str(out)],
@@ -948,7 +945,7 @@ class TestLongChains:
             preexec_fn=limit_address_space,
         )
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error: out of memory: Unable to allocate")
+        assert proc.stderr.startswith("error: dense eigenvectors of 20001 sites need")
         assert proc.stderr.count("\n") == 1
         assert not out.exists()
 

@@ -178,7 +178,7 @@ def run_quietly(argv):
 def test_every_command_line_ends_in_a_documented_exit_code(case):
     argv, config, where = case
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
-        dynamics, "_physical_memory_bytes", lambda: 2**30
+        dynamics, "_memory_limit_bytes", lambda: 2**30
     ):
         out = Path(tmp) / ("absent" if where == "missing dir" else "") / "payload"
         files = {"PROFILE": Path(tmp) / "profile.json", "RESOURCE": Path(tmp) / "resource.json"}

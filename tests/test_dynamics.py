@@ -161,11 +161,13 @@ class TestEigendecompose:
             eigendecompose(TridiagonalHamiltonian(3, (1.0, -1.0)))
 
     def test_refuses_eigenvectors_larger_than_physical_memory(self, monkeypatch):
+        # N^2 doubles of eigenvectors and dstevd's 1 + 4N + N^2 of workspace
         h = one_excitation_hamiltonian(engineered_couplings(9, 1.0))
-        monkeypatch.setattr(dynamics, "_physical_memory_bytes", lambda: 8 * 9**2 - 1)
+        needed = 8 * (9**2 + 1 + 4 * 9 + 9**2)
+        monkeypatch.setattr(dynamics, "_memory_limit_bytes", lambda: needed - 1)
         with pytest.raises(ResourceLimitError, match="9 sites"):
             eigendecompose(h)
-        monkeypatch.setattr(dynamics, "_physical_memory_bytes", lambda: 8 * 9**2)
+        monkeypatch.setattr(dynamics, "_memory_limit_bytes", lambda: needed)
         assert eigendecompose(h).dimension == 9
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -576,6 +578,23 @@ class TestLightConeRecurrence:
             c = site % 2
             assert not np.any(terms[0::2, 1 - c :: 2]) and not np.any(terms[1::2, c::2])
 
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("n", [41, 42])
+    def test_signed_zeros_at_both_chain_ends(self, n, chunk, monkeypatch):
+        # bonds of 1e-120 on the outer five at each end underflow the light-cone
+        # edge there to signed zeros; raw bits, so -0.0 against +0.0 fails
+        monkeypatch.setattr(dynamics, "_CONE_CHUNK", chunk)
+        off = np.random.default_rng(n).uniform(0.5, 1.5, n - 1)
+        off[:5] = off[-5:] = 1e-120
+        h = TridiagonalHamiltonian(n, tuple(off))
+        bound, n_terms = dynamics._chebyshev_plan(h, [25.0], 10**6)
+        for site in range(n):
+            expected = [term.copy() for term in chebyshev_terms(h.off_diagonal, site, bound, n_terms)]
+            assert np.array_equal(bits(whole_terms(h, site, bound, n_terms)), bits(expected))
+            for row in (0, n // 2, n - 1):
+                moments = whole_terms(h, site, bound, n_terms, row)[:, row]
+                assert np.array_equal(bits(moments), bits(chebyshev_moments(h.off_diagonal, row, site, bound, n_terms)))
+
     def test_long_chain_matches_whole_chain(self):
         # each half-length daxpy holds above 10,000 entries, where OpenBLAS may split it over threads
         n = 20003
@@ -827,6 +846,13 @@ class TestClosedForms:
             assert abs(analytic_halved_transfer(m, 1.0, math.pi)) == pytest.approx(
                 1.0, abs=1e-15
             )
+
+    @pytest.mark.parametrize("m", [2001, 2002, 2003, 2004])
+    def test_halved_transfer_phase_is_exact(self, m):
+        # at mu t = pi the value is (-i)^(M-1): one exactly zero part, whatever M
+        value = analytic_halved_transfer(m, 1.0, math.pi)
+        assert (value.real == 0.0) != (value.imag == 0.0)
+        assert value == pytest.approx((-1j) ** ((m - 1) % 4), abs=1e-15)
 
     def test_halved_transfer_m3_value(self):
         assert analytic_halved_transfer(3, 1.0, math.pi / 2) == pytest.approx(
