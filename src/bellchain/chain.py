@@ -58,33 +58,29 @@ class CouplingProfile:
 
     Attributes
     ----------
-    n_sites:
-        Number of chain sites N, odd and >= 3.
     mu:
         Positive, finite frequency scale; the Bell time of the engineered
         design is pi/mu.
     couplings:
         The N-1 bond strengths D_1 ... D_{N-1}, all positive and finite,
         stored 0-indexed.
+    n_sites:
+        Number of chain sites N = len(couplings) + 1, odd and >= 3.
     hamiltonian:
         The one-excitation block, built once from ``couplings``; building
         it is their check.  Not compared, hashed or shown.
     """
 
-    n_sites: int
     mu: float
     couplings: tuple[float, ...]
+    n_sites: int = field(init=False)
     hamiltonian: TridiagonalHamiltonian = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = self.n_sites
-        _check_odd(n)
+        _check_odd(len(self.couplings) + 1)
         _check_mu(self.mu)
-        if len(self.couplings) != n - 1:
-            raise ValueError(
-                f"expected {n - 1} couplings for {n} sites, got {len(self.couplings)}"
-            )
-        h = TridiagonalHamiltonian(n, self.couplings)
+        h = TridiagonalHamiltonian(self.couplings)
+        object.__setattr__(self, "n_sites", h.dimension)
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "couplings", h.off_diagonal)
 
@@ -101,19 +97,16 @@ class TridiagonalHamiltonian:
 
     Its off-diagonals must be positive and finite, as a ``CouplingProfile``'s
     couplings: every ``dynamics`` kernel takes this type, bounds the spectrum
-    by Gershgorin sums of them and relies on a simple spectrum.
+    by Gershgorin sums of them and relies on a simple spectrum.  Its
+    ``dimension`` is len(off_diagonal) + 1.
     """
 
-    dimension: int
     off_diagonal: tuple[float, ...]
+    dimension: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.off_diagonal) != self.dimension - 1:
-            raise ValueError(
-                f"dimension {self.dimension} needs {self.dimension - 1} "
-                f"off-diagonal entries, got {len(self.off_diagonal)}"
-            )
         object.__setattr__(self, "off_diagonal", _positive_couplings(self.off_diagonal))
+        object.__setattr__(self, "dimension", len(self.off_diagonal) + 1)
 
 
 @dataclass(frozen=True)
@@ -142,7 +135,7 @@ def engineered_couplings(n_sites: int, mu: float = 1.0) -> CouplingProfile:
     m = (n_sites + 1) // 2
     half = [0.5 * mu * math.sqrt(k * (m - k)) for k in range(1, (n_sites - 3) // 2 + 1)]
     half.append(mu / (2.0 * math.sqrt(2.0)) * math.sqrt((n_sites - 1) / 2.0))
-    return CouplingProfile(n_sites, mu, tuple(half + half[::-1]))
+    return CouplingProfile(mu, tuple(half + half[::-1]))
 
 
 def engineered_max_coupling(n_sites: int, mu: float = 1.0) -> float:
@@ -220,4 +213,4 @@ def halved_hamiltonian(profile: CouplingProfile) -> TridiagonalHamiltonian:
         )
     m = (profile.n_sites + 1) // 2
     off = profile.couplings[: m - 2] + (math.sqrt(2.0) * profile.couplings[m - 2],)
-    return TridiagonalHamiltonian(m, off)
+    return TridiagonalHamiltonian(off)

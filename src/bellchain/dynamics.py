@@ -72,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ResourceLimitError, TridiagonalHamiltonian
+from .chain import ResourceLimitError, TridiagonalHamiltonian, _check_odd
 
 _NORM_ATOL = 1e-12
 
@@ -455,12 +455,15 @@ def transition_amplitudes(
 ) -> list[np.ndarray]:
     """<i| exp(-iHt) |column> over the grid ``times``, one array per row i.
 
-    Sites are 0-based.  The sum over eigenstates is one matrix-vector
-    product per row, exp(-i t lambda) @ (u_i * u_column); grids longer
-    than one phase block are evaluated block by block.
+    Sites are 0-based and must lie on the chain.  The sum over eigenstates
+    is one matrix-vector product per row, exp(-i t lambda) @ (u_i * u_column);
+    grids longer than one phase block are evaluated block by block.
     """
+    n = eig.dimension
+    for site in (*rows, column):
+        _check_site(site, n)
     times = np.asarray(times, dtype=float)
-    block = _PHASE_BLOCK_ENTRIES // eig.dimension or 1
+    block = _PHASE_BLOCK_ENTRIES // n or 1
     if len(times) > block:
         pieces = [
             transition_amplitudes(eig, rows, column, times[start : start + block])
@@ -474,8 +477,7 @@ def transition_amplitudes(
 
 def center_to_end_amplitude(eig: EigenSystem, t: float) -> complex:
     """<1| exp(-iHt) |center> for an odd chain."""
-    if eig.dimension % 2 == 0:
-        raise ValueError("center-to-end amplitude needs an odd chain")
+    _check_odd(eig.dimension)
     return complex(transition_amplitudes(eig, [0], (eig.dimension - 1) // 2, [t])[0][0])
 
 
@@ -486,8 +488,7 @@ def analytic_center_to_end(n_sites: int, mu: float, t: float) -> complex:
     (-i)^m from m mod 4, so the phase is exact: a complex power goes
     through the polar form and is off by about m ulp.
     """
-    if n_sites % 2 == 0:
-        raise ValueError(f"n_sites must be odd, got {n_sites}")
+    _check_odd(n_sites)
     m = (n_sites - 1) // 2
     return (1 + 0j, -1j, -1 + 0j, 1j)[m % 4] * (math.sin(0.5 * mu * t) ** m / math.sqrt(2.0))
 

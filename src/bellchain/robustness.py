@@ -133,9 +133,7 @@ def perturb(profile: CouplingProfile, spec: PerturbationSpec) -> CouplingProfile
         couplings = np.asarray(couplings) * _noise_factors(spec.seed, spec.sigma, len(couplings))
     else:
         raise TypeError(f"unknown perturbation spec {spec!r}")
-    return CouplingProfile(
-        n_sites=profile.n_sites, mu=profile.mu, couplings=tuple(couplings)
-    )
+    return CouplingProfile(profile.mu, tuple(couplings))
 
 
 def _noise_factors(seed: int, sigma: float, size: int) -> np.ndarray:
@@ -269,7 +267,7 @@ def _score(profile: CouplingProfile, trials) -> list[SweepRow]:
     while block := list(itertools.islice(trials, _BLOCK_ENTRIES // n or 1)):
         amplitudes = np.empty((len(block), n), dtype=complex)
         for amps, (_, _, couplings) in zip(amplitudes, block):
-            amps[:] = state_at(TridiagonalHamiltonian(n, couplings), n // 2, t0).amplitudes
+            amps[:] = state_at(TridiagonalHamiltonian(couplings), n // 2, t0).amplitudes
         first, last, concurrence, residual = end_pair_readout(amplitudes)
         resources = zip(*(alpha.tolist() for alpha in _renormalized(first, last)))
         rows += [

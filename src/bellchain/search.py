@@ -15,8 +15,8 @@ Both end amplitudes come from ``dynamics.transition_amplitudes``, the
 package's one spectral kernel, over the whole scan grid at once.
 
 ``scipy.optimize`` (with ``scipy.sparse`` and the rest it pulls in) is
-imported once per ``minimize`` call, not at module level, so that no
-command but ``search`` loads it.  The CLI and the serializer import
+imported inside the two functions that call it, not at module level, so
+that no command but ``search`` loads it.  The CLI and the serializer import
 this module for its types.
 """
 
@@ -86,15 +86,11 @@ class SearchResult:
     converged: bool
 
 
-def mirror_profile(free: np.ndarray, n_sites: int, mu: float = 1.0) -> CouplingProfile:
-    """Reflect the free couplings into a full mirror-symmetric profile."""
+def mirror_profile(free: np.ndarray, mu: float = 1.0) -> CouplingProfile:
+    """Reflect the free couplings D_1 ... D_m into the full mirror-symmetric
+    profile of the 2m + 1 site chain."""
     half = [float(d) for d in free]
-    if len(half) != (n_sites - 1) // 2:
-        raise ValueError(
-            f"need {(n_sites - 1) // 2} free couplings for n_sites={n_sites}, "
-            f"got {len(half)}"
-        )
-    return CouplingProfile(n_sites=n_sites, mu=mu, couplings=tuple(half + half[::-1]))
+    return CouplingProfile(mu, tuple(half + half[::-1]))
 
 
 def objective(profile: CouplingProfile, t: float) -> float:
@@ -111,11 +107,11 @@ def _objective_on_grid(eig: EigenSystem, t_grid: np.ndarray) -> np.ndarray:
     return (p_first - 0.5) ** 2 + (p_last - 0.5) ** 2
 
 
-def _best_time(
-    eig: EigenSystem, window: tuple[float, float], minimize_scalar
-) -> tuple[float, float]:
+def _best_time(eig: EigenSystem, window: tuple[float, float]) -> tuple[float, float]:
     """Scan the window on a dense grid, then refine around the best point
-    with ``minimize_scalar`` (``scipy.optimize.minimize_scalar``)."""
+    with ``scipy.optimize.minimize_scalar``."""
+    from scipy.optimize import minimize_scalar
+
     t_grid = np.linspace(window[0], window[1], _SCAN_POINTS)
     values = _objective_on_grid(eig, t_grid)
     k = int(np.argmin(values))
@@ -135,11 +131,10 @@ def _best_time(
     return t_best, f_best
 
 
-def _evaluate(free: np.ndarray, problem: SearchProblem, minimize_scalar) -> tuple[float, float]:
+def _evaluate(free: np.ndarray, problem: SearchProblem) -> tuple[float, float]:
     clipped = np.clip(free, problem.bounds[0], problem.bounds[1])
-    profile = mirror_profile(clipped, problem.n_sites)
-    eig = eigendecompose(one_excitation_hamiltonian(profile))
-    t_best, f_best = _best_time(eig, problem.t_window, minimize_scalar)
+    eig = eigendecompose(one_excitation_hamiltonian(mirror_profile(clipped)))
+    t_best, f_best = _best_time(eig, problem.t_window)
     return f_best, t_best
 
 
@@ -170,20 +165,20 @@ def minimize(
         rng = np.random.default_rng(children[idx])
         start = rng.uniform(d_lo, d_hi, size=problem.n_free)
         res = scipy.optimize.minimize(
-            lambda p: _evaluate(p, problem, scipy.optimize.minimize_scalar)[0],
+            lambda p: _evaluate(p, problem)[0],
             start,
             method="Nelder-Mead",
             bounds=[(d_lo, d_hi)] * problem.n_free,
             options={"maxiter": max_iters, "xatol": 1e-10, "fatol": 1e-14},
         )
-        f_final, t_final = _evaluate(res.x, problem, scipy.optimize.minimize_scalar)
+        f_final, t_final = _evaluate(res.x, problem)
         candidate = (f_final, idx, np.clip(res.x, d_lo, d_hi), t_final, int(res.nit))
         if best is None or (candidate[0], candidate[1]) < (best[0], best[1]):
             best = candidate
 
     f_best, _, x_best, t_best, nit = best
     return SearchResult(
-        profile=mirror_profile(x_best, problem.n_sites, mu=math.pi / t_best),
+        profile=mirror_profile(x_best, mu=math.pi / t_best),
         best_time=t_best,
         objective=f_best,
         iterations=max(nit, 1),

@@ -114,8 +114,10 @@ def profile_from_dict(data: dict) -> CouplingProfile:
         raise ValueError(f"n_sites must be a JSON integer, got {n_sites!r}")
     if not isinstance(couplings, list):
         raise ValueError(f"couplings must be a JSON list, got {couplings!r}")
+    # the one input that states a length beside the couplings that fix it
+    if len(couplings) != n_sites - 1:
+        raise ValueError(f"expected {n_sites - 1} couplings for {n_sites} sites, got {len(couplings)}")
     return CouplingProfile(
-        n_sites=n_sites,
         mu=_json_number(mu, "mu"),
         couplings=tuple(_json_number(d, "coupling") for d in couplings),
     )

@@ -325,7 +325,7 @@ def sweep_row(n_sites: int, mu: float, couplings, trial: int, param: float) -> t
     from bellchain.dynamics import state_at
     from bellchain.teleport import EntangledResource, expected_fidelity, teleport
 
-    profile = CouplingProfile(n_sites, mu, tuple(couplings))
+    profile = CouplingProfile(mu, tuple(couplings))
     amps = state_at(one_excitation_hamiltonian(profile), n_sites // 2, math.pi / mu).amplitudes
     concurrence = 2.0 * abs(amps[0]) * abs(amps[-1])
     residual = float(np.sqrt(np.sum(np.abs(amps[1:-1]) ** 2)))

@@ -98,36 +98,38 @@ class TestEngineeredCouplings:
 class TestCouplingProfile:
     def test_rejects_even_n(self):
         with pytest.raises(ValueError):
-            CouplingProfile(4, 1.0, (1.0, 1.0, 1.0))
+            CouplingProfile(1.0, (1.0, 1.0, 1.0))
 
-    def test_rejects_wrong_count(self):
-        with pytest.raises(ValueError):
-            CouplingProfile(5, 1.0, (1.0, 1.0))
+    def test_length_comes_from_the_couplings(self):
+        profile = CouplingProfile(1.0, (1.0,) * 8)
+        assert profile.n_sites == profile.hamiltonian.dimension == 9
+        with pytest.raises(TypeError):
+            CouplingProfile(9, 1.0, (1.0,) * 8)
 
     def test_rejects_nonpositive_coupling(self):
         with pytest.raises(ValueError):
-            CouplingProfile(3, 1.0, (1.0, 0.0))
+            CouplingProfile(1.0, (1.0, 0.0))
         with pytest.raises(ValueError):
-            CouplingProfile(3, 1.0, (1.0, -1.0))
+            CouplingProfile(1.0, (1.0, -1.0))
 
     def test_rejects_nonpositive_mu(self):
         with pytest.raises(ValueError):
-            CouplingProfile(3, -1.0, (1.0, 1.0))
+            CouplingProfile(-1.0, (1.0, 1.0))
 
     @pytest.mark.parametrize("mu", [math.inf, math.nan])
     def test_rejects_non_finite_mu(self, mu):
         with pytest.raises(ValueError, match="mu must be positive and finite"):
-            CouplingProfile(3, mu, (1.0, 1.0))
+            CouplingProfile(mu, (1.0, 1.0))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_rejects_non_finite_coupling(self, bad):
         with pytest.raises(ValueError, match="coupling D_2 must be positive and finite"):
-            CouplingProfile(5, 1.0, (1.0, bad, 1.0, 1.0))
+            CouplingProfile(1.0, (1.0, bad, 1.0, 1.0))
 
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: CouplingProfile(4, 1.0, (1.0,) * 3),
+            lambda: CouplingProfile(1.0, (1.0,) * 3),
             lambda: engineered_couplings(4),
             lambda: engineered_max_coupling(4),
             lambda: SearchProblem(n_sites=4),
@@ -149,7 +151,7 @@ class TestCouplingProfile:
 
     def test_hamiltonian_is_left_out_of_equality_hash_and_repr(self):
         profile = engineered_couplings(9)
-        twin = CouplingProfile(9, 1.0, profile.couplings)
+        twin = CouplingProfile(1.0, profile.couplings)
         assert twin == profile and hash(twin) == hash(profile)
         assert twin.hamiltonian is not profile.hamiltonian
         assert "hamiltonian" not in repr(profile)
@@ -163,14 +165,14 @@ class TestTridiagonalHamiltonian:
         off[bond - 1] = bad
         message = rf"^coupling D_{bond} must be positive and finite, got {re.escape(str(bad))}$"
         with pytest.raises(ValueError, match=message):
-            TridiagonalHamiltonian(9, tuple(off))
+            TridiagonalHamiltonian(tuple(off))
 
 
 class TestValidateProfile:
     def test_uniform_profile_breaks_only_the_bridge(self):
         # D identical everywhere satisfies the mirror and palindrome rules;
         # the bridge rule wants D_4 = D_1/sqrt(2), off by a factor sqrt(2).
-        profile = CouplingProfile(9, 1.0, (1.0,) * 8)
+        profile = CouplingProfile(1.0, (1.0,) * 8)
         violations = validate_profile(profile)
         assert [v.constraint for v in violations] == ["bridge"]
         assert violations[0].residual == pytest.approx(1.0 - 1.0 / SQRT2, rel=1e-12)
@@ -178,7 +180,7 @@ class TestValidateProfile:
     def test_swap_2_4_breaks_palindrome_and_bridge(self):
         base = list(engineered_couplings(9, 2.0).couplings)
         base[1], base[3] = base[3], base[1]
-        violations = validate_profile(CouplingProfile(9, 2.0, tuple(base)))
+        violations = validate_profile(CouplingProfile(2.0, tuple(base)))
         constraints = {v.constraint for v in violations}
         assert "half_palindrome" in constraints
         assert "bridge" in constraints
@@ -187,12 +189,12 @@ class TestValidateProfile:
     def test_violation_reports_one_based_indices(self):
         base = list(engineered_couplings(9, 2.0).couplings)
         base[0] *= 1.5
-        violations = validate_profile(CouplingProfile(9, 2.0, tuple(base)))
+        violations = validate_profile(CouplingProfile(2.0, tuple(base)))
         mirror = [v for v in violations if v.constraint == "mirror"]
         assert mirror and set(mirror[0].indices) == {1, 8}
 
     def test_str_is_readable(self):
-        profile = CouplingProfile(9, 1.0, (1.0,) * 8)
+        profile = CouplingProfile(1.0, (1.0,) * 8)
         text = str(validate_profile(profile)[0])
         assert "bridge" in text and "D_" in text
 
@@ -217,7 +219,7 @@ class TestHalvedChain:
 
     def test_rejects_profiles_outside_the_family(self):
         with pytest.raises(ValueError, match="bridge"):
-            halved_hamiltonian(CouplingProfile(9, 1.0, (1.0,) * 8))
+            halved_hamiltonian(CouplingProfile(1.0, (1.0,) * 8))
 
 
 class TestHamiltonians:

@@ -156,7 +156,7 @@ class TestEvolve:
     def test_symmetric_profile_off_the_engineered_couplings_blanks_analytic_columns(
         self, tmp_path, n, mu, couplings
     ):
-        assert validate_profile(CouplingProfile(n, mu, tuple(couplings))) == []
+        assert validate_profile(CouplingProfile(mu, tuple(couplings))) == []
         profile_path = tmp_path / "symmetric.json"
         write_json(profile_path, {"n_sites": n, "mu": mu, "couplings": couplings})
         out = tmp_path / "amps.csv"
@@ -453,6 +453,7 @@ class TestProfileAndResourceTypes:
             ('{"n_sites": 5, "mu": 1.0, "couplings": "1111"}', "couplings must be a JSON list"),
             ('{"n_sites": 5, "mu": 1.0, "couplings": {"1": 1}}', "couplings must be a JSON list"),
             ('[5, 1.0, [1, 1, 1, 1]]', "malformed profile data"),
+            ('{"n_sites": 9, "mu": 1.0, "couplings": [1, 1, 1, 1]}', "expected 8 couplings for 9 sites, got 4"),
         ],
     )
     @pytest.mark.parametrize("command", [["evolve", "--t-grid", "0:1:0.5"], ["perturb", "--swap", "1", "2"]])

@@ -82,26 +82,26 @@ class TestCouplingRule:
     def test_negated_long_chain_is_refused(self):
         negated = tuple(-d for d in engineered_couplings(401, 1.0).couplings)
         with pytest.raises(ValueError, match="coupling D_1 must be positive and finite, got -"):
-            grid_amplitudes(TridiagonalHamiltonian(401, negated), 0, 200, [math.pi, 2.0 * math.pi])
+            grid_amplitudes(TridiagonalHamiltonian(negated), 0, 200, [math.pi, 2.0 * math.pi])
 
     def test_nan_coupling_is_refused(self):
         couplings = list(engineered_couplings(401, 1.0).couplings)
         couplings[200] = math.nan
         with pytest.raises(ValueError, match="coupling D_201 must be positive and finite, got nan"):
-            state_at(TridiagonalHamiltonian(401, tuple(couplings)), 200, math.pi)
+            state_at(TridiagonalHamiltonian(tuple(couplings)), 200, math.pi)
 
 
 class TestEigendecompose:
     def test_uniform_3x3(self):
         # characteristic polynomial by hand: lambda (lambda^2 - 2) = 0
-        eig = eigendecompose(TridiagonalHamiltonian(3, (1.0, 1.0)))
+        eig = eigendecompose(TridiagonalHamiltonian((1.0, 1.0)))
         np.testing.assert_allclose(eig.eigenvalues, [-SQRT2, 0.0, SQRT2], atol=1e-12)
         k0 = int(np.argmin(np.abs(eig.eigenvalues)))
         assert parity_labels(eig.eigenvectors)[k0] == "antisymmetric"
         assert abs(eig.eigenvectors[1, k0]) < 1e-12
 
     def test_two_sites(self):
-        eig = eigendecompose(TridiagonalHamiltonian(2, (0.7,)))
+        eig = eigendecompose(TridiagonalHamiltonian((0.7,)))
         np.testing.assert_allclose(eig.eigenvalues, [-0.7, 0.7], atol=1e-12)
 
     def test_n9_engineered_parity_census(self):
@@ -156,9 +156,9 @@ class TestEigendecompose:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            eigendecompose(TridiagonalHamiltonian(1, ()))
+            eigendecompose(TridiagonalHamiltonian(()))
         with pytest.raises(ValueError):
-            eigendecompose(TridiagonalHamiltonian(3, (1.0, -1.0)))
+            eigendecompose(TridiagonalHamiltonian((1.0, -1.0)))
 
     def test_refuses_eigenvectors_larger_than_physical_memory(self, monkeypatch):
         # N^2 doubles of eigenvectors and dstevd's 1 + 4N + N^2 of workspace
@@ -174,7 +174,7 @@ class TestEigendecompose:
     def test_rejects_non_finite_off_diagonals(self, monkeypatch, bad):
         monkeypatch.setattr(scipy.linalg.lapack, "dstevd", refuse_eigensolve)
         with pytest.raises(ValueError, match="positive and finite"):
-            eigendecompose(TridiagonalHamiltonian(4, (1.0, bad, 1.0)))
+            eigendecompose(TridiagonalHamiltonian((1.0, bad, 1.0)))
 
     def test_lapack_failure_is_a_numeric_failure(self, monkeypatch):
         def not_converged(d, e, **kwargs):
@@ -189,7 +189,7 @@ class TestEigendecompose:
     def test_bitwise_equal_to_scipy_eigh_tridiagonal(self, n):
         rng = np.random.default_rng(n)
         off = rng.uniform(0.1, 2.0, n - 1)
-        eig = eigendecompose(TridiagonalHamiltonian(n, off))
+        eig = eigendecompose(TridiagonalHamiltonian(off))
         eigenvalues, vectors = scipy.linalg.eigh_tridiagonal(np.zeros(n), off)
         vectors *= np.where(vectors[0] < 0, -1.0, 1.0)
         assert np.array_equal(eig.eigenvalues.view(np.uint64), eigenvalues.view(np.uint64))
@@ -461,7 +461,7 @@ class TestSecondExactBellChain:
     so these checks reach beyond the one closed form.
     """
 
-    H = TridiagonalHamiltonian(7, (math.sqrt(7), 6.0, math.sqrt(3.5), math.sqrt(3.5), 6.0, math.sqrt(7)))
+    H = TridiagonalHamiltonian((math.sqrt(7), 6.0, math.sqrt(3.5), math.sqrt(3.5), 6.0, math.sqrt(7)))
     T = math.pi / 2
 
     def test_dense_state_at(self):
@@ -526,7 +526,7 @@ def whole_terms(h, site, bound, n_terms, row=None):
 
 
 def random_chain(n, seed):
-    return TridiagonalHamiltonian(n, tuple(np.random.default_rng(seed).uniform(0.5, 1.5, n - 1)))
+    return TridiagonalHamiltonian(tuple(np.random.default_rng(seed).uniform(0.5, 1.5, n - 1)))
 
 
 class TestLightConeRecurrence:
@@ -586,7 +586,7 @@ class TestLightConeRecurrence:
         monkeypatch.setattr(dynamics, "_CONE_CHUNK", chunk)
         off = np.random.default_rng(n).uniform(0.5, 1.5, n - 1)
         off[:5] = off[-5:] = 1e-120
-        h = TridiagonalHamiltonian(n, tuple(off))
+        h = TridiagonalHamiltonian(tuple(off))
         bound, n_terms = dynamics._chebyshev_plan(h, [25.0], 10**6)
         for site in range(n):
             expected = [term.copy() for term in chebyshev_terms(h.off_diagonal, site, bound, n_terms)]
@@ -737,8 +737,8 @@ class TestTransferAmplitudes:
         assert amp.imag == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_even_dimension(self):
-        eig = eigendecompose(TridiagonalHamiltonian(4, (1.0, 1.0, 1.0)))
-        with pytest.raises(ValueError):
+        eig = eigendecompose(TridiagonalHamiltonian((1.0, 1.0, 1.0)))
+        with pytest.raises(ValueError, match=r"^n_sites must be odd and >= 3, got 4$"):
             center_to_end_amplitude(eig, 1.0)
 
     @pytest.mark.parametrize("n", [5, 9, 13])
@@ -775,7 +775,7 @@ class TestTransferAmplitudes:
 
 class TestTransitionAmplitudes:
     def test_matches_full_state_propagation(self):
-        profile = CouplingProfile(7, 1.0, (0.9, 1.3, 1.1, 1.1, 1.3, 0.7))
+        profile = CouplingProfile(1.0, (0.9, 1.3, 1.1, 1.1, 1.3, 0.7))
         eig = eigendecompose(one_excitation_hamiltonian(profile))
         times = np.linspace(0.0, 4.0, 9)
         amps = np.array(transition_amplitudes(eig, range(7), 2, times))
@@ -791,6 +791,14 @@ class TestTransitionAmplitudes:
         monkeypatch.setattr(dynamics, "_PHASE_BLOCK_ENTRIES", 20)  # 2 times per block
         blocked = transition_amplitudes(eig, [0, 8], 4, times)
         np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-15)
+
+    def test_site_outside_the_chain_is_refused(self):
+        eig = engineered_eig(9)
+        for site in (-1, -5, 9):
+            with pytest.raises(ValueError, match=f"site {site} outside 0..8"):
+                transition_amplitudes(eig, [0, site], 4, [1.3])
+            with pytest.raises(ValueError, match=f"site {site} outside 0..8"):
+                transition_amplitudes(eig, [0], site, [1.3])
 
     def test_scalar_readouts_use_the_kernel(self):
         eig = engineered_eig(9)
@@ -819,9 +827,10 @@ class TestClosedForms:
         value = analytic_center_to_end(21, 2.0, math.pi / 4)
         assert abs(value) == pytest.approx(2.0**-5 / SQRT2, rel=1e-12)
 
-    def test_rejects_even_n(self):
-        with pytest.raises(ValueError):
-            analytic_center_to_end(4, 1.0, 1.0)
+    @pytest.mark.parametrize("n", [4, 1, -3])
+    def test_rejects_even_n(self, n):
+        with pytest.raises(ValueError, match=rf"^n_sites must be odd and >= 3, got {n}$"):
+            analytic_center_to_end(n, 1.0, 1.0)
 
     @pytest.mark.parametrize("n", [401, 4001, 4003, 20001])
     def test_center_to_end_phase_is_exact_at_t0(self, n):

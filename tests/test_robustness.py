@@ -190,7 +190,7 @@ class TestResourceExtraction:
 def _one_bond_up_one_ulp(profile: CouplingProfile) -> CouplingProfile:
     couplings = list(profile.couplings)
     couplings[10] = math.nextafter(couplings[10], math.inf)
-    return CouplingProfile(profile.n_sites, profile.mu, tuple(couplings))
+    return CouplingProfile(profile.mu, tuple(couplings))
 
 
 class TestResourceFromProfile:
@@ -385,7 +385,7 @@ class TestAdjacentSwapSweep:
         assert rows[1].concurrence == pytest.approx(rows[0].concurrence, abs=1e-12)
 
     def test_plain_profile_round_trips(self):
-        profile = CouplingProfile(n_sites=5, mu=1.0, couplings=(1.0, 0.7, 0.7, 1.0))
+        profile = CouplingProfile(mu=1.0, couplings=(1.0, 0.7, 0.7, 1.0))
         rows = adjacent_swap_sweep(profile)
         assert len(rows) == 4
         assert all(0.0 <= r.concurrence <= 1.0 + 1e-12 for r in rows)
@@ -484,7 +484,7 @@ class TestSweepsMatchThePerTrialReference:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_overflowing_couplings_are_an_argument_error(self):
-        profile = CouplingProfile(n_sites=3, mu=1.0, couplings=(1e308, 1e308))
+        profile = CouplingProfile(mu=1.0, couplings=(1e308, 1e308))
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match=r"coupling D_\d must be positive and finite, got inf"):
                 noise_sweep(profile, 1e3, 20, 0)

@@ -75,13 +75,14 @@ class TestProblem:
 
 class TestMirrorProfile:
     def test_reflects(self):
-        profile = mirror_profile(np.array([1.0, 2.0]), n_sites=5)
+        profile = mirror_profile(np.array([1.0, 2.0]))
         assert profile.couplings == (1.0, 2.0, 2.0, 1.0)
         assert profile.mu == 1.0
 
-    def test_wrong_length(self):
-        with pytest.raises(ValueError):
-            mirror_profile(np.array([1.0, 2.0, 3.0]), n_sites=5)
+    def test_length_follows_the_free_couplings(self):
+        assert mirror_profile(np.array([1.0, 2.0, 3.0])).n_sites == 7
+        with pytest.raises(ValueError, match=r"^n_sites must be odd and >= 3, got 1$"):
+            mirror_profile(np.array([]))
 
 
 class TestObjective:
@@ -98,7 +99,7 @@ class TestObjective:
         for _ in range(20):
             free = rng.uniform(0.3, 2.0, size=2)
             t = float(rng.uniform(0.1, 6.0))
-            profile = mirror_profile(free, n_sites=5)
+            profile = mirror_profile(free)
             h = dense_tridiagonal(one_excitation_hamiltonian(profile).off_diagonal)
             psi = dense_propagate(h, basis_amplitudes(5, 2), t)
             expected = (abs(psi[0]) ** 2 - 0.5) ** 2 + (abs(psi[-1]) ** 2 - 0.5) ** 2

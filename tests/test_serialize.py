@@ -208,7 +208,7 @@ class TestReportPayloads:
 
     def test_search_payload(self):
         problem = SearchProblem(n_sites=5, t_window=(0.5, 6.0), bounds=(0.05, 3.0))
-        profile = CouplingProfile(n_sites=5, mu=1.0, couplings=(1.0, 0.7, 0.7, 1.0))
+        profile = CouplingProfile(mu=1.0, couplings=(1.0, 0.7, 0.7, 1.0))
         result = SearchResult(
             profile=profile,
             best_time=math.pi,
