@@ -11,11 +11,7 @@ import argparse
 from dataclasses import dataclass
 from pathlib import Path
 
-from bellchain import (
-    bell_time,
-    engineered_couplings,
-    entanglement_at_time,
-)
+from bellchain import bell_time, engineered_couplings, entanglement_at_t0
 from bellchain.serialize import format_float, write_csv
 
 
@@ -32,7 +28,7 @@ def main(cfg: Config) -> None:
     rows = []
     worst = 0.0
     for n in range(cfg.n_min, cfg.n_max + 1, 2):
-        report = entanglement_at_time(engineered_couplings(n, cfg.mu), t0)
+        report = entanglement_at_t0(engineered_couplings(n, cfg.mu))
         rows.append(
             [
                 str(n),

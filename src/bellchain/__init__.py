@@ -44,7 +44,6 @@ from .robustness import (
     SweepRow,
     adjacent_swap_sweep,
     entanglement_at_t0,
-    entanglement_at_time,
     feasibility,
     noise_sweep,
     perturb,
@@ -58,7 +57,6 @@ from .search import (
     SearchResult,
     minimize,
     mirror_profile,
-    objective,
 )
 from .teleport import (
     EntangledResource,
@@ -97,7 +95,6 @@ __all__ = [
     "engineered_couplings",
     "engineered_max_coupling",
     "entanglement_at_t0",
-    "entanglement_at_time",
     "evolve",
     "expected_fidelity",
     "feasibility",
@@ -106,7 +103,6 @@ __all__ = [
     "minimize",
     "mirror_profile",
     "noise_sweep",
-    "objective",
     "one_excitation_hamiltonian",
     "perturb",
     "resource_from_profile",

@@ -113,14 +113,16 @@ def _profile_from_args(args) -> CouplingProfile:
 
 
 def _extract_config_path(argv: list[str]) -> str | None:
+    """The last ``--config`` path in argv: argparse keeps the last value of a repeated flag."""
+    path = None
     for i, token in enumerate(argv):
         if token == "--config":
             if i + 1 >= len(argv):
                 raise ValueError("--config needs a file path")
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
+            path = argv[i + 1]
+        elif token.startswith("--config="):
+            path = token.split("=", 1)[1]
+    return path
 
 
 def _load_config(path: str) -> dict:
@@ -308,8 +310,11 @@ def _cmd_teleport(args, out: Path) -> int | None:
     if args.mode == "sample" and args.seed is None:
         raise ValueError("sample mode needs --seed")
     branches = teleport(a, b, resource)
-    records = branches if args.mode == "enumerate" else teleport(a, b, resource, args.mode, args.seed)
-    master_seed = args.seed if args.mode == "sample" else None
+    records, master_seed = branches, None
+    if args.mode == "sample":
+        probs = np.array([r.probability for r in branches])
+        records = [branches[np.random.default_rng(args.seed).choice(4, p=probs / probs.sum())]]
+        master_seed = args.seed
     serialize.write_json(
         out, serialize.teleport_report(a, b, resource, records, master_seed, branches)
     )

@@ -153,21 +153,15 @@ def _noise_factors(seed: int, sigma: float, size: int) -> np.ndarray:
     return factors
 
 
-def entanglement_at_time(profile: CouplingProfile, t: float) -> BellDecomposition:
-    """Evolve the center-excited state to time t and score the end pair.
+def entanglement_at_t0(profile: CouplingProfile) -> BellDecomposition:
+    """Evolve the center-excited state to the readout time pi/mu and score the end pair.
 
     ``dynamics.state_at`` picks the path: the O(N)-memory Chebyshev
-    series on long chains, the dense eigensolve on short ones.  A
-    non-finite t is rejected.
+    series on long chains, the dense eigensolve on short ones.
     """
     return bell_decomposition(
-        state_at(one_excitation_hamiltonian(profile), profile.n_sites // 2, t)
+        state_at(one_excitation_hamiltonian(profile), profile.n_sites // 2, bell_time(profile.mu))
     )
-
-
-def entanglement_at_t0(profile: CouplingProfile) -> BellDecomposition:
-    """Score the end pair at the unperturbed design's readout time pi/mu."""
-    return entanglement_at_time(profile, bell_time(profile.mu))
 
 
 def resource_from_report(report: BellDecomposition) -> EntangledResource:

@@ -93,13 +93,8 @@ def mirror_profile(free: np.ndarray, mu: float = 1.0) -> CouplingProfile:
     return CouplingProfile(mu, tuple(half + half[::-1]))
 
 
-def objective(profile: CouplingProfile, t: float) -> float:
-    """Squared deviation of both end probabilities from 1/2 at time t."""
-    eig = eigendecompose(one_excitation_hamiltonian(profile))
-    return float(_objective_on_grid(eig, np.array([t]))[0])
-
-
 def _objective_on_grid(eig: EigenSystem, t_grid: np.ndarray) -> np.ndarray:
+    """Squared deviation of both end probabilities from 1/2 at each time of ``t_grid``."""
     center = (eig.dimension - 1) // 2
     amp_first, amp_last = transition_amplitudes(eig, [0, eig.dimension - 1], center, t_grid)
     p_first = np.abs(amp_first) ** 2
@@ -132,8 +127,8 @@ def _best_time(eig: EigenSystem, window: tuple[float, float]) -> tuple[float, fl
 
 
 def _evaluate(free: np.ndarray, problem: SearchProblem) -> tuple[float, float]:
-    clipped = np.clip(free, problem.bounds[0], problem.bounds[1])
-    eig = eigendecompose(one_excitation_hamiltonian(mirror_profile(clipped)))
+    """Best (objective, time) of the free couplings, which Nelder-Mead has already clipped to the bounds."""
+    eig = eigendecompose(one_excitation_hamiltonian(mirror_profile(free)))
     t_best, f_best = _best_time(eig, problem.t_window)
     return f_best, t_best
 
@@ -172,7 +167,7 @@ def minimize(
             options={"maxiter": max_iters, "xatol": 1e-10, "fatol": 1e-14},
         )
         f_final, t_final = _evaluate(res.x, problem)
-        candidate = (f_final, idx, np.clip(res.x, d_lo, d_hi), t_final, int(res.nit))
+        candidate = (f_final, idx, res.x, t_final, int(res.nit))
         if best is None or (candidate[0], candidate[1]) < (best[0], best[1]):
             best = candidate
 

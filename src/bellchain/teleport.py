@@ -71,24 +71,15 @@ def correction_for(outcome: str) -> str:
         raise ValueError(f"outcome must be one of 00,01,10,11, got {outcome!r}") from None
 
 
-def teleport(
-    a: complex,
-    b: complex,
-    resource: EntangledResource,
-    mode: str = "enumerate",
-    seed: int | None = None,
-) -> list[TeleportRecord]:
+def teleport(a: complex, b: complex, resource: EntangledResource) -> list[TeleportRecord]:
     """Run the protocol and score every measurement branch.
 
-    enumerate mode returns the four outcomes "00".."11" (first bit At,
-    second A) with Born probabilities; sample mode draws one outcome
-    from them with ``numpy.random.default_rng(seed)`` and returns that
-    branch alone.  Fidelity is |<target|B>|^2 of the corrected B against
-    the input a|0>+b|1>; a branch of probability zero carries None.
+    Returns the four outcomes "00".."11" (first bit At, second A) with
+    their Born probabilities.  Fidelity is |<target|B>|^2 of the
+    corrected B against the input a|0>+b|1>; a branch of probability
+    zero carries None.
     """
     _check_normalized(_norm_sq(a, b), "input qubit")
-    if mode not in ("enumerate", "sample"):
-        raise ValueError(f"unknown measurement mode {mode!r}")
     # The ufunc products, the float scale, the array division by sqrt(p)
     # and a contiguous vector for np.vdot each fix the payload's last bits:
     # Python products, a hand-written quotient or a strided view move them.
@@ -96,23 +87,19 @@ def teleport(
     alphas = resource.alpha01, resource.alpha10
     kept = np.multiply([[a, b], [a, b]], [alphas, alphas[::-1]]) * (1.0 / math.sqrt(2.0))
     weights = np.abs(kept) ** 2
-    probs = np.concatenate([weights[:, 0] + weights[:, 1]] * 2)
-    if mode == "enumerate":
-        codes = range(4)
-    else:
-        codes = [int(np.random.default_rng(seed).choice(4, p=probs / probs.sum()))]
+    probs = (weights[:, 0] + weights[:, 1]).tolist()
 
     target = np.array([a, b], dtype=complex)
     # Both At outcomes leave B alike, so each A outcome m is scored once.
     branches = [
         (0.0, None) if p < _ZERO_PROB else (p, float(abs(np.vdot(target, row / math.sqrt(p))) ** 2))
-        for p, row in zip(probs[:2].tolist(), kept)
+        for p, row in zip(probs, kept)
     ]
-    records = []
-    for code in codes:
-        outcome, (p, fidelity) = f"{code >> 1}{code & 1}", branches[code & 1]
-        records.append(TeleportRecord(outcome, p, correction_for(outcome), fidelity))
-    return records
+    return [
+        TeleportRecord(at + m, p, correction_for(at + m), fidelity)
+        for at in "01"
+        for m, (p, fidelity) in zip("01", branches)
+    ]
 
 
 def expected_fidelity(records: list[TeleportRecord]) -> float:

@@ -362,6 +362,33 @@ class TestTeleport:
         assert read_json(sampled)["expected_fidelity"] == expectation
         assert len(read_json(sampled)["records"]) == 1
 
+    @pytest.mark.parametrize(
+        "a, b, alphas",
+        [
+            (0.48 + 0.36j, 0.8j, (math.sqrt(0.3), -1j * math.sqrt(0.7))),
+            (1.0 + 0j, 0j, (1.0 + 0j, 0j)),  # outcomes 01 and 11 vanish
+        ],
+    )
+    def test_sample_mode_draws_an_enumerated_record(self, tmp_path, a, b, alphas):
+        # parsed canonical JSON round-trips every float, so the records match bit for bit
+        resource_path = tmp_path / "resource.json"
+        write_json(resource_path, {"alpha01": [alphas[0].real, alphas[0].imag], "alpha10": [alphas[1].real, alphas[1].imag]})
+        base = ["teleport", "--resource", str(resource_path)]
+        base += [f"--{name}={value!r}" for name, value in (("a-re", a.real), ("a-im", a.imag), ("b-re", b.real), ("b-im", b.imag))]
+        out = tmp_path / "enumerate.json"
+        assert run(base + ["--out", str(out)]) == 0
+        enumerated = read_json(out)
+        by_outcome = {r["outcome"]: r for r in enumerated["records"]}
+        drawn = set()
+        for seed in range(40):
+            assert run(base + ["--mode", "sample", "--seed", str(seed), "--out", str(out)]) == 0
+            sampled = read_json(out)
+            (record,) = sampled["records"]
+            assert record == by_outcome[record["outcome"]]
+            assert sampled["expected_fidelity"] == enumerated["expected_fidelity"]
+            drawn.add(record["outcome"])
+        assert drawn == {r["outcome"] for r in enumerated["records"] if r["probability"] > 0}
+
     def test_needs_resource_or_n(self, tmp_path):
         assert run(["teleport", "--out", str(tmp_path / "x.json")]) == 2
 
@@ -638,6 +665,18 @@ class TestConfigAndEnvironment:
         payload = read_json(out)
         assert payload["n_sites"] == 9  # from config (required flag relaxed)
         assert payload["mu"] == 1.0  # explicit flag beats config
+
+    @pytest.mark.parametrize("flags", [["--config", "FIRST", "--config", "LAST"], ["--config=FIRST", "--config=LAST"]])
+    def test_repeated_config_applies_the_last_file(self, tmp_path, flags):
+        # as argparse keeps the last value of any other repeated flag
+        paths = {"FIRST": tmp_path / "first.json", "LAST": tmp_path / "last.json"}
+        paths["FIRST"].write_text(json.dumps({"n": 5}))
+        paths["LAST"].write_text(json.dumps({"n": 7}))
+        for name, path in paths.items():
+            flags = [flag.replace(name, str(path)) for flag in flags]
+        out = tmp_path / "p.json"
+        assert run(["couplings", *flags, "--out", str(out)]) == 0
+        assert read_json(out)["n_sites"] == 7
 
     def test_config_must_be_an_object(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

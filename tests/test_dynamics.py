@@ -274,7 +274,7 @@ def chebyshev_evolve(h, site, t):
 
 class TestStateAt:
     @pytest.mark.parametrize("kind", PROFILE_KINDS)
-    @pytest.mark.parametrize("n", [101, 401, 2001])
+    @pytest.mark.parametrize("n", [9, 101, 401, 2001])  # at N = 9 state_at recurs only at t = 0
     def test_chebyshev_matches_dense_evolve(self, n, kind):
         h = one_excitation_hamiltonian(profile_of_kind(kind, n))
         eig = eigendecompose(h)
@@ -301,7 +301,10 @@ class TestStateAt:
         assert abs(state.amplitudes[-1] - expected) < 1e-11
         assert bell_decomposition(state).residual_norm < 1e-11
 
-    def test_short_chain_takes_the_dense_path_bit_for_bit(self, monkeypatch):
+    # At t = 1000, K = 2612 >> N = 9: the dense path took 0.053 ms and the
+    # forced recurrence 15 ms, about 280x (one BLAS thread, 2-core host).
+    @pytest.mark.parametrize("t", [bell_time(1.0), 1000.0])
+    def test_short_chain_takes_the_dense_path_bit_for_bit(self, t, monkeypatch):
         calls = []
 
         def counting(h):
@@ -310,10 +313,9 @@ class TestStateAt:
 
         monkeypatch.setattr(dynamics, "eigendecompose", counting)
         h = one_excitation_hamiltonian(engineered_couplings(9, 1.0))
-        t0 = bell_time(1.0)
-        state = state_at(h, 4, t0)
+        state = state_at(h, 4, t)
         assert calls == [9]
-        assert np.array_equal(state.amplitudes, evolve(eigendecompose(h), 4, t0).amplitudes)
+        assert np.array_equal(state.amplitudes, evolve(eigendecompose(h), 4, t).amplitudes)
 
     def test_size_rule_compares_terms_with_sites(self):
         t0 = bell_time(1.0)
@@ -432,6 +434,25 @@ class TestGridAmplitudes:
             assert abs(expected[0]) > 0.01 and abs(amps[0] - expected[0]) < 1e-12
         assert grid_amplitudes(h, n // 2, n // 2, [0.0]).tolist() == [1.0]
         assert grid_amplitudes(h, 0, n // 2, [0.0]).tolist() == [0.0]
+
+    def test_long_grid_on_a_short_chain_takes_the_eigensolve(self, monkeypatch):
+        # the grid 0:1000:1 needs K = 2612 >> N = 9 terms: the dense path took 0.66 ms
+        # and the forced recurrence 98 ms, about 150x (one BLAS thread, 2-core host)
+        h = one_excitation_hamiltonian(engineered_couplings(9, 1.0))
+        times = np.arange(1001) * 1.0
+        calls = []
+
+        def counting(h):
+            calls.append(h.dimension)
+            return eigendecompose(h)
+
+        monkeypatch.setattr(dynamics, "eigendecompose", counting)
+        dense = grid_amplitudes(h, 0, 4, times)
+        assert calls == [9]
+        plan = dynamics._chebyshev_plan
+        monkeypatch.setattr(dynamics, "_chebyshev_plan", lambda h, times, max_terms: plan(h, times, 10**6))
+        monkeypatch.setattr(dynamics, "eigendecompose", refuse_eigensolve)
+        np.testing.assert_allclose(grid_amplitudes(h, 0, 4, times), dense, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [401, 9])  # the Chebyshev path and the dense one
     def test_site_outside_the_chain_is_refused(self, n):

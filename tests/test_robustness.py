@@ -29,7 +29,6 @@ from bellchain.robustness import (
     SwapPerturbation,
     adjacent_swap_sweep,
     entanglement_at_t0,
-    entanglement_at_time,
     feasibility,
     noise_sweep,
     perturb,
@@ -115,16 +114,6 @@ class TestEntanglementReports:
         report = entanglement_at_t0(engineered_couplings(3, 2.0))
         assert report.concurrence == pytest.approx(1.0, abs=1e-9)
         assert report.residual_norm < 1e-9
-
-    def test_time_zero_has_no_end_weight(self):
-        report = entanglement_at_time(engineered_couplings(9, 1.0), 0.0)
-        assert report.concurrence == pytest.approx(0.0, abs=1e-12)
-        assert report.residual_norm == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("t", [math.inf, math.nan])
-    def test_rejects_non_finite_time(self, t):
-        with pytest.raises(ValueError, match="not finite"):
-            entanglement_at_time(engineered_couplings(9, 1.0), t)
 
     def test_long_swapped_chain_matches_the_dense_path(self):
         n = 1001

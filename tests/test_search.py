@@ -5,17 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from bellchain import search
 from bellchain.chain import engineered_couplings, validate_profile
 from bellchain.robustness import entanglement_at_t0
 from bellchain.search import (
     CONVERGED_TOL,
     MAX_RESTARTS,
     SearchProblem,
+    _objective_on_grid,
     minimize,
     mirror_profile,
-    objective,
 )
 from bellchain.chain import one_excitation_hamiltonian
+from bellchain.dynamics import eigendecompose
 from oracles import basis_amplitudes, dense_propagate, dense_tridiagonal
 
 FIVE_SITE_PROBLEM = SearchProblem(
@@ -86,24 +88,24 @@ class TestMirrorProfile:
 
 
 class TestObjective:
+    # the function the search runs, at one time
     def test_engineered_profile_is_optimal_at_readout_time(self):
-        profile = engineered_couplings(9, 1.0)
-        assert objective(profile, math.pi) < 1e-15
+        h = one_excitation_hamiltonian(engineered_couplings(9, 1.0))
+        assert _objective_on_grid(eigendecompose(h), [math.pi])[0] < 1e-15
 
     def test_time_zero_is_worst_case(self):
-        profile = engineered_couplings(9, 1.0)
-        assert objective(profile, 0.0) == pytest.approx(0.5, abs=1e-15)
+        h = one_excitation_hamiltonian(engineered_couplings(9, 1.0))
+        assert _objective_on_grid(eigendecompose(h), [0.0])[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_dense_propagation_oracle(self):
         rng = np.random.default_rng(314)
         for _ in range(20):
             free = rng.uniform(0.3, 2.0, size=2)
             t = float(rng.uniform(0.1, 6.0))
-            profile = mirror_profile(free)
-            h = dense_tridiagonal(one_excitation_hamiltonian(profile).off_diagonal)
-            psi = dense_propagate(h, basis_amplitudes(5, 2), t)
+            h = one_excitation_hamiltonian(mirror_profile(free))
+            psi = dense_propagate(dense_tridiagonal(h.off_diagonal), basis_amplitudes(5, 2), t)
             expected = (abs(psi[0]) ** 2 - 0.5) ** 2 + (abs(psi[-1]) ** 2 - 0.5) ** 2
-            assert objective(profile, t) == pytest.approx(expected, abs=1e-12)
+            assert _objective_on_grid(eigendecompose(h), [t])[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestMinimize:
@@ -125,6 +127,21 @@ class TestMinimize:
         monkeypatch.setattr(np.random, "SeedSequence", no_seeds)
         with pytest.raises(ValueError, match="restarts must be in 1..10000"):
             minimize(FIVE_SITE_PROBLEM, seed=0, restarts=MAX_RESTARTS + 1)
+
+    def test_nelder_mead_clips_every_point_to_the_bounds(self, monkeypatch):
+        # so neither the objective nor the result clips again
+        seen, evaluate = [], search._evaluate
+
+        def recording(free, problem):
+            seen.append(free.copy())
+            return evaluate(free, problem)
+
+        monkeypatch.setattr(search, "_evaluate", recording)
+        problem = SearchProblem(n_sites=5, t_window=(0.5, 6.0), bounds=(0.05, 0.3))
+        minimize(problem, seed=3, max_iters=40, restarts=2)
+        lo, hi = problem.bounds
+        assert len(seen) > 40 and all(np.all((lo <= free) & (free <= hi)) for free in seen)
+        assert np.any(np.array(seen) == lo) or np.any(np.array(seen) == hi)
 
     def test_five_site_restarts_converge(self, five_site_result):
         result = five_site_result
@@ -153,7 +170,7 @@ class TestMinimize:
 
     def test_state_amplitudes_split_between_ends(self, five_site_result):
         result = five_site_result
-        from bellchain.dynamics import eigendecompose, evolve
+        from bellchain.dynamics import evolve
 
         eig = eigendecompose(one_excitation_hamiltonian(result.profile))
         state = evolve(eig, 2, result.best_time)

@@ -184,6 +184,7 @@ class TestReportPayloads:
             EntangledResource(alpha01=math.sqrt(0.5), alpha10=math.sqrt(0.5)),
             records,
             seed=None,
+            branches=records,
         )
         assert payload["a"] == [1.0, 0.0]
         assert payload["records"][2]["fidelity"] is None

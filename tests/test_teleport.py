@@ -141,10 +141,6 @@ class TestTeleport:
         with pytest.raises(ValueError, match="not normalized"):
             teleport(huge, huge, BELL)
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown measurement mode"):
-            teleport(1.0, 0.0, BELL, mode="guess")
-
     def test_bell_resource_is_deterministic(self):
         rng = np.random.default_rng(99)
         for _ in range(10):
@@ -232,29 +228,6 @@ class TestTeleport:
         resource = EntangledResource(math.sqrt(skew), math.sqrt(1.0 - skew))
         records = teleport(a, b, resource)
         assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-12)
-
-    def test_sample_mode_returns_one_branch(self):
-        records = teleport(0.6, 0.8, BELL, mode="sample", seed=5)
-        assert len(records) == 1
-        assert records[0].fidelity == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        "a, b, resource",
-        [
-            (0.48 + 0.36j, 0.8j, EntangledResource(math.sqrt(0.3), -1j * math.sqrt(0.7))),
-            (1.0, 0.0, EntangledResource(1.0, 0.0)),  # outcomes 01 and 11 vanish
-        ],
-    )
-    def test_sample_mode_draws_an_enumerated_record(self, a, b, resource):
-        # repr of a float round-trips its bits, so this is a bitwise match
-        enumerated = {r.outcome: repr(r) for r in teleport(a, b, resource)}
-        possible = {r.outcome for r in teleport(a, b, resource) if r.probability > 0}
-        drawn = set()
-        for seed in range(40):
-            (record,) = teleport(a, b, resource, mode="sample", seed=seed)
-            assert repr(record) == enumerated[record.outcome]
-            drawn.add(record.outcome)
-        assert drawn == possible
 
 
 class TestProtocolEmbeddedInChain:
