@@ -5,7 +5,6 @@ form a maximal end pair, and report the best witness found."""
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 from pathlib import Path
 
 from bellchain import SearchProblem, entanglement_at_t0, minimize, validate_profile
@@ -17,18 +16,15 @@ T_WINDOW = (0.5, 6.0)
 BOUNDS = (0.05, 3.0)
 
 
-@dataclass(frozen=True)
-class Config:
-    n_sites: int = 5
-    seed: int = 20260816
-    restarts: int = 8
-    out: Path = Path("coupling_search.json")
-
-
-def main(cfg: Config) -> None:
-    problem = SearchProblem(n_sites=cfg.n_sites, t_window=T_WINDOW, bounds=BOUNDS)
-    result = minimize(problem, seed=cfg.seed, max_iters=MAX_ITERS, restarts=cfg.restarts)
-    write_json(cfg.out, search_result_to_dict(problem, result, cfg.seed))
+def main(
+    n_sites: int = 5,
+    seed: int = 20260816,
+    restarts: int = 8,
+    out: Path = Path("coupling_search.json"),
+) -> None:
+    problem = SearchProblem(n_sites=n_sites, t_window=T_WINDOW, bounds=BOUNDS)
+    result = minimize(problem, seed=seed, max_iters=MAX_ITERS, restarts=restarts)
+    write_json(out, search_result_to_dict(problem, result, seed))
 
     print(f"converged: {result.converged}  objective: {result.objective:.3e}")
     print(f"best_time: {result.best_time:.6f}  iterations: {result.iterations}")
@@ -43,21 +39,13 @@ def main(cfg: Config) -> None:
     if result.converged:
         report = entanglement_at_t0(result.profile)
         print(f"concurrence at the profile's own readout time: {report.concurrence:.12f}")
-    print(f"wrote {cfg.out}")
+    print(f"wrote {out}")
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-sites", type=int, default=Config.n_sites)
-    parser.add_argument("--seed", type=int, default=Config.seed)
-    parser.add_argument("--restarts", type=int, default=Config.restarts)
-    parser.add_argument("--out", type=Path, default=Config.out)
-    args = parser.parse_args()
-    main(
-        Config(
-            n_sites=args.n_sites,
-            seed=args.seed,
-            restarts=args.restarts,
-            out=args.out,
-        )
-    )
+    parser = argparse.ArgumentParser(description=__doc__, argument_default=argparse.SUPPRESS)
+    parser.add_argument("--n-sites", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--restarts", type=int)
+    parser.add_argument("--out", type=Path)
+    main(**vars(parser.parse_args()))

@@ -9,28 +9,24 @@ fidelity of the balanced input over the trials.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from bellchain import engineered_couplings, noise_sweep
 from bellchain.serialize import format_float, write_csv
 
 
-@dataclass(frozen=True)
-class Config:
-    n_sites: int = 9
-    mu: float = 1.0
-    sigmas: tuple[float, ...] = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
-    trials: int = 100
-    seed: int = 7
-    out: Path = Path("noise_robustness.csv")
-
-
-def main(cfg: Config) -> None:
-    profile = engineered_couplings(cfg.n_sites, cfg.mu)
+def main(
+    n_sites: int = 9,
+    mu: float = 1.0,
+    sigmas: tuple[float, ...] = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2),
+    trials: int = 100,
+    seed: int = 7,
+    out: Path = Path("noise_robustness.csv"),
+) -> None:
+    profile = engineered_couplings(n_sites, mu)
     rows = []
-    for sigma in cfg.sigmas:
-        sweep = noise_sweep(profile, sigma, cfg.trials, cfg.seed)
+    for sigma in sigmas:
+        sweep = noise_sweep(profile, sigma, trials, seed)
         concurrences = [r.concurrence for r in sweep]
         fidelities = [r.expected_fidelity for r in sweep]
         rows.append(
@@ -46,27 +42,18 @@ def main(cfg: Config) -> None:
             f"min C={float(rows[-1][2]):.6f}  mean F={float(rows[-1][3]):.8f}"
         )
     write_csv(
-        cfg.out,
+        out,
         ["sigma", "mean_concurrence", "min_concurrence", "mean_expected_fidelity"],
         rows,
     )
-    print(f"wrote {cfg.out} ({cfg.trials} trials per level, seed {cfg.seed})")
+    print(f"wrote {out} ({trials} trials per level, seed {seed})")
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-sites", type=int, default=Config.n_sites)
-    parser.add_argument("--mu", type=float, default=Config.mu)
-    parser.add_argument("--trials", type=int, default=Config.trials)
-    parser.add_argument("--seed", type=int, default=Config.seed)
-    parser.add_argument("--out", type=Path, default=Config.out)
-    args = parser.parse_args()
-    main(
-        Config(
-            n_sites=args.n_sites,
-            mu=args.mu,
-            trials=args.trials,
-            seed=args.seed,
-            out=args.out,
-        )
-    )
+    parser = argparse.ArgumentParser(description=__doc__, argument_default=argparse.SUPPRESS)
+    parser.add_argument("--n-sites", type=int)
+    parser.add_argument("--mu", type=float)
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--out", type=Path)
+    main(**vars(parser.parse_args()))

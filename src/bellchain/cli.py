@@ -17,10 +17,14 @@ Exit codes: 0 success, 2 argument error (including a chain too long
 for the dense eigensolve to fit in memory, and any run that exhausts
 memory), 3 I/O error, 4 numeric failure.  A JSON config file
 (``--config``) supplies defaults for any flag of the invoked subcommand;
-explicit flags win.  ``--n`` or ``--mu``, as a flag or from the config
-file, beside the ``--profile`` or ``--resource`` file that replaces them
-is an argument error.  When the ``BELLCHAIN_OUT_DIR`` environment
-variable is set, relative ``--out`` paths are resolved against it.
+explicit flags win.  A config key that names no flag of any subcommand
+is an argument error.  So, as a flag or from the config file, is a flag
+the run would not read: ``--n`` or ``--mu`` beside the ``--profile`` or
+``--resource`` file that replaces them, and ``perturb --trials`` or
+``--seed`` without ``--sigma``.  ``teleport --seed`` draws one
+measurement branch; without it the report lists all four.  When the
+``BELLCHAIN_OUT_DIR`` environment variable is set, relative ``--out``
+paths are resolved against it.
 """
 
 from __future__ import annotations
@@ -107,22 +111,9 @@ def _profile_from_args(args) -> CouplingProfile:
         profile = serialize.read_profile(args.profile)
         _check_sites(profile.n_sites)
         return profile
-    if getattr(args, "n", None) is None:
-        raise ValueError("need either --profile or --n")
+    if args.n is None:
+        raise ValueError(f"need either --{_INPUT_FILE[args.command]} or --n")
     return engineered_couplings(_check_sites(args.n), args.mu)
-
-
-def _extract_config_path(argv: list[str]) -> str | None:
-    """The last ``--config`` path in argv: argparse keeps the last value of a repeated flag."""
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise ValueError("--config needs a file path")
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-    return path
 
 
 def _load_config(path: str) -> dict:
@@ -165,14 +156,15 @@ def _config_default(dest: str, value, kwargs: dict):
 def _build_parser(config: dict, command: str | None) -> argparse.ArgumentParser:
     """The parser of every subcommand, with flags only on ``command``'s.
 
-    Every config key that names a flag of any subcommand is still
-    checked, so a bad key fails whichever subcommand runs.
+    Every config key is checked against the flags of all subcommands,
+    so a bad key fails whichever subcommand runs.
     """
     parser = argparse.ArgumentParser(
         prog="bellchain",
         description="Engineered-chain Bell pairs, teleportation and robustness tools",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    dests = set()
 
     def add_parser(name, help):
         p = sub.add_parser(name, help=help)
@@ -180,6 +172,7 @@ def _build_parser(config: dict, command: str | None) -> argparse.ArgumentParser:
 
     def add(p, *flags, dest=None, required=False, **kwargs):
         dest = dest or flags[0].lstrip("-").replace("-", "_")
+        dests.add(dest)
         if dest in config:
             kwargs["default"] = _config_default(dest, config[dest], kwargs)
             required = False
@@ -207,8 +200,7 @@ def _build_parser(config: dict, command: str | None) -> argparse.ArgumentParser:
     add(p, "--n", type=int, help="build the resource from this engineered chain")
     add(p, "--mu", type=float, help="coupling scale (default 1.0)")
     add(p, "--resource", help="resource JSON, in place of --n/--mu")
-    add(p, "--mode", choices=["enumerate", "sample"], default="enumerate")
-    add(p, "--seed", type=int, default=None)
+    add(p, "--seed", type=int, help="draw one measurement branch instead of listing all four")
     add(p, "--out", required=True, help="report JSON path")
 
     p = add_parser("feasibility", help="chain-length bound for a coupling ceiling")
@@ -222,8 +214,8 @@ def _build_parser(config: dict, command: str | None) -> argparse.ArgumentParser:
     add(p, "--mu", type=float, help="coupling scale (default 1.0)")
     add(p, "--swap", type=int, nargs=2, metavar=("I", "J"))
     add(p, "--sigma", type=float)
-    add(p, "--trials", type=int, default=100)
-    add(p, "--seed", type=int, default=0)
+    add(p, "--trials", type=int, help="noise trials, with --sigma (default 100)")
+    add(p, "--seed", type=int, help="noise seed, with --sigma (default 0)")
     add(p, "--adjacent", action="store_true", help="baseline plus every adjacent swap")
     add(p, "--out", required=True, help="CSV output path")
 
@@ -238,13 +230,16 @@ def _build_parser(config: dict, command: str | None) -> argparse.ArgumentParser:
     add(p, "--d-hi", type=float, default=4.0)
     add(p, "--out", required=True, help="result JSON path")
 
+    unknown = sorted(set(config) - dests)
+    if unknown:
+        raise ValueError(f"config keys naming no flag: {', '.join(unknown)}")
     if command in sub.choices:
         sub.choices[command].add_argument("--config", help="JSON file with flag defaults")
     return parser
 
 
 def _cmd_couplings(args, out: Path) -> None:
-    profile = engineered_couplings(_check_sites(args.n), args.mu)
+    profile = _profile_from_args(args)
     if args.format == "json":
         serialize.write_json(out, serialize.profile_to_dict(profile))
     else:
@@ -303,22 +298,16 @@ def _cmd_teleport(args, out: Path) -> int | None:
     if args.resource:
         resource = serialize.read_resource(args.resource)
     else:
-        if args.n is None:
-            raise ValueError("need either --resource or --n")
         resource = resource_from_profile(_profile_from_args(args))
 
-    if args.mode == "sample" and args.seed is None:
-        raise ValueError("sample mode needs --seed")
-    branches = teleport(a, b, resource)
-    records, master_seed = branches, None
-    if args.mode == "sample":
+    branches = records = teleport(a, b, resource)
+    if args.seed is not None:
         probs = np.array([r.probability for r in branches])
         records = [branches[np.random.default_rng(args.seed).choice(4, p=probs / probs.sum())]]
-        master_seed = args.seed
     serialize.write_json(
-        out, serialize.teleport_report(a, b, resource, records, master_seed, branches)
+        out, serialize.teleport_report(a, b, resource, records, args.seed, branches)
     )
-    return master_seed
+    return args.seed
 
 
 def _cmd_feasibility(args, out: Path) -> None:
@@ -374,11 +363,13 @@ _INPUT_FILE = {"evolve": "profile", "perturb": "profile", "teleport": "resource"
 
 
 def _check_chain_flags(args) -> None:
-    """Refuse --n or --mu beside the input file that replaces them, then default --mu to 1.0.
+    """Refuse flags the handler would not read, then fill their defaults.
 
-    The handler would ignore them, and the digest would still cover
-    them.  The parser leaves --mu at None so that a value given on the
-    command line or in the config file shows, whatever it is.
+    --n or --mu beside the input file that replaces them, and perturb's
+    --trials or --seed without --sigma: the handler would ignore them,
+    and the digest would still cover them.  The parser leaves these
+    flags at None so that a value given on the command line or in the
+    config file shows, whatever it is.
     """
     source = _INPUT_FILE.get(args.command)
     if source is None:
@@ -388,6 +379,12 @@ def _check_chain_flags(args) -> None:
         raise ValueError(f"--{source} replaces {' and '.join(given)}; give one or the other")
     if args.mu is None:
         args.mu = 1.0
+    if args.command == "perturb":
+        given = [f"--{flag}" for flag in ("trials", "seed") if getattr(args, flag) is not None]
+        if args.sigma is None and given:
+            raise ValueError(f"only --sigma reads {' and '.join(given)}")
+        args.trials = 100 if args.trials is None else args.trials
+        args.seed = 0 if args.seed is None else args.seed
 
 
 def _digest_inputs(args) -> dict:
@@ -411,8 +408,15 @@ def _digest_inputs(args) -> dict:
 
 def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    # --config as the subcommand's parser reads it, abbreviations and repeats included;
+    # a malformed one is left for that parser to report
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
     try:
-        config_path = _extract_config_path(argv)
+        config_path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        config_path = None
+    try:
         # the first token not starting with "-" is the subcommand argparse will pick, if any
         command = next((token for token in argv if not token.startswith("-")), None)
         parser = _build_parser(_load_config(config_path) if config_path else {}, command)

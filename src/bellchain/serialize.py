@@ -162,8 +162,8 @@ def teleport_report(
     branches: list[TeleportRecord],
 ) -> dict:
     """``expected_fidelity`` weighs all four ``branches``, so a
-    sample-mode report listing only the drawn record carries the same
-    expectation as the enumerate report."""
+    seeded report listing only the drawn record carries the same
+    expectation as the report that lists all four."""
     return {
         "a": complex_pair(a),
         "b": complex_pair(b),

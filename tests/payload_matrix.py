@@ -5,8 +5,9 @@
 
 The first form runs each command below as ``python -m bellchain`` in its
 own interpreter, with the package from this checkout's ``src``, writes
-its payload under OUTDIR and prints one ``sha256  argv`` line per command
-(argv without ``--out``).  Two listings, from two checkouts or two
+its payload under OUTDIR and prints one ``sha256  config_digest  argv``
+line per command: the payload's sha256, its manifest's config digest
+and argv without ``--out``.  Two listings, from two checkouts or two
 environments, are compared with ``diff``.  Exits 1 when any command
 fails.
 
@@ -36,7 +37,7 @@ COMMANDS = [
     ["evolve", "--n", "401", "--t-grid", "0:6:0.1"],
     ["teleport", "--n", "9", "--a-re", "0.6", "--b-re", "0.8"],
     ["teleport", "--n", "9", "--a-re", "0.6", "--a-im", "0.48", "--b-im", "-0.64"],
-    ["teleport", "--n", "9", "--a-re", "0.6", "--b-re", "0.8", "--mode", "sample", "--seed", "3"],
+    ["teleport", "--n", "9", "--a-re", "0.6", "--b-re", "0.8", "--seed", "3"],
     ["teleport", "--n", "1001"],
     ["feasibility", "--mu", "1", "--gmax", "1.125"],
     ["feasibility", "--mu", "1e4", "--gmax", "7.3e8"],
@@ -153,7 +154,8 @@ def main(argv: list[str]) -> int:
             failed += 1
             print(f"FAILED (exit {proc.returncode})  {' '.join(command)}\n{proc.stderr}", end="")
             continue
-        print(f"{hashlib.sha256(out.read_bytes()).hexdigest()}  {' '.join(command)}", flush=True)
+        digest = json.loads(out.with_name(out.name + ".manifest.json").read_text())["config_digest"]
+        print(f"{hashlib.sha256(out.read_bytes()).hexdigest()}  {digest}  {' '.join(command)}", flush=True)
     return 1 if failed else 0
 
 

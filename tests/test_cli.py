@@ -196,8 +196,9 @@ class TestEvolve:
         assert code == 2
         assert "step" in capsys.readouterr().err
 
-    def test_needs_profile_or_n(self, tmp_path):
+    def test_needs_profile_or_n(self, tmp_path, capsys):
         assert run(["evolve", "--t-grid", "0:1:1", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "error: need either --profile or --n\n"
 
     @pytest.mark.parametrize(
         "grid, message",
@@ -311,21 +312,6 @@ class TestTeleport:
         assert code == 2
         assert "normalized" in capsys.readouterr().err
 
-    def test_sample_mode_requires_seed(self, tmp_path, capsys):
-        code = run(
-            [
-                "teleport",
-                "--n",
-                "5",
-                "--mode",
-                "sample",
-                "--out",
-                str(tmp_path / "x.json"),
-            ]
-        )
-        assert code == 2
-        assert "seed" in capsys.readouterr().err
-
     def test_sample_mode_is_byte_reproducible(self, tmp_path):
         out1 = tmp_path / "one.json"
         out2 = tmp_path / "two.json"
@@ -337,8 +323,6 @@ class TestTeleport:
             "0.6",
             "--b-re",
             "0.8",
-            "--mode",
-            "sample",
             "--seed",
             "42",
         ]
@@ -356,7 +340,7 @@ class TestTeleport:
         base = ["teleport", "--n", "9", "--a-re", "0.6", "--b-re", "0.8"]
         enumerated, sampled = tmp_path / "enumerate.json", tmp_path / "sample.json"
         assert run(base + ["--out", str(enumerated)]) == 0
-        assert run(base + ["--mode", "sample", "--seed", "3", "--out", str(sampled)]) == 0
+        assert run(base + ["--seed", "3", "--out", str(sampled)]) == 0
         expectation = read_json(enumerated)["expected_fidelity"]
         assert expectation == pytest.approx(1.0, abs=1e-12)
         assert read_json(sampled)["expected_fidelity"] == expectation
@@ -381,7 +365,7 @@ class TestTeleport:
         by_outcome = {r["outcome"]: r for r in enumerated["records"]}
         drawn = set()
         for seed in range(40):
-            assert run(base + ["--mode", "sample", "--seed", str(seed), "--out", str(out)]) == 0
+            assert run(base + ["--seed", str(seed), "--out", str(out)]) == 0
             sampled = read_json(out)
             (record,) = sampled["records"]
             assert record == by_outcome[record["outcome"]]
@@ -389,8 +373,26 @@ class TestTeleport:
             drawn.add(record["outcome"])
         assert drawn == {r["outcome"] for r in enumerated["records"] if r["probability"] > 0}
 
-    def test_needs_resource_or_n(self, tmp_path):
+    @pytest.mark.parametrize("flags", [["--seed", "3"], ["--config", "CONFIG"]])
+    def test_seed_writes_the_enumerate_report_cut_to_the_drawn_record(self, tmp_path, flags):
+        # numpy.random.default_rng(3) draws outcome 00 from the four branches of this report
+        base = ["teleport", "--n", "9", "--a-re", "0.6", "--b-re", "0.8"]
+        enumerated, sampled = tmp_path / "enumerate.json", tmp_path / "sample.json"
+        config_path, expected = tmp_path / "config.json", tmp_path / "expected.json"
+        config_path.write_text(json.dumps({"seed": 3}))
+        assert run(base + ["--out", str(enumerated)]) == 0
+        flags = [str(config_path) if flag == "CONFIG" else flag for flag in flags]
+        assert run(base + flags + ["--out", str(sampled)]) == 0
+        report = read_json(enumerated)
+        (drawn,) = [r for r in report["records"] if r["outcome"] == "00"]
+        write_json(expected, {**report, "records": [drawn], "seed": 3})
+        assert sampled.read_bytes() == expected.read_bytes()
+        assert manifest_of(sampled)["master_seed"] == 3
+        assert manifest_of(enumerated)["master_seed"] is None
+
+    def test_needs_resource_or_n(self, tmp_path, capsys):
         assert run(["teleport", "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == "error: need either --resource or --n\n"
 
 
 class TestFeasibility:
@@ -678,6 +680,32 @@ class TestConfigAndEnvironment:
         assert run(["couplings", *flags, "--out", str(out)]) == 0
         assert read_json(out)["n_sites"] == 7
 
+    @pytest.mark.parametrize("flags", [["--conf", "PATH"], ["--co=PATH"]])
+    def test_abbreviated_config_applies_the_file(self, tmp_path, flags):
+        # argparse accepts any unambiguous prefix of --config
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"mu": 3.0}))
+        out = tmp_path / "p.json"
+        flags = [flag.replace("PATH", str(config_path)) for flag in flags]
+        assert run(["couplings", "--n", "5", *flags, "--out", str(out)]) == 0
+        assert read_json(out)["mu"] == 3.0
+
+    @pytest.mark.parametrize(
+        "config, keys",
+        [
+            ({"n": 9, "fromat": "csv"}, "fromat"),
+            ({"n": 9, "mode": "sample"}, "mode"),
+            ({"n": 9, "config": "other.json", "command": "evolve"}, "command, config"),
+        ],
+    )
+    def test_config_key_naming_no_flag_is_an_argument_error(self, tmp_path, capsys, config, keys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "x.json"
+        assert run(["couplings", "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: config keys naming no flag: {keys}\n"
+        assert not out.exists()
+
     def test_config_must_be_an_object(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text("[1, 2]")
@@ -781,9 +809,18 @@ class TestConfigDigest:
         assert run([*argv, "--out", str(out)]) == 0
         return manifest_of(out)["config_digest"]
 
-    def test_is_the_digest_of_the_parsed_flags(self, tmp_path):
-        flags = {"command": "couplings", "format": "json", "mu": 1.0, "n": 9}
-        assert self.digest(["couplings", "--n", "9"], tmp_path / "p.json") == json_digest(flags)
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["couplings", "--n", "9"], {"command": "couplings", "format": "json", "mu": 1.0, "n": 9}),
+            # --trials and --seed enter at their defaults, though only --sigma reads them
+            (["perturb", "--n", "9", "--swap", "3", "4"],
+             {"adjacent": False, "command": "perturb", "mu": 1.0, "n": 9, "profile": None, "seed": 0,
+              "sigma": None, "swap": [3, 4], "trials": 100}),
+        ],
+    )
+    def test_is_the_digest_of_the_parsed_flags(self, tmp_path, argv, flags):
+        assert self.digest(argv, tmp_path / "p.out") == json_digest(flags)
 
     def test_config_value_digests_like_the_flag(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -807,8 +844,8 @@ class TestConfigDigest:
     def test_input_file_is_hashed_before_the_payload_overwrites_it(self, tmp_path):
         resource_path = tmp_path / "resource.json"
         write_json(resource_path, {"alpha01": [SQRT_HALF, 0.0], "alpha10": [SQRT_HALF, 0.0]})
-        flags = {"a_im": 0.0, "a_re": 1.0, "b_im": 0.0, "b_re": 0.0, "command": "teleport", "mode": "enumerate",
-                 "mu": 1.0, "n": None, "resource": hashlib.sha256(resource_path.read_bytes()).hexdigest(), "seed": None}
+        flags = {"a_im": 0.0, "a_re": 1.0, "b_im": 0.0, "b_re": 0.0, "command": "teleport", "mu": 1.0, "n": None,
+                 "resource": hashlib.sha256(resource_path.read_bytes()).hexdigest(), "seed": None}
         argv = ["teleport", "--resource", str(resource_path)]
         assert self.digest(argv, resource_path) == json_digest(flags)
 
@@ -848,6 +885,24 @@ class TestExitCodes:
         assert run([*argv, "--out", str(out)]) == 2
         source = "--resource" if argv[0] == "teleport" else "--profile"
         assert capsys.readouterr().err == f"error: {source} replaces {given}; give one or the other\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config, given",
+        [
+            (["perturb", "--swap", "3", "4", "--seed", "5"], {}, "--seed"),
+            (["perturb", "--swap", "3", "4"], {"seed": 5}, "--seed"),
+            (["perturb", "--adjacent", "--trials", "7", "--seed", "5"], {}, "--trials and --seed"),
+            (["perturb", "--adjacent"], {"trials": 7}, "--trials"),
+        ],
+    )
+    def test_trials_or_seed_without_sigma_is_an_argument_error(self, tmp_path, capsys, argv, config, given):
+        if config:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", str(tmp_path / "config.json")]
+        out = tmp_path / "x.csv"
+        assert run([*argv, "--n", "9", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: only --sigma reads {given}\n"
         assert not out.exists()
 
     def test_no_arguments_is_an_argument_error(self, capsys):

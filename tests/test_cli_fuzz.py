@@ -58,10 +58,11 @@ RESOURCE = st.sampled_from(["RESOURCE", "no-such-resource.json"])
 SOURCE = {"evolve": "--profile", "perturb": "--profile", "teleport": "--resource"}
 SWAP = st.lists(pick(["1", "2", "3", "4", "8"], ["0", "-1", "100", "x"]), min_size=2, max_size=2)
 PRESENT = st.just(None)  # a store_true flag
+TRIALS = pick(["1", "2", "5"], HUGE_COUNT, BAD_INT)
 
 # (flags always passed, flags passed or not) per subcommand.  Flags whose
-# default would run a large size (--trials, --restarts, --max-iters) are
-# always passed.
+# default would run a large size (--restarts, --max-iters) are always
+# passed; perturb's --trials always goes with --sigma.
 FLAGS = {
     "couplings": (
         {"--n": ODD_N},
@@ -80,7 +81,6 @@ FLAGS = {
             "--b-re": AMPLITUDE,
             "--b-im": AMPLITUDE,
             "--mu": MU,
-            "--mode": pick(["enumerate", "sample"], ["both"]),
             "--seed": SEEDS,
             "--resource": RESOURCE,
         },
@@ -90,7 +90,7 @@ FLAGS = {
         {"--gmax": pick(["1.125", "7.3e8", "1e300", "1e-10"], BAD_FLOAT)},
     ),
     "perturb": (
-        {"--trials": pick(["1", "2", "5"], HUGE_COUNT, BAD_INT)},
+        {},
         {
             "--n": ODD_N,
             "--profile": PROFILE,
@@ -143,6 +143,8 @@ def invocations(draw):
     flags = draw(st.fixed_dictionaries(always, optional=sometimes))
     if command == "evolve" and flags.get("--n") == HUGE_N:
         flags["--t-grid"] = draw(HUGE_N_GRIDS)
+    if command == "perturb" and "--sigma" in flags:
+        flags["--trials"] = draw(TRIALS)
     in_config = draw(st.sets(st.sampled_from(sorted(flags)))) if flags else set()
     config = {
         flag.lstrip("-").replace("-", "_"): draw(json_forms(flags[flag])) for flag in in_config
@@ -173,7 +175,7 @@ def run_quietly(argv):
         "dir",
     )
 )
-@example(case=(["perturb", "--n", "5", "--trials", "1"], {"adjacent": "no"}, "dir"))
+@example(case=(["perturb", "--n", "5", "--sigma", "1e-3", "--trials", "1"], {"adjacent": "no"}, "dir"))
 @settings(max_examples=200, deadline=None)
 def test_every_command_line_ends_in_a_documented_exit_code(case):
     argv, config, where = case
@@ -202,6 +204,8 @@ def test_every_command_line_ends_in_a_documented_exit_code(case):
         if not isinstance(config.get("adjacent", False), bool) and where != "missing config":
             assert code == 2, err
         if SOURCE.get(argv[0]) in given and given & {"--n", "--mu"} and where != "missing config":
+            assert code == 2, err
+        if argv[0] == "perturb" and "--seed" in given and "--sigma" not in given and where != "missing config":
             assert code == 2, err
         if code == 0:
             assert out.exists() and manifest.exists()

@@ -1,10 +1,12 @@
-"""``payload_matrix.py --compare`` on two small payload directories."""
+"""``payload_matrix.py``: ``--compare`` on two small payload directories, and one listing line."""
 
+import hashlib
 import json
 
 import pytest
 
 import payload_matrix
+from bellchain.serialize import json_digest
 
 COMMANDS = [["couplings", "--n", "9"], ["evolve", "--n", "9", "--t-grid", "0:1:0.5"]]
 
@@ -70,3 +72,11 @@ def test_missing_payload_fails(tmp_path, capsys):
     code, lines = compare(a, b, capsys)
     assert code == 1
     assert lines == ["identical  couplings --n 9", f"missing {missing}  evolve --n 9 --t-grid 0:1:0.5"]
+
+
+def test_listing_prints_the_payload_sha256_and_the_config_digest(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(payload_matrix, "COMMANDS", COMMANDS[:1])
+    assert payload_matrix.main([str(tmp_path)]) == 0
+    payload = (tmp_path / payload_matrix.payload_name(0, COMMANDS[0])).read_bytes()
+    digest = json_digest({"command": "couplings", "format": "json", "mu": 1.0, "n": 9})
+    assert capsys.readouterr().out == f"{hashlib.sha256(payload).hexdigest()}  {digest}  couplings --n 9\n"
