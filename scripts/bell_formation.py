@@ -11,7 +11,7 @@ import argparse
 from pathlib import Path
 
 from bellchain import bell_time, engineered_couplings, entanglement_at_t0
-from bellchain.serialize import format_float, write_csv
+from bellchain.serialize import write_csv
 
 
 def main(
@@ -22,15 +22,8 @@ def main(
     worst = 0.0
     for n in range(n_min, n_max + 1, 2):
         report = entanglement_at_t0(engineered_couplings(n, mu))
-        rows.append(
-            [
-                str(n),
-                format_float(abs(report.alpha_first) ** 2),
-                format_float(abs(report.alpha_last) ** 2),
-                format_float(report.concurrence),
-                format_float(report.residual_norm),
-            ]
-        )
+        prob_first, prob_last = abs(report.alpha_first) ** 2, abs(report.alpha_last) ** 2
+        rows.append([n, prob_first, prob_last, report.concurrence, report.residual_norm])
         worst = max(worst, abs(report.concurrence - 1.0))
     write_csv(
         out,
@@ -47,4 +40,7 @@ if __name__ == "__main__":
     parser.add_argument("--n-max", type=int)
     parser.add_argument("--mu", type=float)
     parser.add_argument("--out", type=Path)
-    main(**vars(parser.parse_args()))
+    try:
+        main(**vars(parser.parse_args()))
+    except ValueError as exc:
+        parser.exit(2, f"error: {exc}\n")

@@ -48,4 +48,7 @@ if __name__ == "__main__":
     parser.add_argument("--seed", type=int)
     parser.add_argument("--restarts", type=int)
     parser.add_argument("--out", type=Path)
-    main(**vars(parser.parse_args()))
+    try:
+        main(**vars(parser.parse_args()))
+    except ValueError as exc:
+        parser.exit(2, f"error: {exc}\n")

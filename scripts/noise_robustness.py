@@ -12,7 +12,7 @@ import argparse
 from pathlib import Path
 
 from bellchain import engineered_couplings, noise_sweep
-from bellchain.serialize import format_float, write_csv
+from bellchain.serialize import write_csv
 
 
 def main(
@@ -29,18 +29,10 @@ def main(
         sweep = noise_sweep(profile, sigma, trials, seed)
         concurrences = [r.concurrence for r in sweep]
         fidelities = [r.expected_fidelity for r in sweep]
-        rows.append(
-            [
-                format_float(sigma),
-                format_float(sum(concurrences) / len(concurrences)),
-                format_float(min(concurrences)),
-                format_float(sum(fidelities) / len(fidelities)),
-            ]
-        )
-        print(
-            f"sigma={sigma:8.1e}  mean C={float(rows[-1][1]):.6f}  "
-            f"min C={float(rows[-1][2]):.6f}  mean F={float(rows[-1][3]):.8f}"
-        )
+        mean_c, min_c = sum(concurrences) / len(concurrences), min(concurrences)
+        mean_f = sum(fidelities) / len(fidelities)
+        rows.append([sigma, mean_c, min_c, mean_f])
+        print(f"sigma={sigma:8.1e}  mean C={mean_c:.6f}  min C={min_c:.6f}  mean F={mean_f:.8f}")
     write_csv(
         out,
         ["sigma", "mean_concurrence", "min_concurrence", "mean_expected_fidelity"],
@@ -56,4 +48,7 @@ if __name__ == "__main__":
     parser.add_argument("--trials", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", type=Path)
-    main(**vars(parser.parse_args()))
+    try:
+        main(**vars(parser.parse_args()))
+    except ValueError as exc:
+        parser.exit(2, f"error: {exc}\n")

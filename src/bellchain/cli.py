@@ -243,14 +243,7 @@ def _cmd_couplings(args, out: Path) -> None:
     if args.format == "json":
         serialize.write_json(out, serialize.profile_to_dict(profile))
     else:
-        serialize.write_csv(
-            out,
-            ["index", "coupling"],
-            [
-                [str(i + 1), serialize.format_float(d)]
-                for i, d in enumerate(profile.couplings)
-            ],
-        )
+        serialize.write_csv(out, ["index", "coupling"], enumerate(profile.couplings, 1))
 
 
 def _cmd_evolve(args, out: Path) -> None:
@@ -268,22 +261,11 @@ def _cmd_evolve(args, out: Path) -> None:
 
     rows = []
     for t, amp in zip(t_grid.tolist(), amps.tolist()):
-        cells = [
-            serialize.format_float(t),
-            serialize.format_float(amp.real),
-            serialize.format_float(amp.imag),
-            serialize.format_float(abs(amp) ** 2),
-        ]
         if engineered:
             ref = analytic_center_to_end(profile.n_sites, profile.mu, t)
-            cells += [
-                serialize.format_float(abs(ref) ** 2),
-                serialize.format_float(abs(amp - ref)),
-                "1",
-            ]
+            rows.append([t, amp.real, amp.imag, abs(amp) ** 2, abs(ref) ** 2, abs(amp - ref), 1])
         else:
-            cells += ["", "", "0"]
-        rows.append(cells)
+            rows.append([t, amp.real, amp.imag, abs(amp) ** 2, None, None, 0])
 
     serialize.write_csv(
         out,

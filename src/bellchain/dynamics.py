@@ -72,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ResourceLimitError, TridiagonalHamiltonian, _check_odd
+from .chain import ResourceLimitError, TridiagonalHamiltonian, _check_mu, _check_odd
 
 _NORM_ATOL = 1e-12
 
@@ -495,8 +495,7 @@ def analytic_center_to_end(n_sites: int, mu: float, t: float) -> complex:
 
 def bell_time(mu: float) -> float:
     """Time pi/mu at which the end pair is maximally entangled; N-independent."""
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    _check_mu(mu)
     t0 = math.pi / mu
     if not math.isfinite(t0):
         raise ValueError(f"readout time pi/mu is not finite for mu = {mu!r}")

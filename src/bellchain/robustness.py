@@ -211,8 +211,7 @@ def resource_from_profile(profile: CouplingProfile) -> EntangledResource:
 
 def feasibility(mu: float, g_max: float) -> FeasibilityReport:
     """Largest chain whose peak engineered coupling fits under g_max."""
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    t0 = bell_time(mu)
     if not g_max > 0:
         raise ValueError(f"g_max must be positive, got {g_max}")
     ratio = 8.0 * g_max / mu
@@ -224,7 +223,7 @@ def feasibility(mu: float, g_max: float) -> FeasibilityReport:
     return FeasibilityReport(
         mu=mu,
         g_max=g_max,
-        t0=math.pi / mu,
+        t0=t0,
         n_max=n_max,
         degenerate=n_max < 3,
         n_max_exact=_largest_fitting_chain(mu, g_max),

@@ -1,7 +1,10 @@
 """Deterministic file formats: canonical JSON, CSV, and run manifests.
 
-All floats are printed with 17 significant digits so values round-trip
-exactly; the same canonical JSON text doubles as the input to the
+Every number in a payload, JSON or CSV, is written by ``canonical_json``:
+a float with 17 significant digits, so it round-trips exactly, an int
+in decimal and a complex number as the pair ``[re, im]``.  A CSV cell
+is the canonical JSON of its value; a ``None`` cell, no value, is left
+empty.  The same canonical JSON text doubles as the input to the
 manifest's configuration digest.  The CLI digests a run's parsed flags
 without ``--out`` and ``--config``, with each input file as the sha256
 of its bytes, so the digest depends only on the inputs and never on
@@ -13,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from ._version import __version__
@@ -31,7 +35,7 @@ def format_float(value: float) -> str:
 
 
 def canonical_json(value) -> str:
-    """Deterministic JSON text: dict order preserved, floats via format_float."""
+    """Deterministic JSON text: dict order preserved, floats via format_float, complex as [re, im]."""
     # floats first: a profile's digest is mostly floats, and no float is a bool or an int
     if isinstance(value, float):
         return format_float(value)
@@ -50,6 +54,8 @@ def canonical_json(value) -> str:
         return "{" + items + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(map(canonical_json, value)) + "]"
+    if isinstance(value, complex):
+        return canonical_json([value.real, value.imag])
     raise TypeError(f"cannot serialize {type(value).__name__} canonically")
 
 
@@ -66,18 +72,14 @@ def write_json(path: Path | str, value) -> None:
     write_text(path, canonical_json(value) + "\n")
 
 
-def write_csv(path: Path | str, header: list[str], rows: list[list[str]]) -> None:
+def write_csv(path: Path | str, header: list[str], rows: Iterable[Sequence]) -> None:
+    """One line per row of values, each cell its canonical JSON; a None cell is empty."""
     lines = [",".join(header)]
     for row in rows:
         if len(row) != len(header):
             raise ValueError(f"row width {len(row)} != header width {len(header)}")
-        lines.append(",".join(row))
+        lines.append(",".join("" if v is None else canonical_json(v) for v in row))
     write_text(path, "\n".join(lines) + "\n")
-
-
-def complex_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def _json_number(value, what: str) -> float:
@@ -137,8 +139,8 @@ def read_profile(path: Path | str) -> CouplingProfile:
 
 def resource_to_dict(resource: EntangledResource) -> dict:
     return {
-        "alpha01": complex_pair(resource.alpha01),
-        "alpha10": complex_pair(resource.alpha10),
+        "alpha01": resource.alpha01,
+        "alpha10": resource.alpha10,
     }
 
 
@@ -165,8 +167,8 @@ def teleport_report(
     seeded report listing only the drawn record carries the same
     expectation as the report that lists all four."""
     return {
-        "a": complex_pair(a),
-        "b": complex_pair(b),
+        "a": a,
+        "b": b,
         "resource": resource_to_dict(resource),
         "records": [
             {
@@ -220,16 +222,7 @@ def search_result_to_dict(
 
 def sweep_rows_to_csv(path: Path | str, rows: list[SweepRow]) -> None:
     header = ["trial", "param", "concurrence", "residual_norm", "expected_fidelity"]
-    body = [
-        [
-            str(r.trial),
-            format_float(r.param),
-            format_float(r.concurrence),
-            format_float(r.residual_norm),
-            format_float(r.expected_fidelity),
-        ]
-        for r in rows
-    ]
+    body = [(r.trial, r.param, r.concurrence, r.residual_norm, r.expected_fidelity) for r in rows]
     write_csv(path, header, body)
 
 

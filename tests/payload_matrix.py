@@ -53,13 +53,16 @@ COMMANDS = [
     ["teleport", "--n", "4003"],
     ["perturb", "--n", "4003", "--swap", "100", "101"],
     ["evolve", "--n", "4003", "--t-grid", "3.0:3.3:0.005"],
+    ["couplings", "--n", "9", "--format", "csv"],
 ]
 
-SUFFIX = {"evolve": ".csv", "perturb": ".csv"}
+FORMAT = {"evolve": "csv", "perturb": "csv"}
 
 
 def payload_name(k: int, command: list[str]) -> str:
-    return f"{k:02d}-{command[0]}{SUFFIX.get(command[0], '.json')}"
+    """The file name of command ``k``'s payload; its suffix is the payload's format."""
+    fmt = command[command.index("--format") + 1] if "--format" in command else FORMAT.get(command[0], "json")
+    return f"{k:02d}-{command[0]}.{fmt}"
 
 
 def _tokens(path: Path) -> list:

@@ -14,9 +14,9 @@ import pytest
 import scipy.linalg.lapack
 
 from bellchain import cli, dynamics
-from bellchain.chain import CouplingProfile, engineered_couplings, validate_profile
+from bellchain.chain import CouplingProfile, engineered_couplings, one_excitation_hamiltonian, validate_profile
 from bellchain.cli import run
-from bellchain.dynamics import NumericFailure, eigendecompose
+from bellchain.dynamics import NumericFailure, eigendecompose, grid_amplitudes
 from bellchain.robustness import SweepRow
 from bellchain.serialize import json_digest, profile_to_dict, write_json
 
@@ -141,6 +141,9 @@ class TestEvolve:
         for row in rows:
             assert row[4] == "" and row[5] == ""
             assert row[6] == "0"
+        h = one_excitation_hamiltonian(CouplingProfile(1.0, (1.0, 1.0, 1.0, 1.0)))
+        amp = complex(grid_amplitudes(h, 0, 2, np.array([0.0, 0.5, 1.0]))[2])
+        assert ",".join(rows[2]) == f"1,{amp.real:.17g},{amp.imag:.17g},{abs(amp) ** 2:.17g},,,0"
 
     @pytest.mark.parametrize(
         "n, mu, couplings",
@@ -433,6 +436,8 @@ class TestNonFiniteInputs:
             (["teleport", "--n", "5", "--a-re", "nan"], "input qubit not normalized"),
             (["teleport", "--n", "5", "--mu", "1e-310"], "pi/mu is not finite"),
             (["perturb", "--n", "5", "--mu", "1e-310", "--swap", "1", "2"], "pi/mu is not finite"),
+            (["feasibility", "--mu", "inf", "--gmax", "1"], "mu must be positive and finite"),
+            (["feasibility", "--mu", "1e-310", "--gmax", "1e-310"], "pi/mu is not finite for mu = 1e-310"),
             (["teleport", "--n", "5", "--a-re", "1e200", "--b-re", "1e200"], "input qubit not normalized"),
             (["search", "--n", "5", "--restarts", "1", "--d-hi", "1e308"], "d_hi = 1e+308"),
             (["search", "--n", "5", "--restarts", "1", "--t-min", "0", "--t-max", "1e-9"], "t_window"),

@@ -74,6 +74,16 @@ def test_missing_payload_fails(tmp_path, capsys):
     assert lines == ["identical  couplings --n 9", f"missing {missing}  evolve --n 9 --t-grid 0:1:0.5"]
 
 
+def test_format_flag_sets_the_payload_suffix(tmp_path, capsys, monkeypatch):
+    command = ["couplings", "--n", "9", "--format", "csv"]
+    monkeypatch.setattr(payload_matrix, "COMMANDS", [command])
+    assert payload_matrix.payload_name(0, command) == "00-couplings.csv"
+    for name, cell in (("a", "0.5"), ("b", "0.625")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "00-couplings.csv").write_text(f"index,coupling\n1,{cell}\n")
+    assert compare(tmp_path / "a", tmp_path / "b", capsys) == (0, ["max abs diff 0.125  couplings --n 9 --format csv"])
+
+
 def test_listing_prints_the_payload_sha256_and_the_config_digest(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(payload_matrix, "COMMANDS", COMMANDS[:1])
     assert payload_matrix.main([str(tmp_path)]) == 0

@@ -1,8 +1,11 @@
-"""Smoke runs of the experiment scripts at tiny sizes, and of the README's
-library example."""
+"""Smoke runs of the experiment scripts at tiny sizes, from Python and from
+the command line, and of the README's library example."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,6 +58,29 @@ def test_coupling_search(tmp_path, capsys):
     assert payload["problem"]["n_sites"] == 5
     assert len(payload["profile"]["couplings"]) == 4
     assert "wrote" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "script, valid, bad, message",
+    [
+        ("bell_formation", ["--n-max", "5"], ["--n-min", "2"], "n_sites must be odd"),
+        ("noise_robustness", ["--n-sites", "5", "--trials", "2"], ["--trials", "0"], "trials must be in"),
+        ("coupling_search", ["--restarts", "1"], ["--n-sites", "4"], "n_sites must be odd"),
+    ],
+)
+def test_command_line_exits_2_on_one_line_for_bad_input(tmp_path, script, valid, bad, message):
+    src = str(SCRIPTS.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def call(flags):
+        argv = [sys.executable, str(SCRIPTS / f"{script}.py"), *flags, "--out", str(tmp_path / "out")]
+        return subprocess.run(argv, env=env, capture_output=True, text=True)
+
+    assert call(valid).returncode == 0
+    proc = call(bad)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 def test_readme_library_example(capsys):

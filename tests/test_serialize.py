@@ -13,7 +13,6 @@ from bellchain.robustness import SweepRow, feasibility
 from bellchain.search import SearchProblem, SearchResult
 from bellchain.serialize import (
     canonical_json,
-    complex_pair,
     feasibility_to_dict,
     format_float,
     json_digest,
@@ -127,8 +126,8 @@ class TestResourceIO:
         assert again.alpha01 == resource.alpha01
         assert again.alpha10 == resource.alpha10
 
-    def test_complex_pair_layout(self):
-        assert complex_pair(complex(0.5, -0.25)) == [0.5, -0.25]
+    def test_complex_is_a_re_im_pair(self):
+        assert canonical_json(complex(0.6, -0.0)) == "[0.59999999999999998,-0]"
 
     def test_malformed_resource_raises_value_error(self, tmp_path):
         for payload in (
@@ -146,6 +145,11 @@ class TestCsv:
     def test_rejects_width_mismatch(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "x.csv", ["a", "b"], [["1"]])
+
+    def test_cells_are_canonical_json_and_none_is_empty(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_csv(path, ["a", "b", "c"], [(1, 0.1, None)])
+        assert path.read_bytes() == b"a,b,c\n1,0.10000000000000001,\n"
 
     def test_bytes_are_stable(self, tmp_path):
         rows = [
@@ -186,11 +190,12 @@ class TestReportPayloads:
             seed=None,
             branches=records,
         )
-        assert payload["a"] == [1.0, 0.0]
         assert payload["records"][2]["fidelity"] is None
         assert payload["expected_fidelity"] == pytest.approx(0.75)
         assert payload["seed"] is None
-        canonical_json(payload)  # must serialize without error
+        assert canonical_json(payload).startswith(
+            '{"a":[1,0],"b":[0,0],"resource":{"alpha01":[0.70710678118654757,0],'
+        )
 
     def test_feasibility_payload(self):
         payload = feasibility_to_dict(feasibility(mu=1.0e4, g_max=7.3e8))
