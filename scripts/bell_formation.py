@@ -17,6 +17,8 @@ from bellchain.serialize import write_csv
 def main(
     n_min: int = 3, n_max: int = 41, mu: float = 1.0, out: Path = Path("bell_formation.csv")
 ) -> None:
+    if n_min > n_max:
+        raise ValueError(f"empty length range: n_min {n_min} > n_max {n_max}")
     t0 = bell_time(mu)
     rows = []
     worst = 0.0
@@ -44,3 +46,5 @@ if __name__ == "__main__":
         main(**vars(parser.parse_args()))
     except ValueError as exc:
         parser.exit(2, f"error: {exc}\n")
+    except OSError as exc:
+        parser.exit(3, f"error: {exc}\n")

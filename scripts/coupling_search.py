@@ -8,7 +8,7 @@ import argparse
 from pathlib import Path
 
 from bellchain import SearchProblem, entanglement_at_t0, minimize, validate_profile
-from bellchain.serialize import search_result_to_dict, write_json
+from bellchain.serialize import write_json
 
 
 MAX_ITERS = 400
@@ -24,7 +24,7 @@ def main(
 ) -> None:
     problem = SearchProblem(n_sites=n_sites, t_window=T_WINDOW, bounds=BOUNDS)
     result = minimize(problem, seed=seed, max_iters=MAX_ITERS, restarts=restarts)
-    write_json(out, search_result_to_dict(problem, result, seed))
+    write_json(out, result)
 
     print(f"converged: {result.converged}  objective: {result.objective:.3e}")
     print(f"best_time: {result.best_time:.6f}  iterations: {result.iterations}")
@@ -52,3 +52,5 @@ if __name__ == "__main__":
         main(**vars(parser.parse_args()))
     except ValueError as exc:
         parser.exit(2, f"error: {exc}\n")
+    except OSError as exc:
+        parser.exit(3, f"error: {exc}\n")

@@ -52,3 +52,5 @@ if __name__ == "__main__":
         main(**vars(parser.parse_args()))
     except ValueError as exc:
         parser.exit(2, f"error: {exc}\n")
+    except OSError as exc:
+        parser.exit(3, f"error: {exc}\n")

@@ -58,22 +58,22 @@ class CouplingProfile:
 
     Attributes
     ----------
+    n_sites:
+        Number of chain sites N = len(couplings) + 1, odd and >= 3.
     mu:
         Positive, finite frequency scale; the Bell time of the engineered
         design is pi/mu.
     couplings:
         The N-1 bond strengths D_1 ... D_{N-1}, all positive and finite,
         stored 0-indexed.
-    n_sites:
-        Number of chain sites N = len(couplings) + 1, odd and >= 3.
     hamiltonian:
         The one-excitation block, built once from ``couplings``; building
-        it is their check.  Not compared, hashed or shown.
+        it is their check.  Not compared, hashed, shown or serialized.
     """
 
+    n_sites: int = field(init=False)
     mu: float
     couplings: tuple[float, ...]
-    n_sites: int = field(init=False)
     hamiltonian: TridiagonalHamiltonian = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:

@@ -63,7 +63,7 @@ from .robustness import (
     sweep_row,
 )
 from .search import SearchProblem, minimize
-from .teleport import teleport
+from .teleport import expected_fidelity, teleport
 
 OUT_DIR_ENV = "BELLCHAIN_OUT_DIR"
 
@@ -241,7 +241,7 @@ def _build_parser(config: dict, command: str | None) -> argparse.ArgumentParser:
 def _cmd_couplings(args, out: Path) -> None:
     profile = _profile_from_args(args)
     if args.format == "json":
-        serialize.write_json(out, serialize.profile_to_dict(profile))
+        serialize.write_json(out, profile)
     else:
         serialize.write_csv(out, ["index", "coupling"], enumerate(profile.couplings, 1))
 
@@ -286,14 +286,16 @@ def _cmd_teleport(args, out: Path) -> int | None:
     if args.seed is not None:
         probs = np.array([r.probability for r in branches])
         records = [branches[np.random.default_rng(args.seed).choice(4, p=probs / probs.sum())]]
-    serialize.write_json(
-        out, serialize.teleport_report(a, b, resource, records, args.seed, branches)
-    )
+    # expected_fidelity weighs all four branches, so a seeded report listing only the
+    # drawn record carries the same expectation as the report that lists all four
+    report = {"a": a, "b": b, "resource": resource, "records": records,
+              "expected_fidelity": expected_fidelity(branches), "seed": args.seed}
+    serialize.write_json(out, report)
     return args.seed
 
 
 def _cmd_feasibility(args, out: Path) -> None:
-    serialize.write_json(out, serialize.feasibility_to_dict(feasibility(args.mu, args.gmax)))
+    serialize.write_json(out, feasibility(args.mu, args.gmax))
 
 
 def _cmd_perturb(args, out: Path) -> int | None:
@@ -325,8 +327,9 @@ def _cmd_search(args, out: Path) -> int:
         t_window=(args.t_min, args.t_max),
         bounds=(args.d_lo, args.d_hi),
     )
-    result = minimize(problem, seed=args.seed, max_iters=args.max_iters, restarts=args.restarts)
-    serialize.write_json(out, serialize.search_result_to_dict(problem, result, args.seed))
+    serialize.write_json(
+        out, minimize(problem, seed=args.seed, max_iters=args.max_iters, restarts=args.restarts)
+    )
     return args.seed
 
 

@@ -97,15 +97,18 @@ class FeasibilityReport:
     n_max = floor(8 g_max / mu) is the paper's estimate; the report is
     degenerate when it falls below 3.  The estimate can overshoot, so
     n_max_exact is the largest odd N whose engineered peak coupling is
-    <= g_max (None when not even the 3-site chain fits).
+    <= g_max (None when not even the 3-site chain fits).  d_max_at_n_max
+    is the engineered peak coupling of the largest odd length up to
+    n_max (None when degenerate).
     """
 
     mu: float
     g_max: float
     t0: float
     n_max: int
-    degenerate: bool
     n_max_exact: int | None
+    degenerate: bool
+    d_max_at_n_max: float | None
 
 
 @dataclass(frozen=True)
@@ -220,13 +223,15 @@ def feasibility(mu: float, g_max: float) -> FeasibilityReport:
     if not ratio < 2.0**53:
         raise ValueError(f"8*g_max/mu = {ratio!r} is too large for an exact chain-length bound")
     n_max = math.floor(ratio)
+    degenerate = n_max < 3
     return FeasibilityReport(
         mu=mu,
         g_max=g_max,
         t0=t0,
         n_max=n_max,
-        degenerate=n_max < 3,
         n_max_exact=_largest_fitting_chain(mu, g_max),
+        degenerate=degenerate,
+        d_max_at_n_max=None if degenerate else engineered_max_coupling(n_max - 1 + n_max % 2, mu),
     )
 
 

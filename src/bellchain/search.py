@@ -16,8 +16,8 @@ package's one spectral kernel, over the whole scan grid at once.
 
 ``scipy.optimize`` (with ``scipy.sparse`` and the rest it pulls in) is
 imported inside the two functions that call it, not at module level, so
-that no command but ``search`` loads it.  The CLI and the serializer import
-this module for its types.
+that no command but ``search`` loads it.  A ``SearchResult`` names the
+problem and seed it answers, so its canonical JSON is the whole payload.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ class SearchProblem:
 
 @dataclass(frozen=True)
 class SearchResult:
+    problem: SearchProblem
+    seed: int
     profile: CouplingProfile
     best_time: float
     objective: float
@@ -173,6 +175,8 @@ def minimize(
 
     f_best, _, x_best, t_best, nit = best
     return SearchResult(
+        problem=problem,
+        seed=seed,
         profile=mirror_profile(x_best, mu=math.pi / t_best),
         best_time=t_best,
         objective=f_best,

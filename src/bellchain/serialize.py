@@ -2,13 +2,16 @@
 
 Every number in a payload, JSON or CSV, is written by ``canonical_json``:
 a float with 17 significant digits, so it round-trips exactly, an int
-in decimal and a complex number as the pair ``[re, im]``.  A CSV cell
-is the canonical JSON of its value; a ``None`` cell, no value, is left
-empty.  The same canonical JSON text doubles as the input to the
-manifest's configuration digest.  The CLI digests a run's parsed flags
-without ``--out`` and ``--config``, with each input file as the sha256
-of its bytes, so the digest depends only on the inputs and never on
-the platform or on where the payload went.
+in decimal and a complex number as the pair ``[re, im]``.  A dataclass
+instance, such as a library result, is the JSON object of its fields
+that are shown in its ``repr``, in declaration order; so a result's
+type fixes its payload, and this module computes nothing of its own.
+A CSV cell is the canonical JSON of its value; a ``None`` cell, no
+value, is left empty.  The same canonical JSON text doubles as the
+input to the manifest's configuration digest.  The CLI digests a run's
+parsed flags without ``--out`` and ``--config``, with each input file
+as the sha256 of its bytes, so the digest depends only on the inputs
+and never on the platform or on where the payload went.
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ import hashlib
 import json
 import math
 from collections.abc import Iterable, Sequence
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 from ._version import __version__
-from .chain import CouplingProfile, engineered_max_coupling
-from .robustness import FeasibilityReport, SweepRow
-from .search import SearchProblem, SearchResult
-from .teleport import EntangledResource, TeleportRecord, expected_fidelity
+from .chain import CouplingProfile
+from .robustness import SweepRow
+from .teleport import EntangledResource
 
 
 def format_float(value: float) -> str:
@@ -35,7 +38,8 @@ def format_float(value: float) -> str:
 
 
 def canonical_json(value) -> str:
-    """Deterministic JSON text: dict order preserved, floats via format_float, complex as [re, im]."""
+    """Deterministic JSON text: dict order preserved, floats via format_float, complex as
+    [re, im], a dataclass instance as the object of its repr fields in declaration order."""
     # floats first: a profile's digest is mostly floats, and no float is a bool or an int
     if isinstance(value, float):
         return format_float(value)
@@ -56,6 +60,9 @@ def canonical_json(value) -> str:
         return "[" + ",".join(map(canonical_json, value)) + "]"
     if isinstance(value, complex):
         return canonical_json([value.real, value.imag])
+    if is_dataclass(value) and not isinstance(value, type):
+        # one level at a time, so no field value is copied
+        return canonical_json({f.name: getattr(value, f.name) for f in fields(value) if f.repr})
     raise TypeError(f"cannot serialize {type(value).__name__} canonically")
 
 
@@ -98,14 +105,6 @@ def _as_complex(pair) -> complex:
     return complex(_json_number(pair[0], "real part"), _json_number(pair[1], "imaginary part"))
 
 
-def profile_to_dict(profile: CouplingProfile) -> dict:
-    return {
-        "n_sites": profile.n_sites,
-        "mu": profile.mu,
-        "couplings": list(profile.couplings),
-    }
-
-
 def profile_from_dict(data: dict) -> CouplingProfile:
     """The profile of ``data``: n_sites a JSON integer, mu and each coupling a JSON number."""
     try:
@@ -137,13 +136,6 @@ def read_profile(path: Path | str) -> CouplingProfile:
     return profile_from_dict(read_json(path))
 
 
-def resource_to_dict(resource: EntangledResource) -> dict:
-    return {
-        "alpha01": resource.alpha01,
-        "alpha10": resource.alpha10,
-    }
-
-
 def read_resource(path: Path | str) -> EntangledResource:
     data = read_json(path)
     try:
@@ -153,71 +145,6 @@ def read_resource(path: Path | str) -> EntangledResource:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed resource data: {exc}") from exc
-
-
-def teleport_report(
-    a: complex,
-    b: complex,
-    resource: EntangledResource,
-    records: list[TeleportRecord],
-    seed: int | None,
-    branches: list[TeleportRecord],
-) -> dict:
-    """``expected_fidelity`` weighs all four ``branches``, so a
-    seeded report listing only the drawn record carries the same
-    expectation as the report that lists all four."""
-    return {
-        "a": a,
-        "b": b,
-        "resource": resource_to_dict(resource),
-        "records": [
-            {
-                "outcome": r.outcome,
-                "probability": r.probability,
-                "correction": r.correction,
-                "fidelity": r.fidelity,
-            }
-            for r in records
-        ],
-        "expected_fidelity": expected_fidelity(branches),
-        "seed": seed,
-    }
-
-
-def feasibility_to_dict(report: FeasibilityReport) -> dict:
-    return {
-        "mu": report.mu,
-        "g_max": report.g_max,
-        "t0": report.t0,
-        "n_max": report.n_max,
-        "n_max_exact": report.n_max_exact,
-        "degenerate": report.degenerate,
-        "d_max_at_n_max": (
-            engineered_max_coupling(
-                report.n_max if report.n_max % 2 == 1 else report.n_max - 1, report.mu
-            )
-            if not report.degenerate
-            else None
-        ),
-    }
-
-
-def search_result_to_dict(
-    problem: SearchProblem, result: SearchResult, seed: int
-) -> dict:
-    return {
-        "problem": {
-            "n_sites": problem.n_sites,
-            "t_window": list(problem.t_window),
-            "bounds": list(problem.bounds),
-        },
-        "seed": seed,
-        "profile": profile_to_dict(result.profile),
-        "best_time": result.best_time,
-        "objective": result.objective,
-        "iterations": result.iterations,
-        "converged": result.converged,
-    }
 
 
 def sweep_rows_to_csv(path: Path | str, rows: list[SweepRow]) -> None:

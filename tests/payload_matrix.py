@@ -54,6 +54,7 @@ COMMANDS = [
     ["perturb", "--n", "4003", "--swap", "100", "101"],
     ["evolve", "--n", "4003", "--t-grid", "3.0:3.3:0.005"],
     ["couplings", "--n", "9", "--format", "csv"],
+    ["feasibility", "--mu", "1", "--gmax", "0.3"],
 ]
 
 FORMAT = {"evolve": "csv", "perturb": "csv"}

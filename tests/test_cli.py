@@ -18,7 +18,7 @@ from bellchain.chain import CouplingProfile, engineered_couplings, one_excitatio
 from bellchain.cli import run
 from bellchain.dynamics import NumericFailure, eigendecompose, grid_amplitudes
 from bellchain.robustness import SweepRow
-from bellchain.serialize import json_digest, profile_to_dict, write_json
+from bellchain.serialize import json_digest, write_json
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -185,7 +185,7 @@ class TestEvolve:
 
     def test_engineered_profile_file_is_analytic(self, tmp_path):
         profile_path = tmp_path / "engineered.json"
-        write_json(profile_path, profile_to_dict(engineered_couplings(9, 2.0)))
+        write_json(profile_path, engineered_couplings(9, 2.0))
         out = tmp_path / "amps.csv"
         argv = ["evolve", "--profile", str(profile_path), "--t-grid", "0:3.2:0.4", "--out", str(out)]
         assert run(argv) == 0
@@ -841,9 +841,9 @@ class TestConfigDigest:
     def test_changes_with_the_bytes_of_a_profile_file(self, tmp_path):
         profile_path = tmp_path / "profile.json"
         argv = ["evolve", "--profile", str(profile_path), "--t-grid", "0:1:0.5"]
-        write_json(profile_path, profile_to_dict(engineered_couplings(9, 1.0)))
+        write_json(profile_path, engineered_couplings(9, 1.0))
         first = self.digest(argv, tmp_path / "a.csv")
-        write_json(profile_path, profile_to_dict(engineered_couplings(9, 2.0)))
+        write_json(profile_path, engineered_couplings(9, 2.0))
         assert self.digest(argv, tmp_path / "b.csv") != first
 
     def test_input_file_is_hashed_before_the_payload_overwrites_it(self, tmp_path):
@@ -880,7 +880,7 @@ class TestExitCodes:
     )
     def test_n_or_mu_beside_the_input_file_is_an_argument_error(self, tmp_path, capsys, argv, config, given):
         files = {"PROFILE": tmp_path / "profile.json", "RESOURCE": tmp_path / "resource.json"}
-        write_json(files["PROFILE"], profile_to_dict(engineered_couplings(5, 1.0)))
+        write_json(files["PROFILE"], engineered_couplings(5, 1.0))
         write_json(files["RESOURCE"], {"alpha01": [SQRT_HALF, 0.0], "alpha10": [SQRT_HALF, 0.0]})
         argv = [str(files.get(token, token)) for token in argv]
         if config:
@@ -976,7 +976,7 @@ class TestLongChains:
     @pytest.mark.parametrize("argv", [["evolve", "--t-grid", "3:3.1:0.1"], ["perturb", "--swap", "5", "6"]])
     def test_profile_file_above_the_site_cap_is_refused(self, tmp_path, capsys, argv):
         profile = tmp_path / "long.json"
-        write_json(profile, profile_to_dict(engineered_couplings(cli.MAX_SITES + 2)))
+        write_json(profile, engineered_couplings(cli.MAX_SITES + 2))
         out = tmp_path / "out.csv"
         assert run([*argv, "--profile", str(profile), "--out", str(out)]) == 2
         err = capsys.readouterr().err

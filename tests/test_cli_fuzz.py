@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from bellchain import dynamics
 from bellchain.chain import engineered_couplings
 from bellchain.cli import run
-from bellchain.serialize import profile_to_dict, write_json
+from bellchain.serialize import write_json
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 BAD_INT = ["", "x", "5.0", "nan", "-3", "0", "1", "4"]
@@ -184,7 +184,7 @@ def test_every_command_line_ends_in_a_documented_exit_code(case):
     ):
         out = Path(tmp) / ("absent" if where == "missing dir" else "") / "payload"
         files = {"PROFILE": Path(tmp) / "profile.json", "RESOURCE": Path(tmp) / "resource.json"}
-        write_json(files["PROFILE"], profile_to_dict(engineered_couplings(5)))
+        write_json(files["PROFILE"], engineered_couplings(5))
         write_json(files["RESOURCE"], {"alpha01": [SQRT_HALF, 0.0], "alpha10": [SQRT_HALF, 0.0]})
         given = {token for token in argv if token.startswith("--")}
         given |= {"--" + key.replace("_", "-") for key in config}

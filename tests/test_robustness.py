@@ -36,7 +36,6 @@ from bellchain.robustness import (
     resource_from_report,
     sweep_row,
 )
-from bellchain.serialize import feasibility_to_dict
 from bellchain.teleport import expected_fidelity, teleport
 import oracles
 
@@ -233,6 +232,7 @@ class TestFeasibility:
         assert report.n_max < 3
         assert report.degenerate
         assert report.n_max_exact is None
+        assert report.d_max_at_n_max is None
 
     def test_exact_bound_stays_under_the_ceiling(self):
         # the paper's floor(8 g_max / mu) = 9 overshoots: the 9-site peak
@@ -273,10 +273,9 @@ class TestFeasibility:
             feasibility(mu=mu, g_max=g_max)
 
     def test_d_max_matches_engineered_peak(self):
-        # the payload quotes the peak of the largest odd length up to n_max
+        # the report quotes the peak of the largest odd length up to n_max
         for mu, g_max, n in ((1.0e4, 7.3e8, 584000 - 1), (1.0, 1.125, 9)):
-            payload = feasibility_to_dict(feasibility(mu=mu, g_max=g_max))
-            assert payload["d_max_at_n_max"] == engineered_max_coupling(n, mu)
+            assert feasibility(mu=mu, g_max=g_max).d_max_at_n_max == engineered_max_coupling(n, mu)
 
     def test_peak_at_n_max_saturates_ceiling(self):
         # 8 g_max / mu lands exactly on an integer here; the peak coupling

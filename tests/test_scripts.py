@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from bellchain import cli
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -60,27 +62,54 @@ def test_coupling_search(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def run_script(script, flags, out):
+    src = str(SCRIPTS.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, str(SCRIPTS / f"{script}.py"), *flags, "--out", str(out)]
+    return subprocess.run(argv, env=env, capture_output=True, text=True)
+
+
+VALID_FLAGS = {
+    "bell_formation": ["--n-max", "5"],
+    "noise_robustness": ["--n-sites", "5", "--trials", "2"],
+    "coupling_search": ["--restarts", "1"],
+}
+
+
 @pytest.mark.parametrize(
     "script, valid, bad, message",
     [
-        ("bell_formation", ["--n-max", "5"], ["--n-min", "2"], "n_sites must be odd"),
-        ("noise_robustness", ["--n-sites", "5", "--trials", "2"], ["--trials", "0"], "trials must be in"),
-        ("coupling_search", ["--restarts", "1"], ["--n-sites", "4"], "n_sites must be odd"),
+        ("bell_formation", VALID_FLAGS["bell_formation"], ["--n-min", "2"], "n_sites must be odd"),
+        ("noise_robustness", VALID_FLAGS["noise_robustness"], ["--trials", "0"], "trials must be in"),
+        ("coupling_search", VALID_FLAGS["coupling_search"], ["--n-sites", "4"], "n_sites must be odd"),
+        ("bell_formation", VALID_FLAGS["bell_formation"], ["--n-min", "9", "--n-max", "5"], "n_min 9 > n_max 5"),
     ],
 )
 def test_command_line_exits_2_on_one_line_for_bad_input(tmp_path, script, valid, bad, message):
-    src = str(SCRIPTS.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-    def call(flags):
-        argv = [sys.executable, str(SCRIPTS / f"{script}.py"), *flags, "--out", str(tmp_path / "out")]
-        return subprocess.run(argv, env=env, capture_output=True, text=True)
-
-    assert call(valid).returncode == 0
-    proc = call(bad)
+    assert run_script(script, valid, tmp_path / "valid").returncode == 0
+    proc = run_script(script, bad, tmp_path / "out")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and message in proc.stderr
     assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("script", sorted(VALID_FLAGS))
+def test_command_line_exits_3_on_one_line_for_an_unwritable_out(tmp_path, script):
+    proc = run_script(script, VALID_FLAGS[script], tmp_path / "missing" / "out")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ") and "missing" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+def test_script_and_cli_write_the_same_search_bytes(tmp_path, capsys):
+    script_out, cli_out = tmp_path / "script.json", tmp_path / "cli.json"
+    load_script("coupling_search").main(n_sites=5, restarts=1, seed=3, out=script_out)
+    window = ["--t-min", "0.5", "--t-max", "6.0", "--d-lo", "0.05", "--d-hi", "3.0"]
+    argv = ["search", "--n", "5", "--restarts", "1", "--seed", "3", *window, "--out", str(cli_out)]
+    assert cli.run(argv) == 0
+    assert script_out.read_bytes() == cli_out.read_bytes()
+    capsys.readouterr()
 
 
 def test_readme_library_example(capsys):

@@ -2,34 +2,32 @@
 
 import json
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellchain import cli
 from bellchain.chain import CouplingProfile, engineered_couplings
 from bellchain.robustness import SweepRow, feasibility
 from bellchain.search import SearchProblem, SearchResult
 from bellchain.serialize import (
     canonical_json,
-    feasibility_to_dict,
     format_float,
     json_digest,
     manifest_path,
     profile_from_dict,
-    profile_to_dict,
+    read_json,
     read_profile,
     read_resource,
-    resource_to_dict,
-    search_result_to_dict,
     sweep_rows_to_csv,
-    teleport_report,
     write_csv,
     write_json,
     write_manifest,
 )
-from bellchain.teleport import EntangledResource, TeleportRecord
+from bellchain.teleport import EntangledResource
 
 
 class TestFormatFloat:
@@ -83,6 +81,23 @@ class TestCanonicalJson:
         with pytest.raises(TypeError):
             canonical_json({"x": object()})
 
+    def test_dataclass_is_its_shown_fields_in_declaration_order(self):
+        @dataclass(frozen=True)
+        class Inner:
+            z: float
+            hidden: object = field(default=None, repr=False)
+
+        @dataclass(frozen=True)
+        class Outer:
+            b: int
+            a: Inner
+            items: list
+
+        value = Outer(b=1, a=Inner(0.25, hidden=object()), items=[Inner(-1.0), 2j])
+        assert canonical_json(value) == '{"b":1,"a":{"z":0.25},"items":[{"z":-1},[0,2]]}'
+        with pytest.raises(TypeError):
+            canonical_json(Outer)
+
     def test_digest_is_stable_and_order_sensitive(self):
         d1 = json_digest({"a": 1, "b": 2})
         d2 = json_digest({"a": 1, "b": 2})
@@ -96,13 +111,13 @@ class TestCanonicalJson:
 class TestProfileRoundTrip:
     def test_dict_round_trip_is_exact(self):
         profile = engineered_couplings(9, 2.0)
-        again = profile_from_dict(profile_to_dict(profile))
+        again = profile_from_dict(json.loads(canonical_json(profile)))
         assert again == profile
 
     def test_file_round_trip_is_exact(self, tmp_path):
         profile = engineered_couplings(21, 0.7)
         path = tmp_path / "profile.json"
-        write_json(path, profile_to_dict(profile))
+        write_json(path, profile)
         again = read_profile(path)
         assert again.couplings == profile.couplings
         assert again.mu == profile.mu
@@ -121,7 +136,7 @@ class TestResourceIO:
             alpha01=complex(0.6, 0.0), alpha10=complex(0.0, -0.8)
         )
         path = tmp_path / "resource.json"
-        write_json(path, resource_to_dict(resource))
+        write_json(path, resource)
         again = read_resource(path)
         assert again.alpha01 == resource.alpha01
         assert again.alpha10 == resource.alpha10
@@ -175,30 +190,29 @@ class TestCsv:
 
 
 class TestReportPayloads:
-    def test_teleport_report_shape(self):
-        records = [
-            TeleportRecord("00", 0.25, "X", 1.0),
-            TeleportRecord("01", 0.25, "I", 1.0),
-            TeleportRecord("10", 0.25, "ZX", None),
-            TeleportRecord("11", 0.25, "Z", 1.0),
-        ]
-        payload = teleport_report(
-            complex(1.0, 0.0),
-            complex(0.0, 0.0),
-            EntangledResource(alpha01=math.sqrt(0.5), alpha10=math.sqrt(0.5)),
-            records,
-            seed=None,
-            branches=records,
-        )
-        assert payload["records"][2]["fidelity"] is None
-        assert payload["expected_fidelity"] == pytest.approx(0.75)
+    """Each library result is its own payload; only the teleport report is assembled, by the CLI."""
+
+    def test_profile_payload(self):
+        payload = json.loads(canonical_json(CouplingProfile(mu=2.0, couplings=(1.0, 0.5))))
+        assert payload == {"n_sites": 3, "mu": 2.0, "couplings": [1.0, 0.5]}
+        assert list(payload) == ["n_sites", "mu", "couplings"]
+
+    def test_teleport_report_shape(self, tmp_path):
+        resource, out = tmp_path / "resource.json", tmp_path / "report.json"
+        write_json(resource, EntangledResource(alpha01=0.0, alpha10=1.0))
+        assert cli.run(["teleport", "--resource", str(resource), "--out", str(out)]) == 0
+        payload = read_json(out)
+        assert list(payload) == ["a", "b", "resource", "records", "expected_fidelity", "seed"]
+        assert [list(r) for r in payload["records"]] == [["outcome", "probability", "correction", "fidelity"]] * 4
+        # with alpha01 = 0 the input |0> never leaves A reading 0
+        assert [r["fidelity"] for r in payload["records"]] == [None, 1.0, None, 1.0]
+        assert payload["expected_fidelity"] == pytest.approx(1.0)
         assert payload["seed"] is None
-        assert canonical_json(payload).startswith(
-            '{"a":[1,0],"b":[0,0],"resource":{"alpha01":[0.70710678118654757,0],'
-        )
+        assert out.read_text().startswith('{"a":[1,0],"b":[0,0],"resource":{"alpha01":[0,0],"alpha10":[1,0]},')
 
     def test_feasibility_payload(self):
-        payload = feasibility_to_dict(feasibility(mu=1.0e4, g_max=7.3e8))
+        payload = json.loads(canonical_json(feasibility(mu=1.0e4, g_max=7.3e8)))
+        assert list(payload) == ["mu", "g_max", "t0", "n_max", "n_max_exact", "degenerate", "d_max_at_n_max"]
         assert payload["n_max"] == 584000
         assert payload["n_max_exact"] == 583999
         assert payload["degenerate"] is False
@@ -207,27 +221,33 @@ class TestReportPayloads:
         assert payload["d_max_at_n_max"] <= 7.3e8 * (1 + 1e-12)
 
     def test_degenerate_feasibility_payload(self):
-        payload = feasibility_to_dict(feasibility(mu=10.0, g_max=1.0))
+        payload = json.loads(canonical_json(feasibility(mu=10.0, g_max=1.0)))
         assert payload["degenerate"] is True
         assert payload["d_max_at_n_max"] is None
         assert payload["n_max_exact"] is None
 
-    def test_search_payload(self):
+    def test_search_payload(self, tmp_path):
         problem = SearchProblem(n_sites=5, t_window=(0.5, 6.0), bounds=(0.05, 3.0))
         profile = CouplingProfile(mu=1.0, couplings=(1.0, 0.7, 0.7, 1.0))
         result = SearchResult(
+            problem=problem,
+            seed=11,
             profile=profile,
             best_time=math.pi,
             objective=1e-12,
             iterations=40,
             converged=True,
         )
-        payload = search_result_to_dict(problem, result, seed=11)
-        assert payload["problem"]["n_sites"] == 5
+        path = tmp_path / "search.json"
+        write_json(path, result)
+        payload = read_json(path)
+        assert list(payload) == [
+            "problem", "seed", "profile", "best_time", "objective", "iterations", "converged",
+        ]
+        assert payload["problem"] == {"n_sites": 5, "t_window": [0.5, 6.0], "bounds": [0.05, 3.0]}
         assert payload["seed"] == 11
-        assert payload["profile"]["couplings"] == [1.0, 0.7, 0.7, 1.0]
+        assert payload["profile"] == {"n_sites": 5, "mu": 1.0, "couplings": [1.0, 0.7, 0.7, 1.0]}
         assert payload["converged"] is True
-        canonical_json(payload)
 
 
 class TestManifest:
