@@ -17,7 +17,9 @@ simultaneously: a Bell pair between sites 1 and N.
 
 On the dense path every site-to-site amplitude comes from one spectral
 kernel, ``transition_amplitudes``: <i| exp(-iHt) |j> for a few rows i
-over a grid of times.  Only ``evolve``, which propagates the excitation
+over a grid of times.  Its checks are separate from its sums
+(``_spectral_sums``), which ``search`` calls with weight rows it forms
+once per eigensystem.  Only ``evolve``, which propagates the excitation
 on one site to every site, builds its own phases.
 
 Every propagator starts from one site, as the protocol does from the
@@ -450,29 +452,39 @@ def grid_amplitudes(h: TridiagonalHamiltonian, row: int, column: int, times) -> 
     return _bessel_sums(_chebyshev_weights(moments), bound * times)
 
 
+def _spectral_sums(eigenvalues: np.ndarray, weights, times: np.ndarray) -> list[np.ndarray]:
+    """sum_k exp(-i lambda_k t) w_k at each t of the 1-D float array ``times``, one array per weight row w.
+
+    The one place the dense path forms the phases exp(-i lambda t): one
+    (times x eigenvalues) block, then one matrix-vector product per row.
+    """
+    phases = np.exp(-1j * (times[:, np.newaxis] * eigenvalues))
+    return [phases @ w for w in weights]
+
+
 def transition_amplitudes(
     eig: EigenSystem, rows, column: int, times
 ) -> list[np.ndarray]:
     """<i| exp(-iHt) |column> over the grid ``times``, one array per row i.
 
     Sites are 0-based and must lie on the chain.  The sum over eigenstates
-    is one matrix-vector product per row, exp(-i t lambda) @ (u_i * u_column);
-    grids longer than one phase block are evaluated block by block.
+    is ``_spectral_sums`` with the weights u_i * u_column; grids longer
+    than one phase block are evaluated block by block.
     """
     n = eig.dimension
     for site in (*rows, column):
         _check_site(site, n)
-    times = np.asarray(times, dtype=float)
-    block = _PHASE_BLOCK_ENTRIES // n or 1
-    if len(times) > block:
-        pieces = [
-            transition_amplitudes(eig, rows, column, times[start : start + block])
-            for start in range(0, len(times), block)
-        ]
-        return [np.concatenate(row) for row in zip(*pieces)]
+    times = np.asarray(times, dtype=float).ravel()
     u = eig.eigenvectors
-    phases = np.exp(-1j * np.outer(times, eig.eigenvalues))
-    return [phases @ (u[i] * u[column]) for i in rows]
+    weights = [u[i] * u[column] for i in rows]
+    block = _PHASE_BLOCK_ENTRIES // n or 1
+    if len(times) <= block:
+        return _spectral_sums(eig.eigenvalues, weights, times)
+    pieces = [
+        _spectral_sums(eig.eigenvalues, weights, times[start : start + block])
+        for start in range(0, len(times), block)
+    ]
+    return [np.concatenate(row) for row in zip(*pieces)]
 
 
 def center_to_end_amplitude(eig: EigenSystem, t: float) -> complex:

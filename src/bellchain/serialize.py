@@ -7,7 +7,8 @@ instance, such as a library result, is the JSON object of its fields
 that are shown in its ``repr``, in declaration order; so a result's
 type fixes its payload, and this module computes nothing of its own.
 A CSV cell is the canonical JSON of its value; a ``None`` cell, no
-value, is left empty.  The same canonical JSON text doubles as the
+value, is left empty.  A sweep CSV's columns are ``SweepRow``'s fields,
+in declaration order.  The same canonical JSON text doubles as the
 input to the manifest's configuration digest.  The CLI digests a run's
 parsed flags without ``--out`` and ``--config``, with each input file
 as the sha256 of its bytes, so the digest depends only on the inputs
@@ -148,9 +149,9 @@ def read_resource(path: Path | str) -> EntangledResource:
 
 
 def sweep_rows_to_csv(path: Path | str, rows: list[SweepRow]) -> None:
-    header = ["trial", "param", "concurrence", "residual_norm", "expected_fidelity"]
-    body = [(r.trial, r.param, r.concurrence, r.residual_norm, r.expected_fidelity) for r in rows]
-    write_csv(path, header, body)
+    """One line per row: ``SweepRow``'s fields in declaration order are the header and the cells."""
+    names = [f.name for f in fields(SweepRow)]
+    write_csv(path, names, [[getattr(row, name) for name in names] for row in rows])
 
 
 def manifest_path(out_path: Path | str) -> Path:
