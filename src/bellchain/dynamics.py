@@ -52,8 +52,14 @@ the M/4 + 1 <= K + 1 nodes of a quarter period.  The series stops at
 the first order K past Lambda*|t| where Kapteyn's closed-form bound on
 |J_k| (DLMF 10.14.8) is below the tail tolerance, so sizing it takes no
 Bessel function.  K grows like Lambda*|t| (about pi*N/4 at the
-engineered readout time), so each readout takes that path when K < N
-and the dense one otherwise.
+engineered readout time, and at most 7N there for every N >= 3).
+``state_at`` takes that path when K < N and the dense one otherwise
+(its sums load ``scipy.linalg.blas`` on either path).
+``grid_amplitudes`` also takes it when K < 8N and T*K <= 2^20 for the
+T times of its grid: warm, a short chain's dense solve is faster, by at
+most 0.3 ms at t0 and 13 ms at that bound, but importing it costs a
+cold process about 0.22 s.  The rule reads only N, K and T, so the
+payload bits stay a function of the parameters.
 
 scipy is imported inside the functions that call it, not here, so a
 command loads only the parts of scipy its path uses: ``scipy.linalg``
@@ -62,7 +68,9 @@ routine ``eigh_tridiagonal`` picks, and skips that wrapper's checks, about
 17 us per call at N = 9 on a 2-core host) and for the ``daxpy`` sums of
 ``_chebyshev_state``.  ``couplings`` and ``feasibility`` never load
 scipy, and neither does a ``grid_amplitudes`` readout on the Chebyshev
-path: the ``evolve`` grid and the ``teleport`` end pair.
+path: the ``teleport`` end pair of every engineered chain, and every
+``evolve`` grid within a few readout times of a chain of up to about
+400 sites.
 """
 
 from __future__ import annotations
@@ -87,6 +95,10 @@ _BESSEL_TOL = 1e-17
 
 # Chebyshev steps that share one light-cone window and one set of slice views.
 _CONE_CHUNK = 64
+
+# Largest (times x terms) a grid readout takes the recurrence for when K >= N:
+# its quadrature costs about that many cosines and as many sines.
+_GRID_TERM_ENTRIES = 1 << 20
 
 
 class NumericFailure(RuntimeError):
@@ -428,19 +440,23 @@ def state_at(h: TridiagonalHamiltonian, site: int, t: float) -> SiteAmplitudeSta
 def grid_amplitudes(h: TridiagonalHamiltonian, row: int, column: int, times) -> np.ndarray:
     """<row| exp(-iHt) |column> over the grid ``times`` (0-based sites).
 
-    When the Chebyshev series needs fewer terms K than there are sites
-    (K taken at the largest |t|), one recurrence from e_column keeps the
-    moments m_k = [T_k(H/Lambda) e_column]_row, and every time is the
+    When the Chebyshev series needs K terms (taken at the largest |t|)
+    with K < N, or with K < 8N and T*K <= 2^20 over the T times of the
+    grid, one recurrence from e_column keeps the moments
+    m_k = [T_k(H/Lambda) e_column]_row, and every time is the
     sum_k c_k J_k(Lambda t) m_k.  That costs K steps over the sites inside
     both light cones and O(N) memory, and then one folded Bessel
     quadrature (``_bessel_sums``): M/4 + 1 <= K + 1 real cosines and as
     many sines per time.  Otherwise ``eigendecompose`` + ``transition_amplitudes``.
     A row or column outside the chain is a ValueError on both paths.
     """
-    _check_site(row, h.dimension)
-    _check_site(column, h.dimension)
+    n = h.dimension
+    _check_site(row, n)
+    _check_site(column, n)
     times = np.asarray(times, dtype=float)
-    plan = _chebyshev_plan(h, times, h.dimension)
+    # K < max_terms: K < N, or K < 8N with T*K <= _GRID_TERM_ENTRIES
+    max_terms = max(n, min(8 * n, _GRID_TERM_ENTRIES // max(times.size, 1) + 1))
+    plan = _chebyshev_plan(h, times, max_terms)
     if plan is None:
         (amps,) = transition_amplitudes(eigendecompose(h), [row], column, times)
         return amps
@@ -457,6 +473,8 @@ def _spectral_sums(eigenvalues: np.ndarray, weights, times: np.ndarray) -> list[
 
     The one place the dense path forms the phases exp(-i lambda t): one
     (times x eigenvalues) block, then one matrix-vector product per row.
+    The rows come complex, cast once by the caller: the product would
+    otherwise cast a real row on every call, to the same bits.
     """
     phases = np.exp(-1j * (times[:, np.newaxis] * eigenvalues))
     return [phases @ w for w in weights]
@@ -468,7 +486,7 @@ def transition_amplitudes(
     """<i| exp(-iHt) |column> over the grid ``times``, one array per row i.
 
     Sites are 0-based and must lie on the chain.  The sum over eigenstates
-    is ``_spectral_sums`` with the weights u_i * u_column; grids longer
+    is ``_spectral_sums`` with the complex weights u_i * u_column; grids longer
     than one phase block are evaluated block by block.
     """
     n = eig.dimension
@@ -476,7 +494,7 @@ def transition_amplitudes(
         _check_site(site, n)
     times = np.asarray(times, dtype=float).ravel()
     u = eig.eigenvectors
-    weights = [u[i] * u[column] for i in rows]
+    weights = [(u[i] * u[column]).astype(complex) for i in rows]
     block = _PHASE_BLOCK_ENTRIES // n or 1
     if len(times) <= block:
         return _spectral_sums(eig.eigenvalues, weights, times)

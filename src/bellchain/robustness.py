@@ -196,13 +196,13 @@ def resource_from_profile(profile: CouplingProfile) -> EntangledResource:
     """Resource produced by this profile at its own readout time pi/mu.
 
     It reads only the two end amplitudes of the evolved center
-    excitation, each with ``grid_amplitudes`` at the one time pi/mu: on a
-    long chain a Chebyshev moment recurrence pruned to the sites that can
-    reach the end, not the whole state of ``entanglement_at_t0``.  When
-    the couplings equal their reverse bit for bit, as every engineered
-    profile's do, H and the center start are mirror symmetric, so
-    a_N = a_1 exactly: row 0 is read once and serves both ends.  Any
-    other profile reads row N-1 as well.
+    excitation, each with ``grid_amplitudes`` at the one time pi/mu: on
+    every engineered chain a Chebyshev moment recurrence pruned to the
+    sites that can reach the end, not the whole state of
+    ``entanglement_at_t0``.  When the couplings equal their reverse bit
+    for bit, as every engineered profile's do, H and the center start are
+    mirror symmetric, so a_N = a_1 exactly: row 0 is read once and serves
+    both ends.  Any other profile reads row N-1 as well.
     """
     h, t0 = one_excitation_hamiltonian(profile), bell_time(profile.mu)
     center, couplings = profile.n_sites // 2, profile.couplings

@@ -109,13 +109,14 @@ def _objective(eig: EigenSystem):
 
     At each time it is the squared deviation of both end probabilities
     from 1/2.  The two weight rows u_1 u_center and u_N u_center are
-    formed here, once, and each call only sums them against the phases.
+    formed here, once, and cast to complex, and each call only sums them
+    against the phases.
     ``at_time`` takes the moduli from numpy, as ``on_grid`` does, and
     then squares, subtracts and adds in Python floats: the same roundings
     in the same order, so the same bits as ``on_grid`` at that time.
     """
     u, center = eig.eigenvectors, (eig.dimension - 1) // 2
-    weights = (u[0] * u[center], u[-1] * u[center])
+    weights = ((u[0] * u[center]).astype(complex), (u[-1] * u[center]).astype(complex))
     eigenvalues = eig.eigenvalues
 
     def on_grid(t_grid: np.ndarray) -> np.ndarray:

@@ -222,11 +222,24 @@ class TestEvolve:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    # The recurrence runs when its K terms (at the largest |t|) number fewer
+    # than N, or fewer than 8N with T K <= 2^20 over the grid's T times.
     @pytest.mark.parametrize(
         "n, grid, dense",
-        [("9", "0:3.2:0.1", True), ("401", "0:6:0.1", True), ("401", "0:1:0.1", False)],
+        [
+            ("9", "0:3.2:0.1", False),  # K = 34 >= N
+            ("401", "0:6:0.1", False),  # K = 705 >= N
+            ("401", "0:1:0.1", False),  # K = 158 < N
+            ("9", "0:12.93:0.01", False),  # K = 71 < 8N
+            ("9", "0:12.94:0.01", True),  # K = 72 = 8N
+            ("401", "30.18:30.18:1", False),  # K = 3207 < 8N
+            ("401", "30.19:30.19:1", True),  # K = 3208 = 8N
+            ("9", "0:9.0385:0.0005", False),  # T K = 18078 x 58 = 2^20 - 52
+            ("9", "0:9.039:0.0005", True),  # T K = 18079 x 58 = 2^20 + 6
+            ("9", "1000:1000:1", True),  # a far time: K = 2612
+        ],
     )
-    def test_dense_path_only_when_the_series_needs_n_terms(self, tmp_path, monkeypatch, n, grid, dense):
+    def test_dense_path_only_when_the_series_is_long(self, tmp_path, monkeypatch, n, grid, dense):
         calls = []
 
         def counting(h):
@@ -999,7 +1012,7 @@ class TestLongChains:
 
         monkeypatch.setattr(scipy.linalg.lapack, "dstevd", no_eigensolve)
         out = tmp_path / "amps.csv"
-        # a grid on which the Chebyshev series needs N terms or more: the dense path
+        # a grid too long for the recurrence (K = 2.5N, T K = 2.8e6 > 2^20): the dense path
         assert run(["evolve", "--n", "100001", "--t-grid", "0:10:1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: dense eigenvectors of 100001 sites need")
@@ -1035,7 +1048,7 @@ class TestLongChains:
             resource.setrlimit(resource.RLIMIT_AS, (2_000_000 << 10, 2_000_000 << 10))
 
         out = tmp_path / "amps.csv"
-        # the grid's Chebyshev series needs more terms than sites: the dense path,
+        # the grid's Chebyshev series needs K = 25N >= 8N terms: the dense path,
         # whose 5.96 GiB of eigenvectors and workspace the guard refuses in 2 GB
         proc = subprocess.run(
             [sys.executable, "-m", "bellchain", "evolve", "--n", "20001", "--t-grid", "0:100:1",

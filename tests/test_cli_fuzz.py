@@ -46,8 +46,10 @@ BAD_GRIDS = ["0:inf:1", "0:1e12:1e-3", "a:b:c", "0:1", "1:0:0.1", "0:1:0", "0:1:
 GRIDS = pick(["0:3.2:0.1", "0:0:1", "1:2:0.5"], BAD_GRIDS)
 # 100001 sites: the dense eigenvectors exceed the memory limit the test
 # sets, so the guard refuses them before the eigensolve.  That holds only
-# on a grid long enough that the Chebyshev series needs N terms or more; a
-# shorter one would run the eigenvector-free path on that size.
+# on a grid whose Chebyshev series is too long for the recurrence: K >= N,
+# and K >= 8N or T K > 2^20 over its T times.  On 0:10:1 K is 1.3N to 6.3N
+# for the valid --mu values, and T K is 1.4e6 to 6.9e6; a shorter grid
+# would run the eigenvector-free path on that size.
 HUGE_N = "100001"
 HUGE_N_GRIDS = pick(["0:10:1"], BAD_GRIDS)
 # Input files: one the test writes (a 5-site engineered profile, a Bell

@@ -325,6 +325,55 @@ class TestStateAt:
             _, n_terms = dynamics._chebyshev_plan(h, [t0], 10**6)
             assert (n_terms < n) is chebyshev
 
+    # grid_amplitudes on engineered chains from the center, 61 times, warm, one
+    # BLAS thread, 2-core host; the recurrence against eigendecompose +
+    # transition_amplitudes:
+    #   N = 3, 9   dense faster at every K; on 3.0:3.3:0.005 (K = 21, 35)
+    #              0.14-0.19 ms against 0.02-0.03 ms
+    #   N = 101    even at K = 1.9N (0.58 ms each), dense faster past it
+    #   N = 401    recurrence faster up to about K = 5N (4.8 against 6.5 ms at
+    #              4.4N), dense past it (7.6 against 6.4 ms at 6.4N)
+    #   N = 4001   recurrence faster at every K measured, 396 against 723 ms at 20N
+    # The worst grid the 8N clause admits (K just under 8N, T K just under
+    # 2^20) takes 11-24 ms on the recurrence against 4-11 ms dense at
+    # N = 3..387, and importing the dense path costs a cold process 0.22 s.
+    def test_grid_rule_takes_the_recurrence_below_8n_terms_and_2_20_entries(self, monkeypatch):
+        calls = []
+
+        def counting(h):
+            calls.append(h.dimension)
+            return eigendecompose(h)
+
+        monkeypatch.setattr(dynamics, "eigendecompose", counting)
+
+        def dense(h, times):
+            calls.clear()
+            grid_amplitudes(h, 0, h.dimension // 2, times)
+            return calls == [h.dimension]
+
+        def terms(h, times):
+            return dynamics._chebyshev_plan(h, times, 10**6)[1]
+
+        # every engineered readout at t0 needs fewer than 8N terms: K <= 7N
+        t0 = bell_time(1.0)
+        for n in range(3, 1002, 2):
+            h = one_excitation_hamiltonian(engineered_couplings(n, 1.0))
+            assert terms(h, [t0]) <= 7 * n
+        for n in (3, 9, 101, 387):
+            assert not dense(one_excitation_hamiltonian(engineered_couplings(n, 1.0)), [t0])
+        for n, t_in, t_out in ((9, 12.93, 12.94), (401, 30.18, 30.19)):
+            h = one_excitation_hamiltonian(engineered_couplings(n, 1.0))
+            assert terms(h, [t_in]) == 8 * n - 1 and not dense(h, [t_in])
+            assert terms(h, [t_out]) == 8 * n and dense(h, [t_out])
+        # a long grid at N = 9: T K just inside 2^20, then one time more
+        h = one_excitation_hamiltonian(engineered_couplings(9, 1.0))
+        n_terms = terms(h, [9.0])
+        assert 9 <= n_terms < 72
+        n_times = (1 << 20) // n_terms
+        assert not dense(h, np.linspace(0.0, 9.0, n_times))
+        assert dense(h, np.linspace(0.0, 9.0, n_times + 1))
+        assert not dense(h, [])
+
     def test_bessel_series_truncation(self):
         assert dynamics._series_length(0.0, 3) == 1
         n_terms = dynamics._series_length(50.0, 10**6)
@@ -454,15 +503,16 @@ class TestGridAmplitudes:
         monkeypatch.setattr(dynamics, "eigendecompose", refuse_eigensolve)
         np.testing.assert_allclose(grid_amplitudes(h, 0, 4, times), dense, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [401, 9])  # the Chebyshev path and the dense one
-    def test_site_outside_the_chain_is_refused(self, n):
+    # the Chebyshev path, and the dense one at a time where K >= 8N
+    @pytest.mark.parametrize("n, times", [(401, GRID), (9, [1000.0])], ids=["401", "9"])
+    def test_site_outside_the_chain_is_refused(self, n, times):
         h = one_excitation_hamiltonian(engineered_couplings(n, 1.0))
-        assert (dynamics._chebyshev_plan(h, self.GRID, n) is None) is (n == 9)
+        assert (dynamics._chebyshev_plan(h, times, 8 * n) is None) is (n == 9)
         for site in (-1, n):
             with pytest.raises(ValueError, match=f"site {site} outside 0..{n - 1}"):
-                grid_amplitudes(h, site, n // 2, self.GRID)
+                grid_amplitudes(h, site, n // 2, times)
             with pytest.raises(ValueError, match=f"site {site} outside 0..{n - 1}"):
-                grid_amplitudes(h, 0, site, self.GRID)
+                grid_amplitudes(h, 0, site, times)
 
     @pytest.mark.parametrize("n, tolerance", [(4001, 2.5e-13), (20001, 1e-11)])
     def test_long_chain_matches_closed_form_without_eigensolve(self, n, tolerance, monkeypatch):

@@ -61,13 +61,19 @@ def test_commands_without_numerics_load_no_scipy(tmp_path, argv):
     assert after_cli_run(argv, tmp_path / "out.json") == set()
 
 
-def test_teleport_loads_linalg_but_not_optimize(tmp_path):
-    loaded = after_cli_run(["teleport", "--n", "9"], tmp_path / "out.json")
-    assert "scipy.linalg" in loaded
-    assert "scipy.optimize" not in loaded
+def test_teleport_loads_no_scipy(tmp_path):
+    # every engineered readout at t0 takes the recurrence, even the 3-site one with K = 7N;
+    # CHEBYSHEV_READOUTS below runs longer chains
+    assert after_cli_run(["teleport", "--n", "3"], tmp_path / "out.json") == set()
 
 
-@pytest.mark.parametrize("argv", [["teleport", "--n", "9"], ["perturb", "--n", "9", "--swap", "3", "4"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--n", "9", "--t-grid", "1000:1000:1"],  # K = 2612 >= 8N
+        ["perturb", "--n", "9", "--swap", "3", "4"],
+    ],
+)
 def test_dense_path_loads_no_special_functions(tmp_path, argv):
     # the series length that sends a short chain to the eigensolve needs no Bessel function
     loaded = after_cli_run(argv, tmp_path / "out")
@@ -75,7 +81,12 @@ def test_dense_path_loads_no_special_functions(tmp_path, argv):
     assert "scipy.special" not in loaded
 
 
-CHEBYSHEV_READOUTS = [["teleport", "--n", "1001"], ["evolve", "--n", "401", "--t-grid", "0:1:0.5"]]
+CHEBYSHEV_READOUTS = [
+    ["teleport", "--n", "1001"],
+    ["evolve", "--n", "401", "--t-grid", "0:1:0.5"],
+    ["teleport", "--n", "9"],
+    ["evolve", "--n", "9", "--t-grid", "3.0:3.3:0.005"],
+]
 
 
 @pytest.mark.parametrize("argv", CHEBYSHEV_READOUTS)

@@ -187,14 +187,16 @@ class TestResourceFromProfile:
     @pytest.mark.parametrize(
         "profile, rows",
         [
-            (engineered_couplings(9, 1.0), [0]),  # dense
+            (engineered_couplings(9, 1.0), [0]),  # Chebyshev: K = 34 < 8N
+            # the same couplings read at pi/mu = 28.6: K = 121 >= 8N, the dense path
+            (CouplingProfile(0.11, engineered_couplings(9, 1.0).couplings), [0]),
             (engineered_couplings(4001, 1.0), [0]),  # Chebyshev
             (engineered_couplings(4003, 1.0), [0]),  # the center on the odd sublattice
             (perturb(engineered_couplings(9, 1.0), SwapPerturbation(3, 4)), [0, 8]),
             (perturb(engineered_couplings(4001, 1.0), SwapPerturbation(5, 6)), [0, 4000]),
             (_one_bond_up_one_ulp(engineered_couplings(4001, 1.0)), [0, 4000]),
         ],
-        ids=["dense-9", "chebyshev-4001", "odd-center-4003", "swap-9", "swap-4001", "one-ulp-4001"],
+        ids=["chebyshev-9", "dense-9", "chebyshev-4001", "odd-center-4003", "swap-9", "swap-4001", "one-ulp-4001"],
     )
     def test_matches_the_whole_state_readout(self, monkeypatch, profile, rows):
         read = []
