@@ -22,11 +22,14 @@ Brent loop to Python floats that returns scipy's bits, so the search
 and its payloads are those of ``scipy.optimize.minimize_scalar``
 without its per-step overhead.
 
-``scipy.optimize`` runs only Nelder-Mead.  It (with ``scipy.sparse``
-and the rest it pulls in) is imported inside ``minimize``, not at
-module level, so that no command but ``search`` loads it.  A
-``SearchResult`` names the problem and seed it answers, so its
-canonical JSON is the whole payload.
+The descent itself is ``_nelder_mead``, a port of scipy's bounded
+Nelder-Mead loop that keeps only what ``minimize`` asks of it and does
+scipy's numpy operations in scipy's order, so its points and iteration
+counts are those of ``scipy.optimize.minimize(method="Nelder-Mead")``.
+No part of the search imports ``scipy.optimize`` (nor the
+``scipy.sparse`` and ``scipy.special`` it pulls in): ``search`` loads
+only the ``scipy.linalg`` of its eigensolves.  A ``SearchResult`` names the
+problem and seed it answers, so its canonical JSON is the whole payload.
 """
 
 from __future__ import annotations
@@ -213,6 +216,71 @@ def _minimize_scalar_bounded(func, lo: float, hi: float, xatol: float = 1e-12, m
     return xf, fx
 
 
+def _nelder_mead(func, x0: np.ndarray, lo: float, hi: float, maxiter: int, xatol: float, fatol: float):
+    """(x, nit) of ``scipy.optimize.minimize(func, x0, method="Nelder-Mead",
+    bounds=[(lo, hi)] * len(x0), options={"maxiter", "xatol", "fatol"})``.
+
+    scipy's loop step for step: coefficients rho = 1, chi = 2, psi = sigma
+    = 1/2; a first simplex of 5 % steps whose vertices above ``hi`` are
+    reflected back into the box; every trial point clipped; the vertices
+    reordered by ``np.argsort`` and ``np.take`` of their values (twice
+    after the first evaluations, as scipy does) and after each
+    iteration.  The centroid, the sort and the clip are scipy's numpy
+    calls, so roundings and the order of tied or NaN values agree and
+    the same points are evaluated.  Iterations count from 1, as scipy's
+    ``nit`` does.  With ``0 < lo < hi`` no start coordinate is 0, so
+    scipy's step from a zero coordinate never applies.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n = len(x0)
+    x0 = np.clip(x0, lo, hi)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k]
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = np.array([func(vertex) for vertex in sim], dtype=float)
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    nit = 1
+    while nit < maxiter:
+        if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = np.clip((1 + rho) * xbar - rho * sim[-1], lo, hi)
+        fxr = func(xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lo, hi)
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:  # outside contraction
+            xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1], lo, hi)
+            fxc = func(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:  # inside contraction, also when fxr is NaN
+            xcc = np.clip((1 - psi) * xbar + psi * sim[-1], lo, hi)
+            fxcc = func(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lo, hi)
+                fsim[j] = func(sim[j])
+        nit += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], nit
+
+
 def _evaluate(free: np.ndarray, t_grid: np.ndarray) -> tuple[float, float]:
     """Best (objective, time) of the free couplings, which Nelder-Mead has already clipped to the bounds.
 
@@ -244,17 +312,18 @@ def minimize(
 ) -> SearchResult:
     """Search for a profile meeting the end-probability condition.
 
-    Runs ``restarts`` Nelder-Mead descents from seeded random starting
+    Runs ``restarts`` bounded Nelder-Mead descents (``_nelder_mead``,
+    at most ``max_iters`` iterations each) from seeded random starting
     points and keeps the best result by (objective, restart index); each
-    candidate's readout time comes from the inner window scan.
-    Non-convergence is reported in the result, never raised.
+    candidate's readout time comes from the inner window scan.  The
+    result's ``iterations`` are the winning descent's, counted from 1 as
+    scipy counts them.  Non-convergence is reported in the result, never
+    raised.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if not 1 <= restarts <= MAX_RESTARTS:
         raise ValueError(f"restarts must be in 1..{MAX_RESTARTS}, got {restarts}")
-
-    import scipy.optimize
 
     d_lo, d_hi = problem.bounds
     t_grid = np.linspace(*problem.t_window, _SCAN_POINTS)
@@ -263,15 +332,11 @@ def minimize(
     for idx in range(restarts):
         rng = np.random.default_rng(children[idx])
         start = rng.uniform(d_lo, d_hi, size=problem.n_free)
-        res = scipy.optimize.minimize(
-            lambda p: _evaluate(p, t_grid)[0],
-            start,
-            method="Nelder-Mead",
-            bounds=[(d_lo, d_hi)] * problem.n_free,
-            options={"maxiter": max_iters, "xatol": 1e-10, "fatol": 1e-14},
+        x, nit = _nelder_mead(
+            lambda p: _evaluate(p, t_grid)[0], start, d_lo, d_hi, max_iters, xatol=1e-10, fatol=1e-14
         )
-        f_final, t_final = _evaluate(res.x, t_grid)
-        candidate = (f_final, idx, res.x, t_final, int(res.nit))
+        f_final, t_final = _evaluate(x, t_grid)
+        candidate = (f_final, idx, x, t_final, nit)
         if best is None or (candidate[0], candidate[1]) < (best[0], best[1]):
             best = candidate
 
@@ -282,6 +347,6 @@ def minimize(
         profile=mirror_profile(x_best, mu=math.pi / t_best),
         best_time=t_best,
         objective=f_best,
-        iterations=max(nit, 1),
+        iterations=nit,
         converged=f_best < CONVERGED_TOL,
     )

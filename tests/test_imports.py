@@ -103,6 +103,31 @@ def test_chebyshev_readouts_run_without_scipy(tmp_path, argv):
     assert out.stat().st_size > 0
 
 
-def test_search_loads_optimize(tmp_path):
+def test_search_loads_linalg_but_not_optimize(tmp_path):
+    # Nelder-Mead and the bounded Brent refinement are ports; only the eigensolves need scipy
     loaded = after_cli_run(["search", "--n", "5", "--restarts", "1"], tmp_path / "out.json")
-    assert "scipy.optimize" in loaded
+    assert "scipy.linalg" in loaded
+    assert not {m for m in loaded if m.startswith(("scipy.optimize", "scipy.sparse", "scipy.special"))}
+
+
+SEARCH_SCRIPT = str(Path(SRC).parent / "scripts" / "coupling_search.py")
+
+SEARCH_RUNS = {
+    "cli": "from bellchain import cli\nassert cli.run(['search', '--n', '5', '--restarts', '1', '--out', {out!r}]) == 0",
+    "script": (
+        "import runpy, sys\nsys.argv = [{script!r}, '--restarts', '1', '--out', {out!r}]\n"
+        "runpy.run_path({script!r}, run_name='__main__')"
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(SEARCH_RUNS))
+def test_search_writes_the_same_bytes_when_optimize_cannot_load(tmp_path, run):
+    # a None entry in sys.modules makes every import of scipy.optimize fail
+    payloads = []
+    for block in ("", "import sys\nsys.modules['scipy.optimize'] = None\n"):
+        out = tmp_path / f"{len(payloads)}.json"
+        scipy_modules(block + SEARCH_RUNS[run].format(out=str(out), script=SEARCH_SCRIPT))
+        payloads.append(out.read_bytes())
+    assert payloads[0] == payloads[1]
+    assert json.loads(payloads[0])["problem"]["n_sites"] == 5

@@ -2,12 +2,14 @@
 
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import fminbound
+from scipy.optimize import minimize as scipy_minimize
 
 from bellchain import search
 from bellchain.chain import engineered_couplings, validate_profile
@@ -16,7 +18,9 @@ from bellchain.search import (
     CONVERGED_TOL,
     MAX_RESTARTS,
     SearchProblem,
+    _evaluate,
     _minimize_scalar_bounded,
+    _nelder_mead,
     _objective,
     minimize,
     mirror_profile,
@@ -184,6 +188,173 @@ class TestBoundedBrent:
         calls = []
         _minimize_scalar_bounded(lambda x: calls.append(x) or math.sin(50.0 * x), 0.0, 10.0, maxfun=7)
         assert len(calls) == 7
+
+
+def _simplex_objective(kind: str, lo: float, hi: float, c: float):
+    """An n-dimensional objective on the box [lo, hi]^n: a bowl inside it, a tilted plane whose
+    minimum is a corner, a flat, a stepped (its plateaus tie values), an oscillating or a
+    non-smooth valley objective, or a bowl that turns NaN past a point; c in [0, 1] places it."""
+    mid = lo + c * (hi - lo)
+    scale = 1.0 / (hi - lo)
+    return {
+        "bowl": lambda x: sum((v - mid) * (v - mid) for v in x.tolist()),
+        "low_corner": lambda x: sum(x.tolist()),
+        "high_corner": lambda x: -sum(x.tolist()),
+        "flat": lambda x: c,
+        "stepped": lambda x: float(round(3.0 * math.sin((6.0 + 300.0 * c) * scale * sum(x.tolist())))),
+        "oscillating": lambda x: sum(math.sin((1.0 + 50.0 * c) * v) + 0.01 * v for v in x.tolist()),
+        "valley": lambda x: sum(abs(x[k + 1] - x[k] - c) for k in range(len(x) - 1)) + abs(x[0] - mid),
+        "nan": lambda x: math.nan if x[0] > mid else sum((v - lo) * (hi - v) for v in x.tolist()),
+    }[kind]
+
+
+SIMPLEX_KINDS = ["bowl", "low_corner", "high_corner", "flat", "stepped", "oscillating", "valley", "nan"]
+
+
+def _recorded(func):
+    """``func`` that appends each point it is asked about (as float.hex) and its value to ``calls``."""
+    calls = []
+
+    def recording(x):
+        f = func(x)
+        calls.append((tuple(v.hex() for v in x.tolist()), f))
+        return f
+
+    return recording, calls
+
+
+def _both_nelder_meads(func, x0, lo, hi, maxiter, xatol=1e-10, fatol=1e-14):
+    """The calls, result x (as float.hex) and nit of ``_nelder_mead`` and of scipy's bounded
+    Nelder-Mead, and where each of scipy's iterations ended in its calls."""
+    port, port_calls = _recorded(func)
+    x, nit = _nelder_mead(port, np.array(x0), lo, hi, maxiter, xatol=xatol, fatol=fatol)
+    ref, ref_calls = _recorded(func)
+    ends = []
+    res = scipy_minimize(
+        ref, np.array(x0), method="Nelder-Mead", bounds=[(lo, hi)] * len(x0),
+        options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol},
+        callback=lambda xk: ends.append(len(ref_calls)),
+    )
+    ours = (port_calls, [v.hex() for v in x.tolist()], nit)
+    theirs = (ref_calls, [v.hex() for v in res.x.tolist()], int(res.nit))
+    return ours, theirs, ends
+
+
+def _branches(calls, ends, n: int) -> list[str]:
+    """The step each Nelder-Mead iteration took, read from the values it evaluated.
+
+    Only the sorted values of the simplex are tracked (NaN last, as np.argsort puts it):
+    an iteration's first value is the reflection's, and the number of values it evaluated,
+    1, 2 or n + 2, tells a kept reflection from one more trial point from a shrink.
+    """
+    def ordered(values):
+        return sorted(values, key=lambda f: (math.isnan(f), f))
+
+    values = ordered(f for _, f in calls[: n + 1])
+    steps, start = [], n + 1
+    for end in ends:
+        new = [f for _, f in calls[start:end]]
+        start = end
+        fxr, best, worst = new[0], values[0], values[-1]
+        if len(new) == 1:
+            steps.append("reflection")
+            values = ordered([*values[:-1], fxr])
+            continue
+        if fxr < best:
+            step = "expansion kept" if new[1] < fxr else "expansion rejected"
+            accepted = new[1] if new[1] < fxr else fxr
+        else:
+            step = "outside contraction" if fxr < worst else "inside contraction"
+            accepted = new[1]
+        if len(new) == n + 2:
+            steps.append("shrink")
+            values = ordered([best, *new[2:]])
+        else:
+            assert len(new) == 2, (len(new), n)
+            steps.append(step)
+            values = ordered([*values[:-1], accepted])
+    return steps
+
+
+# (kind, n, lo, hi, start as fractions of the box, c, maxiter): chosen so that together they
+# take every step, start on both bounds, tie values and meet NaN
+BRANCH_CASES = [
+    ("bowl", 2, 0.05, 3.0, (0.9, 0.1), 0.3, 400),
+    ("bowl", 1, 0.5, 2.0, (1.0,), 0.2, 400),
+    ("low_corner", 3, 0.05, 4.0, (0.0, 0.5, 1.0), 0.0, 100),
+    ("high_corner", 2, 1.0, 1.04, (1.0, 1.0), 0.0, 50),
+    ("flat", 2, 0.1, 1.0, (0.5, 0.5), 0.7, 5),
+    ("stepped", 3, 0.2, 5.0, (0.3, 0.6, 0.9), 0.4, 200),
+    ("stepped", 1, 2.18, 7.53, (0.9,), 0.66, 400),  # an expansion that ties the reflection
+    ("oscillating", 4, 0.05, 4.0, (0.2, 0.4, 0.6, 0.8), 0.5, 300),
+    ("valley", 3, 0.05, 3.0, (0.9, 0.5, 0.1), 0.1, 400),
+    ("nan", 2, 0.1, 2.0, (0.8, 0.6), 0.5, 200),
+]
+
+
+# a start drawn on the upper bound can round past it; both sides clip it, and scipy also warns
+@pytest.mark.filterwarnings("ignore:Initial guess is not within the specified bounds")
+class TestNelderMead:
+    """``_nelder_mead`` is scipy's bounded Nelder-Mead: the same points evaluated, x and nit, bit for bit."""
+
+    @given(
+        kind=st.sampled_from(SIMPLEX_KINDS),
+        lo=st.floats(min_value=1e-3, max_value=10.0),
+        width=st.floats(min_value=1e-6, max_value=20.0),
+        start=st.lists(
+            st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4
+        ),
+        c=st.floats(min_value=0.0, max_value=1.0),
+        maxiter=st.sampled_from([1, 2, 400]) | st.integers(min_value=3, max_value=60),
+        tolerances=st.sampled_from([(1e-10, 1e-14), (1e-4, 1e-4), (0.0, 0.0)]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_bit_for_bit(self, kind, lo, width, start, c, maxiter, tolerances):
+        hi = lo + width
+        x0 = [lo + u * (hi - lo) for u in start]
+        ours, theirs, _ = _both_nelder_meads(
+            _simplex_objective(kind, lo, hi, c), x0, lo, hi, maxiter, *tolerances
+        )
+        assert ours == theirs
+
+    @pytest.mark.parametrize("maxiter", [1, 2])
+    def test_one_and_two_iterations(self, maxiter):
+        ours, theirs, ends = _both_nelder_meads(_simplex_objective("bowl", 0.1, 2.0, 0.3), [1.5, 0.4], 0.1, 2.0, maxiter)
+        assert ours == theirs
+        calls, _, nit = ours
+        assert nit == maxiter
+        # the first iteration evaluates only the starting simplex; the second adds its trial points
+        assert ends == ([] if maxiter == 1 else [len(calls)])
+        assert (len(calls) == 3) if maxiter == 1 else (len(calls) > 3)
+
+    def test_each_branch_is_covered(self):
+        steps = Counter()
+        for kind, n, lo, hi, start, c, maxiter in BRANCH_CASES:
+            x0 = [lo + u * (hi - lo) for u in start]
+            ours, theirs, ends = _both_nelder_meads(_simplex_objective(kind, lo, hi, c), x0, lo, hi, maxiter)
+            assert ours == theirs, kind
+            steps.update(_branches(theirs[0], ends, n))
+        assert set(steps) == {
+            "reflection", "expansion kept", "expansion rejected",
+            "outside contraction", "inside contraction", "shrink",
+        }, steps
+
+    def test_a_start_on_the_upper_bound_steps_back_into_the_box(self):
+        # 1.05 hi lies above the box: scipy reflects it to 0.95 hi, or to lo past that
+        for lo, hi in ((0.5, 2.0), (1.0, 1.04)):
+            calls, _, _ = _both_nelder_meads(lambda x: 0.0, [hi, hi], lo, hi, 1)[0]
+            first = [tuple(float.fromhex(v) for v in point) for point, _ in calls]
+            assert first == [(hi, hi), (max(2 * hi - 1.05 * hi, lo), hi), (hi, max(2 * hi - 1.05 * hi, lo))]
+
+    @pytest.mark.parametrize("n_sites, seed", [(3, 1), (5, 7), (7, 11)])
+    def test_search_objectives(self, n_sites, seed):
+        # the evaluations minimize runs, on a short window so that the scan stays cheap
+        problem = SearchProblem(n_sites=n_sites, t_window=(0.5, 6.0), bounds=(0.05, 3.0))
+        t_grid = np.linspace(*problem.t_window, 257)
+        start = np.random.default_rng(seed).uniform(*problem.bounds, size=problem.n_free)
+        ours, theirs, _ = _both_nelder_meads(lambda p: _evaluate(p, t_grid)[0], start, *problem.bounds, 400)
+        assert ours == theirs
+        assert len(ours[0]) > 50
 
 
 class TestMinimize:
