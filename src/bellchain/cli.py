@@ -72,11 +72,11 @@ MAX_GRID_POINTS = 100_000
 
 # Longest chain accepted, from --n or a --profile file: at this length on
 # a 2-core host a whole run at the engineered time takes about 7 s for the
-# end pair of ``teleport`` and 23 s for the full state of ``perturb --swap``.
+# end pair of ``teleport`` and 18 s for the full state of ``perturb --swap``.
 MAX_SITES = 100_001
 
 # Longest chain ``perturb --adjacent`` accepts: it runs one readout per
-# bond, so its cost grows like N^3: 2.7 minutes at this length on a 2-core host.
+# bond, so its cost grows like N^3: about 1.3 minutes at this length on a 2-core host.
 MAX_ADJACENT_SITES = 4_001
 
 

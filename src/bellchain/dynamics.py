@@ -37,44 +37,58 @@ sublattice, and each step updates only the sublattice its new term
 lives on: half the work of the whole-chain recurrence.  Guard entries
 past both chain ends give the end sites the interior's step, so every
 updated site takes the whole chain's operations in their order: the
-same bits.  One recurrence serves both: ``state_at`` sums its weighted
+same bits.  A buffer holds one entry per site and chain, so one
+recurrence also serves a block of chains of one length that share the
+start site, each with its own bound Lambda: the chains are the inner
+index, and a window of sites is one contiguous slice for all of them.
+One recurrence serves both readouts: ``states_at`` sums its weighted
 terms into the state at one time, and ``grid_amplitudes`` keeps one
 entry of each term, so its steps also skip the sites that can no longer
 reach that entry, and then reads every time of a grid from those
 moments.  ``grid_amplitudes`` serves the ``evolve`` grid and, at the
 single time pi/mu, the end pair of ``teleport``
 (``robustness.resource_from_profile``), which needs no other site.
-Both take the Bessel coefficients J_k(Lambda t) from one trapezoidal
-rule: ``state_at`` forms them with one FFT, and the grid never forms
-them, but sums them against its moments with one folded quadrature per
-time (``_bessel_sums``), in real cosines and sines at
-the M/4 + 1 <= K + 1 nodes of a quarter period.  The series stops at
-the first order K past Lambda*|t| where Kapteyn's closed-form bound on
-|J_k| (DLMF 10.14.8) is below the tail tolerance, so sizing it takes no
-Bessel function.  K grows like Lambda*|t| (about pi*N/4 at the
-engineered readout time, and at most 7N there for every N >= 3).
-``state_at`` takes that path when K < N and the dense one otherwise
-(its sums load ``scipy.linalg.blas`` on either path).
-``grid_amplitudes`` also takes it when K < 8N and T*K <= 2^20 for the
-T times of its grid: warm, a short chain's dense solve is faster, by at
-most 0.3 ms at t0 and 13 ms at that bound, but importing it costs a
-cold process about 0.22 s.  The rule reads only N, K and T, so the
-payload bits stay a function of the parameters.
+``states_at`` serves the sweeps of ``perturb``, a block of trials at a
+time (one recurrence per trial past 3001 sites), and ``state_at`` is
+its block of one.  It multiplies each term by its chain's weight as
+the term is made, into a block of rows, and adds a block's rows to the
+running sum in order k with one ``np.add.reduce`` over the light
+cone: a product and a sum rounded apart, in an order
+that neither the blocks of steps, the other chains of the block nor the
+BLAS thread count can change.  Both take the Bessel coefficients
+J_k(Lambda t) from one trapezoidal rule: ``states_at`` forms them with
+one FFT row per chain, and the grid never forms them, but sums them against
+its moments with one folded quadrature per time (``_bessel_sums``), in
+real cosines and sines at the M/4 + 1 <= K + 1 nodes of a quarter
+period.  The series stops at the first order K past Lambda*|t| where
+Kapteyn's closed-form bound on |J_k| (DLMF 10.14.8) is below the tail
+tolerance, so sizing it takes no Bessel function.  K grows like
+Lambda*|t| (about pi*N/4 at the engineered readout time, and at most 7N
+there for every N >= 3).  ``states_at`` takes that path for every chain
+with K < 8N, so for every readout at t0 of a chain whose couplings the
+engineered ones bound, and the dense one for the others.
+``grid_amplitudes`` takes it when K < N, or when K < 8N and T*K <= 2^20
+for the T times of its grid: warm, a short chain's dense solve is
+faster, by at most 0.3 ms at t0 and 13 ms at that bound, but importing
+it costs a cold process about 0.22 s.  The rules read only N, K and T,
+so the payload bits stay a function of the parameters.
 
 scipy is imported inside the functions that call it, not here, so a
 command loads only the parts of scipy its path uses: ``scipy.linalg``
 for the dense eigensolve (``eigendecompose`` calls LAPACK ``dstevd``, the
 routine ``eigh_tridiagonal`` picks, and skips that wrapper's checks, about
-17 us per call at N = 9 on a 2-core host) and for the ``daxpy`` sums of
-``_chebyshev_state``.  ``couplings`` and ``feasibility`` never load
-scipy, and neither does a ``grid_amplitudes`` readout on the Chebyshev
-path: the ``teleport`` end pair of every engineered chain, and every
-``evolve`` grid within a few readout times of a chain of up to about
-400 sites.
+17 us per call at N = 9 on a 2-core host), and nothing else: the
+Chebyshev path is numpy alone.  ``couplings`` and ``feasibility`` never
+load scipy, and neither does any readout on the Chebyshev path: the
+``teleport`` end pair of every engineered chain, every ``evolve`` grid
+within a few readout times of a chain of up to about 400 sites, and
+every ``perturb`` sweep row at t0.  Only ``search`` and the dense
+branches (K >= 8N) load ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -95,6 +109,12 @@ _BESSEL_TOL = 1e-17
 
 # Chebyshev steps that share one light-cone window and one set of slice views.
 _CONE_CHUNK = 64
+
+# Longest chains that share one recurrence: past it a block of chains costs more in
+# its per-chain weight products, a short strided loop in numpy, than it saves in calls
+# (cold ``perturb --adjacent``: 12.0 s shared against 17.9 s one chain at a time at
+# N = 2001, 44.0 s against 43.1 s at N = 3001, 98.9 s against 79.6 s at N = 4001).
+_SHARED_SITES = 3001
 
 # Largest (times x terms) a grid readout takes the recurrence for when K >= N:
 # its quadrature costs about that many cosines and as many sines.
@@ -270,22 +290,29 @@ def _quadrature_size(n_terms: int) -> int:
     return max(4, 1 << (2 * n_terms - 1).bit_length())
 
 
-def _bessel_row(x: float, n_terms: int) -> np.ndarray:
-    """J_k(x) for k < ``n_terms``.
+def _bessel_rows(xs: np.ndarray, n_terms: list[int]) -> np.ndarray:
+    """J_k(x) for k < K, one row per x of ``xs`` and its K of ``n_terms``, +0 from order K on.
 
     The trapezoidal rule for the Fourier coefficients of
     exp(i x sin theta) = sum_k J_k(x) exp(i k theta): one FFT of the M
-    samples of ``_quadrature_size``.
+    samples of ``_quadrature_size``, for all the rows that share M at
+    once.  Each row of an FFT is transformed on its own, so a row's bits
+    do not depend on the rows beside it.
     """
-    size = _quadrature_size(n_terms)
-    samples = np.exp(1j * (x * np.sin(np.arange(size) * (2.0 * math.pi / size))))
-    return np.fft.fft(samples)[:n_terms].real / size
+    rows = np.zeros((len(xs), max(n_terms)))
+    sizes = [_quadrature_size(k) for k in n_terms]
+    for size in set(sizes):
+        pick = [b for b, m in enumerate(sizes) if m == size]
+        samples = np.exp(1j * (xs[pick, np.newaxis] * np.sin(np.arange(size) * (2.0 * math.pi / size))))
+        for b, spectrum in zip(pick, np.fft.fft(samples)):
+            rows[b, : n_terms[b]] = spectrum[: n_terms[b]].real / size
+    return rows
 
 
 def _bessel_sums(weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """sum_k c_k J_k(x) for each x of ``xs``, with c_k = w_k (-i)^(k mod 2) for the real ``weights`` w_k.
 
-    The trapezoidal rule of ``_bessel_row``, summed over k before the
+    The trapezoidal rule of ``_bessel_rows``, summed over k before the
     nodes theta_m = 2 pi m / M instead of after:
     J_k(x) = (1/M) sum_m [cos(x sin theta_m) cos k theta_m + sin(x sin theta_m) sin k theta_m].
     One real FFT of the zero-padded weights gives sum_k w_k exp(-i k theta_m),
@@ -333,108 +360,205 @@ def _chebyshev_plan(
     return None if n_terms is None else (bound, n_terms)
 
 
-def _chebyshev_terms(h: TridiagonalHamiltonian, site: int, bound: float, n_terms: int, row=None):
-    """Yield (k, s, T_k(H/bound) e_site on sublattice s) for k = 0 .. n_terms-1.
+def _doubled_bonds(off: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """2 D_j / Lambda for each chain of ``off`` as a column.
 
-    H only hops between the even sites 0, 2, ... and the odd sites 1, 3,
-    ..., so T_k e_site lives on sublattice s = (site + k) mod 2, and the
-    recurrence T_{k+1} = 2 (H/bound) T_k - T_{k-1} runs in real
-    arithmetic on two half-length buffers, one per sublattice, whose
-    entry i + 1 is site 2i+s; the term of step k is the view [1:-1] of
-    its buffer, overwritten two steps later.  T_0 is e_site and T_1 the
-    two neighbour entries of ``site``.  Each step is one rule for every
-    site j: prev[j] = bonds[j+1] cur[j+1] - prev[j], then prev[j] +=
-    bonds[j] cur[j-1].  The doubled bonds have a -0.0 guard past each
-    chain end and each buffer a +0 guard entry, never written, at each
-    end, so a guard product is -0, and -0 - x = -x and x + (-0) = x for
-    every x, signed zeros too: site N-1 gets the whole chain's -prev
-    and site 0 its skipped add, where +0 guard bonds would flip zeros.
-    T_k is 0 outside the light cone [site - k, site + k], so blocks of
-    ``_CONE_CHUNK`` steps update only the cone of the block's last step,
-    through views built once per block.  With ``row`` given only entry
-    ``row`` stays exact: a block also leaves out the sites that cannot
-    reach ``row`` in the steps left after its first.
+    Row j is the bond of sites j-1 and j, with -0.0 guard rows at j = 0 and j = N.
     """
-    n = h.dimension
+    bonds = np.full((off.shape[1] + 2, len(off)), -0.0)
+    bonds[1:-1] = (2.0 * off / bounds[:, np.newaxis]).T
+    return bonds
+
+
+def _chebyshev_blocks(bonds: np.ndarray, site: int, n_terms: int, row=None):
+    """The recurrence for T_k(H/bound) e_site, k < n_terms: (terms, blocks), with T_0 and T_1 in ``terms``.
+
+    ``bonds`` holds one column per chain (``_doubled_bonds``).  H only
+    hops between the even sites 0, 2, ... and the odd sites 1, 3, ...,
+    so T_k e_site lives on sublattice s = (site + k) mod 2, and the
+    recurrence T_{k+1} = 2 (H/bound) T_k - T_{k-1} runs in real
+    arithmetic on two buffers, one per sublattice; ``terms[s]`` is the
+    view of buffer s without its guard sites, T_k on s until step k+1
+    writes T_{k+2} over it.  A buffer is flat: entry (i + 1) B + b is
+    site 2i+s of chain b of the B chains, so the sites of a window are
+    one contiguous slice for every chain.  T_0 is e_site and T_1 the two
+    neighbour entries of ``site``.  Step k makes T_{k+1} on s = (site +
+    k + 1) mod 2 by one rule for every site j: prev[j] = bonds[j+1]
+    cur[j+1] - prev[j], then prev[j] += bonds[j] cur[j-1], four ufunc
+    calls on the views (right, cur_right, left, cur_left, prev, tmp).
+    The doubled bonds have a -0.0 guard past each chain end and each
+    buffer a +0 guard site, never written, at each end, so a guard
+    product is -0, and -0 - x = -x and x + (-0) = x for every x, signed
+    zeros too: site N-1 gets the whole chain's -prev and site 0 its
+    skipped add, where +0 guard bonds would flip zeros.  T_k is 0
+    outside the light cone [site - k, site + k], so ``blocks`` yields
+    (first, last, windows, views) for blocks of ``_CONE_CHUNK`` steps
+    first .. last-1: ``views[s]`` are the step views of sublattice s,
+    built once per block over the entries [a, b) = ``windows[s]`` of the
+    cone of the block's last step, the only entries its steps change.
+    With ``row`` given only entry ``row`` stays exact: a block also
+    leaves out the sites that cannot reach ``row`` in the steps left
+    after its first.
+    """
+    n, chains = bonds.shape[0] - 1, bonds.shape[1]
     _check_site(site, n)
-    bonds = np.concatenate(([-0.0], 2.0 * np.asarray(h.off_diagonal) / bound, [-0.0]))  # bonds[j]: sites j-1, j
-    halves = (bonds[0::2].copy(), bonds[1::2].copy())
-    scratch = np.empty((n + 1) // 2)
+    halves = (bonds[0::2].ravel(), bonds[1::2].ravel())
+    scratch = np.empty((n + 1) // 2 * chains)
     c = site & 1
-    buffers = [np.zeros((n + 1) // 2 + 2), np.zeros(n // 2 + 2)]
-    terms = [buffer[1:-1] for buffer in buffers]
-    terms[c][site // 2] = 1.0
+    buffers = [np.zeros(((n + 1) // 2 + 2) * chains), np.zeros((n // 2 + 2) * chains)]
+    terms = [buffer[chains:-chains] for buffer in buffers]
+    terms[c][site // 2 * chains :][:chains] = 1.0
     if site > 0:
-        terms[1 - c][(site - 1) // 2] = 0.5 * bonds[site]
+        terms[1 - c][(site - 1) // 2 * chains :][:chains] = 0.5 * bonds[site]
     if site < n - 1:
-        terms[1 - c][(site + 1) // 2] = 0.5 * bonds[site + 1]
+        terms[1 - c][(site + 1) // 2 * chains :][:chains] = 0.5 * bonds[site + 1]
+
+    def blocks():
+        for first in range(1, n_terms - 1, _CONE_CHUNK):
+            last = min(first + _CONE_CHUNK, n_terms - 1)
+            lo, hi = max(site - last, 0), min(site + last + 1, n)
+            if row is not None:
+                reach = n_terms - 2 - first
+                lo, hi = max(lo, row - reach), min(hi, row + reach + 1)
+            # sites 2i+s in [lo, hi) for i in [a, b); their neighbours 2i+s+1, 2i+s-1 are entries i+s+1, i+s
+            windows = [((lo - s + 1) // 2 * chains, (hi - s + 1) // 2 * chains) for s in (0, 1)]
+            views = [
+                (halves[1 - s][a + s * chains : b + s * chains],
+                 buffers[1 - s][a + (s + 1) * chains : b + (s + 1) * chains],
+                 halves[s][a:b], buffers[1 - s][a + s * chains : b + s * chains], buffers[s][a + chains : b + chains],
+                 scratch[a:b])
+                for s, (a, b) in enumerate(windows)
+            ]
+            yield first, last, windows, views
+
+    return terms, blocks()
+
+
+def _chebyshev_terms(bonds: np.ndarray, site: int, n_terms: int, row=None):
+    """Yield (k, s, term): T_k(H/bound) e_site on sublattice s (``_chebyshev_blocks``), for k = 0 .. n_terms-1.
+
+    A term is overwritten two steps later.
+    """
+    c = site & 1
+    terms, blocks = _chebyshev_blocks(bonds, site, n_terms, row)
     yield from ((0, c, terms[c]), (1, 1 - c, terms[1 - c]))[:n_terms]
-    for first in range(1, n_terms - 1, _CONE_CHUNK):  # step k makes T_{k+1}
-        last = min(first + _CONE_CHUNK, n_terms - 1)
-        lo, hi = max(site - last, 0), min(site + last + 1, n)
-        if row is not None:
-            reach = n_terms - 2 - first
-            lo, hi = max(lo, row - reach), min(hi, row + reach + 1)
-        # sites 2i+s in [lo, hi) for i in [a, b); their neighbours 2i+s+1, 2i+s-1 are entries i+s+1, i+s
-        windows = [((lo - s + 1) // 2, (hi - s + 1) // 2) for s in (0, 1)]
-        views = [
-            (halves[1 - s][a + s : b + s], buffers[1 - s][a + s + 1 : b + s + 1], halves[s][a:b],
-             buffers[1 - s][a + s : b + s], buffers[s][a + 1 : b + 1], scratch[a:b])
-            for s, (a, b) in enumerate(windows)
-        ]
+    for first, last, _, views in blocks:
         for k in range(first, last):
             s = (c + k + 1) & 1
             right, cur_right, left, cur_left, prev, tmp = views[s]
-            np.multiply(right, cur_right, out=tmp)
-            np.subtract(tmp, prev, out=prev)
-            np.multiply(left, cur_left, out=tmp)
-            np.add(prev, tmp, out=prev)
+            np.multiply(right, cur_right, tmp)
+            np.subtract(tmp, prev, prev)
+            np.multiply(left, cur_left, tmp)
+            np.add(prev, tmp, prev)
             yield k + 1, s, terms[s]
 
 
 def _chebyshev_weights(bessel: np.ndarray) -> np.ndarray:
-    """Real weights w_k with c_k J_k = w_k (-i)^(k mod 2), where c_0 = 1, c_k = 2 (-i)^k.
+    """Real weights w_k with c_k J_k = w_k (-i)^(k mod 2), where c_0 = 1, c_k = 2 (-i)^k, along the last axis.
 
     (-i)^k is (-1)^(k//2) for even k and -i (-1)^(k//2) for odd k.
     """
-    orders = np.arange(len(bessel))
+    orders = np.arange(bessel.shape[-1])
     return np.where(orders == 0, 1.0, 2.0) * (-1.0) ** (orders // 2) * bessel
 
 
-def _chebyshev_state(
-    h: TridiagonalHamiltonian, site: int, t: float, max_terms: int
-) -> SiteAmplitudeState | None:
-    """sum_k c_k J_k(bound t) T_k(H/bound) e_site, or None if it needs ``max_terms`` terms.
+def _chebyshev_states(off: np.ndarray, site: int, t: float, bounds: np.ndarray, n_terms: list[int]) -> np.ndarray:
+    """sum_k c_k J_k(Lambda t) T_k(H/Lambda) e_site for each chain of ``off``, one row per chain.
 
-    Each half-length term is added with its real weight to the half of
-    an even-k or an odd-k sum that its sublattice holds: the even-k sum
-    on the site's sublattice, the odd-k sum on the other.  The odd sum
-    is multiplied by -i once at the end.
+    Every chain runs to the block's largest K in one recurrence
+    (``_chebyshev_blocks``), with its own bound Lambda and Bessel row and
+    weight 0 from its own K on.  The even-k terms live on the site's
+    sublattice and the odd-k terms on the other, so each sublattice
+    holds one sum.  Each step multiplies its term, over the entries of
+    its block's window, by the weights w_k into the next row of that
+    sublattice's products, and at the end of the block the products are
+    added to the sum in order k with one sequential ``np.add.reduce`` of
+    the sum and the products.  So the sum is (((0 + w_0 T_0) + w_2 T_2)
+    + ...) per entry, a product and an add rounded apart, whatever the
+    blocks, the windows and the chains around it.  The reduction takes one site past the
+    window, where every product is a zero, so it always runs across
+    entries and never along k, where numpy would sum pairwise.  The odd
+    sum is multiplied by -i once at the end.
     """
-    plan = _chebyshev_plan(h, [t], max_terms)
-    if plan is None:
-        return None
-    import scipy.linalg.blas  # daxpy's rounding fixes the payload bits; y += a*x moves them
+    chains, n = off.shape[0], off.shape[1] + 1
+    table = _chebyshev_weights(_bessel_rows(bounds * t, n_terms)).T  # [k][chain]
+    # one chain's weights as 0-d arrays over flat terms: numpy multiplies by a (1,) weight
+    # in a broadcast loop, which made a readout at N = 4001 about 12 % slower; np.nditer
+    # makes the K 0-d views in a third of the time that indexing each row takes
+    shape, weights = ((-1,), list(np.nditer(table[:, 0], order="C"))) if chains == 1 else ((-1, chains), list(table))
+    sums = np.zeros((2, ((n + 1) // 2 + 1) * chains))  # a sublattice and one site past it
+    c = site & 1
+    terms, blocks = _chebyshev_blocks(_doubled_bonds(off, bounds), site, max(n_terms))
+    for k, s in ((0, c), (1, 1 - c))[: max(n_terms)]:
+        sums[s, : terms[s].size] += (terms[s].reshape(shape) * weights[k]).ravel()
+    store = np.empty((2, (min(_CONE_CHUNK, max(n_terms)) + 1) // 2 + 1, sums.shape[1]))  # a sum and a block's products
+    for first, last, windows, views in blocks:
+        lead = (c + first + 1) & 1  # the sublattice of step first; the steps alternate
+        counts = [(last - first + (s == lead)) // 2 for s in (0, 1)]
+        rows = [store[s, : counts[s] + 1, : b - a + chains] for s, (a, b) in enumerate(windows)]
+        targets = [None] * (last - first)  # step k's product row
+        for s, (a, b) in enumerate(windows):
+            if counts[s]:
+                rows[s][1:, b - a :] = 0.0  # the products one site past the window
+                targets[s != lead :: 2] = rows[s][1:, : b - a].reshape(counts[s], *shape)
+        steps = zip(
+            itertools.cycle([(*views[s], views[s][4].reshape(shape)) for s in (lead, 1 - lead)]),
+            weights[first + 1 : last + 1],
+            targets,
+        )
+        for (right, cur_right, left, cur_left, prev, tmp, term), w, product in steps:
+            np.multiply(right, cur_right, tmp)
+            np.subtract(tmp, prev, prev)
+            np.multiply(left, cur_left, tmp)
+            np.add(prev, tmp, prev)
+            np.multiply(term, w, product)
+        for s, (a, b) in enumerate(windows):
+            if counts[s]:
+                rows[s][0] = sums[s, a : b + chains]
+                np.add.reduce(rows[s], axis=0, out=sums[s, a : b + chains])
+    sums = sums.reshape(2, -1, chains)
+    even, odd = np.zeros((2, chains, n))
+    even[:, c::2] = sums[c, : (n + 1 - c) // 2].T
+    odd[:, 1 - c :: 2] = sums[1 - c, : (n + c) // 2].T
+    return even - 1j * odd
 
-    bound, n_terms = plan
-    bessel = _bessel_row(bound * t, n_terms)
-    weights = _chebyshev_weights(bessel)
-    n = h.dimension
-    sums = np.zeros((2, 2, (n + 1) // 2))  # [even-k, odd-k terms][s][i] of site 2i+s
-    for k, s, term in _chebyshev_terms(h, site, bound, n_terms):
-        scipy.linalg.blas.daxpy(term, sums[k & 1, s], a=weights[k])
-    even, odd = sums.swapaxes(1, 2).reshape(2, -1)[:, :n]
-    return SiteAmplitudeState(even - 1j * odd)
+
+def states_at(hamiltonians, site: int, t: float) -> np.ndarray:
+    """exp(-iHt) applied to the excitation on ``site`` (0-based), one row of amplitudes per H of ``hamiltonians``.
+
+    The chains share one length.  Those whose Chebyshev series needs
+    fewer terms K than 8N share one recurrence (``_chebyshev_states``: O(N)
+    memory per chain, K light-cone steps), or run one each on chains
+    longer than ``_SHARED_SITES``; the others take ``eigendecompose`` +
+    ``evolve``.  A row's path and bits depend only on its own chain.  Each
+    row must be normalized.
+    """
+    off = np.array([h.off_diagonal for h in hamiltonians], dtype=float)
+    n = off.shape[1] + 1
+    _check_site(site, n)
+    plans = [_chebyshev_plan(h, [t], 8 * n) for h in hamiltonians]
+    series = [b for b, plan in enumerate(plans) if plan is not None]
+    amplitudes = np.empty((len(plans), n), dtype=complex)
+    for block in [series] if n <= _SHARED_SITES else [[b] for b in series]:
+        if block:
+            bounds, n_terms = zip(*(plans[b] for b in block))
+            amplitudes[block] = _chebyshev_states(off[block], site, t, np.array(bounds), list(n_terms))
+    for h, plan, amps in zip(hamiltonians, plans, amplitudes):
+        if plan is None:
+            amps[:] = evolve(eigendecompose(h), site, t).amplitudes
+    for norm_sq in np.sum(np.abs(amplitudes) ** 2, axis=1).tolist():
+        _check_normalized(norm_sq, "state")
+    return amplitudes
 
 
 def state_at(h: TridiagonalHamiltonian, site: int, t: float) -> SiteAmplitudeState:
-    """exp(-iHt) applied to the excitation on ``site`` (0-based), by whichever path is cheaper.
+    """exp(-iHt) applied to the excitation on ``site`` (0-based): ``states_at`` of one chain.
 
-    The Chebyshev series (O(N) memory, K light-cone steps) when it needs
-    fewer terms K than there are sites, else ``eigendecompose`` + ``evolve``.
+    The Chebyshev series when it needs fewer than 8N terms, as at the
+    readout time pi/mu of every chain whose couplings the engineered ones
+    bound, else ``eigendecompose`` + ``evolve``.
     """
-    state = _chebyshev_state(h, site, t, h.dimension)
-    return evolve(eigendecompose(h), site, t) if state is None else state
+    return SiteAmplitudeState(states_at([h], site, t)[0])
 
 
 def grid_amplitudes(h: TridiagonalHamiltonian, row: int, column: int, times) -> np.ndarray:
@@ -461,8 +585,9 @@ def grid_amplitudes(h: TridiagonalHamiltonian, row: int, column: int, times) -> 
         (amps,) = transition_amplitudes(eigendecompose(h), [row], column, times)
         return amps
     bound, n_terms = plan
+    bonds = _doubled_bonds(np.array([h.off_diagonal]), np.array([bound]))
     moments = np.zeros(n_terms)  # the moments of k on the column's other sublattice stay +0
-    for k, s, term in _chebyshev_terms(h, column, bound, n_terms, row):
+    for k, s, term in _chebyshev_terms(bonds, column, n_terms, row):
         if s == row % 2:
             moments[k] = term[row // 2]
     return _bessel_sums(_chebyshev_weights(moments), bound * times)

@@ -13,18 +13,23 @@ only the two end amplitudes, so it reads them with
 ``grid_amplitudes`` at the one time pi/mu, the row-pruned moment
 recurrence, and never builds the N-site state; a mirror-symmetric
 chain reads one end and reuses it for the other.  Sweeps and
-``entanglement_at_t0`` still build the whole state with ``state_at``:
-their rows report ``residual_norm``, the weight on the interior.
+``entanglement_at_t0`` build the whole state with ``states_at`` and
+``state_at``: their rows report ``residual_norm``, the weight on the
+interior.
 
 Sweep rows score ``expected_fidelity`` by teleporting the balanced
 input (|0> + |1>)/sqrt(2), the input most sensitive to amplitude skew
 in the resource.
 
 Every sweep goes through ``_score``, which never builds a
-``CouplingProfile`` per trial: each coupling row takes ``state_at``, and
-the end amplitudes, concurrence, ``residual_norm`` and resource of a
-block of rows come from one vectorized readout, the kernels that
-``bell_decomposition`` and ``resource_from_report`` run on one row.
+``CouplingProfile`` per trial: each coupling row is checked as a
+``TridiagonalHamiltonian``, a block of rows is evolved by one
+``states_at`` call (one Chebyshev recurrence for all rows with K < 8N,
+so at t0 all of them, with each row's own bound, K and Bessel row and
+the bits that row has alone), and the end amplitudes, concurrence,
+``residual_norm`` and resource of the block come from one vectorized
+readout, the kernels that ``bell_decomposition`` and
+``resource_from_report`` run on one row.
 ``teleport`` still runs per row: its fidelity is one ``np.vdot`` per
 branch, and a batched elementwise dot product gives other last bits.
 """
@@ -46,14 +51,16 @@ from .dynamics import (
     end_pair_readout,
     grid_amplitudes,
     state_at,
+    states_at,
 )
 from .teleport import EntangledResource, expected_fidelity, teleport
 
 _END_WEIGHT_ATOL = 1e-12
 
-# Most amplitudes a sweep reads out at once (1 MB), so a long sweep never
-# holds trials x N of them.
-_BLOCK_ENTRIES = 1 << 16
+# Most amplitudes a sweep evolves and reads out at once (256 KB, and the
+# recurrence's block of products about 17 times that), so a long sweep
+# never holds trials x N of them.  A row's bits do not depend on it.
+_BLOCK_ENTRIES = 1 << 14
 
 # Most trials one noise sweep accepts: about 7 minutes at N = 9 on a 2-core host.
 MAX_TRIALS = 1_000_000
@@ -160,7 +167,9 @@ def entanglement_at_t0(profile: CouplingProfile) -> BellDecomposition:
     """Evolve the center-excited state to the readout time pi/mu and score the end pair.
 
     ``dynamics.state_at`` picks the path: the O(N)-memory Chebyshev
-    series on long chains, the dense eigensolve on short ones.
+    series whenever it needs fewer than 8N terms, as every chain whose
+    couplings the engineered ones bound does at t0, else the dense
+    eigensolve.
     """
     return bell_decomposition(
         state_at(one_excitation_hamiltonian(profile), profile.n_sites // 2, bell_time(profile.mu))
@@ -263,9 +272,7 @@ def _score(profile: CouplingProfile, trials) -> list[SweepRow]:
     n, t0, s = profile.n_sites, bell_time(profile.mu), 1.0 / math.sqrt(2.0)
     trials, rows = iter(trials), []
     while block := list(itertools.islice(trials, _BLOCK_ENTRIES // n or 1)):
-        amplitudes = np.empty((len(block), n), dtype=complex)
-        for amps, (_, _, couplings) in zip(amplitudes, block):
-            amps[:] = state_at(TridiagonalHamiltonian(couplings), n // 2, t0).amplitudes
+        amplitudes = states_at([TridiagonalHamiltonian(couplings) for _, _, couplings in block], n // 2, t0)
         first, last, concurrence, residual = end_pair_readout(amplitudes)
         resources = zip(*(alpha.tolist() for alpha in _renormalized(first, last)))
         rows += [

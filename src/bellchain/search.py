@@ -315,7 +315,9 @@ def minimize(
     Runs ``restarts`` bounded Nelder-Mead descents (``_nelder_mead``,
     at most ``max_iters`` iterations each) from seeded random starting
     points and keeps the best result by (objective, restart index); each
-    candidate's readout time comes from the inner window scan.  The
+    candidate's readout time comes from the inner window scan, and the
+    vertex a descent returns keeps the (objective, time) of the
+    evaluation Nelder-Mead made of it, so it is not solved again.  The
     result's ``iterations`` are the winning descent's, counted from 1 as
     scipy counts them.  Non-convergence is reported in the result, never
     raised.
@@ -332,10 +334,14 @@ def minimize(
     for idx in range(restarts):
         rng = np.random.default_rng(children[idx])
         start = rng.uniform(d_lo, d_hi, size=problem.n_free)
-        x, nit = _nelder_mead(
-            lambda p: _evaluate(p, t_grid)[0], start, d_lo, d_hi, max_iters, xatol=1e-10, fatol=1e-14
-        )
-        f_final, t_final = _evaluate(x, t_grid)
+        evaluated: dict[bytes, tuple[float, float]] = {}
+
+        def objective(p: np.ndarray) -> float:
+            evaluated[p.tobytes()] = result = _evaluate(p, t_grid)
+            return result[0]
+
+        x, nit = _nelder_mead(objective, start, d_lo, d_hi, max_iters, xatol=1e-10, fatol=1e-14)
+        f_final, t_final = evaluated[x.tobytes()]  # the returned vertex is one Nelder-Mead evaluated
         candidate = (f_final, idx, x, t_final, nit)
         if best is None or (candidate[0], candidate[1]) < (best[0], best[1]):
             best = candidate

@@ -15,9 +15,9 @@ amplitude, and a monolithic matrix-product teleportation pipeline.
 The sweep references are the one exception: ``sweep_row``,
 ``noise_sweep`` and ``adjacent_swap_sweep`` build a ``CouplingProfile``
 per trial, draw its noise one coupling at a time, and score it through
-the package's ``state_at`` and ``teleport`` and a scalar end-pair
-readout.  They check how the sweeps draw and assemble their rows, not
-those kernels.
+the package's ``state_at`` (or, with ``dense``, its eigensolve and
+``evolve``) and ``teleport`` and a scalar end-pair readout.  They check
+how the sweeps draw, batch and assemble their rows, not those kernels.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import math
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.blas
 import scipy.special
 
 _SY = np.array([[0.0, -1j], [1j, 0.0]])
@@ -176,12 +175,13 @@ def chebyshev_terms(off_diagonal, site: int, bound: float, n_terms: int):
 def chebyshev_state(off_diagonal, site: int, bound: float, weights) -> np.ndarray:
     """sum_k w_k (-i)^(k mod 2) T_k(H/bound) e_site from the whole-chain recurrence.
 
-    Each term is added with its real weight to an even-k or an odd-k sum,
-    and the odd sum is multiplied by -i at the end.
+    Each term times its real weight is added, in order k, to an even-k or
+    an odd-k sum over every site: a product and a sum, each rounded.  The
+    odd sum is multiplied by -i at the end.
     """
     sums = np.zeros((2, len(off_diagonal) + 1))  # even-k and odd-k terms
     for k, term in enumerate(chebyshev_terms(off_diagonal, site, bound, len(weights))):
-        scipy.linalg.blas.daxpy(term, sums[k & 1], a=weights[k])
+        sums[k & 1] += weights[k] * term
     return sums[0] - 1j * sums[1]
 
 
@@ -319,14 +319,20 @@ def end_pair_resource(first: complex, last: complex) -> tuple[complex, complex]:
     return last * scale, first * scale
 
 
-def sweep_row(n_sites: int, mu: float, couplings, trial: int, param: float) -> tuple:
-    """(trial, param, concurrence, residual_norm, expected_fidelity) of one profile at pi/mu."""
+def sweep_row(n_sites: int, mu: float, couplings, trial: int, param: float, dense: bool = False) -> tuple:
+    """(trial, param, concurrence, residual_norm, expected_fidelity) of one profile at pi/mu.
+
+    The state comes from the package's ``state_at``, or with ``dense`` from
+    ``evolve(eigendecompose(h))``, the path the sweeps took before they ran
+    short chains on the recurrence.
+    """
     from bellchain.chain import CouplingProfile, one_excitation_hamiltonian
-    from bellchain.dynamics import state_at
+    from bellchain.dynamics import eigendecompose, evolve, state_at
     from bellchain.teleport import EntangledResource, expected_fidelity, teleport
 
     profile = CouplingProfile(mu, tuple(couplings))
-    amps = state_at(one_excitation_hamiltonian(profile), n_sites // 2, math.pi / mu).amplitudes
+    h, site, t = one_excitation_hamiltonian(profile), n_sites // 2, math.pi / mu
+    amps = (evolve(eigendecompose(h), site, t) if dense else state_at(h, site, t)).amplitudes
     concurrence = 2.0 * abs(amps[0]) * abs(amps[-1])
     residual = float(np.sqrt(np.sum(np.abs(amps[1:-1]) ** 2)))
     alpha01, alpha10 = end_pair_resource(complex(amps[0]), complex(amps[-1]))
@@ -335,23 +341,23 @@ def sweep_row(n_sites: int, mu: float, couplings, trial: int, param: float) -> t
     return trial, param, concurrence, residual, expected_fidelity(teleport(s, s, resource))
 
 
-def noise_sweep(profile, sigma: float, trials: int, seed: int) -> list[tuple]:
+def noise_sweep(profile, sigma: float, trials: int, seed: int, dense: bool = False) -> list[tuple]:
     """One ``sweep_row`` per trial; trial k draws with word k of the master seed's stream."""
     seeds = np.random.SeedSequence(seed).generate_state(trials)
     return [
         sweep_row(
             profile.n_sites, profile.mu,
-            noise_couplings(profile.couplings, sigma, int(seeds[k])), k, sigma,
+            noise_couplings(profile.couplings, sigma, int(seeds[k])), k, sigma, dense,
         )
         for k in range(trials)
     ]
 
 
-def adjacent_swap_sweep(profile) -> list[tuple]:
+def adjacent_swap_sweep(profile, dense: bool = False) -> list[tuple]:
     """The unperturbed row, then one ``sweep_row`` per swap of couplings i and i+1."""
-    rows = [sweep_row(profile.n_sites, profile.mu, profile.couplings, 0, 0.0)]
+    rows = [sweep_row(profile.n_sites, profile.mu, profile.couplings, 0, 0.0, dense)]
     for i in range(1, len(profile.couplings)):
         couplings = list(profile.couplings)
         couplings[i - 1], couplings[i] = couplings[i], couplings[i - 1]
-        rows.append(sweep_row(profile.n_sites, profile.mu, couplings, i, float(i)))
+        rows.append(sweep_row(profile.n_sites, profile.mu, couplings, i, float(i), dense))
     return rows

@@ -942,17 +942,18 @@ class TestExitCodes:
         assert code == 4
         assert "eigensolver failed" in capsys.readouterr().err
 
+    # inputs that still solve densely: a grid with K >= 8N, and every search evaluation
     @pytest.mark.parametrize(
-        "argv", [["perturb", "--swap", "3", "4"], ["perturb", "--sigma", "0.01", "--trials", "3"]]
+        "argv, n", [(["evolve", "--t-grid", "1000:1000:1"], 9), (["search", "--restarts", "1"], 5)]
     )
-    def test_lapack_failure_exits_4(self, tmp_path, monkeypatch, capsys, argv):
+    def test_lapack_failure_exits_4(self, tmp_path, monkeypatch, capsys, argv, n):
         def not_converged(d, e, **kwargs):
             return np.zeros(len(d)), np.eye(len(d)), 1
 
         monkeypatch.setattr(scipy.linalg.lapack, "dstevd", not_converged)
-        out = tmp_path / "p.csv"
-        assert run([*argv, "--n", "9", "--out", str(out)]) == 4
-        assert capsys.readouterr().err == "error: eigensolver failed (dimension 9)\n"
+        out = tmp_path / "p.out"
+        assert run([*argv, "--n", str(n), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: eigensolver failed (dimension {n})\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 3.73 GiB")])

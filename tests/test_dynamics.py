@@ -268,8 +268,14 @@ class TestEvolve:
 
 
 def chebyshev_evolve(h, site, t):
-    """The Chebyshev series up to a million terms (state_at uses it only below N)."""
-    return dynamics._chebyshev_state(h, site, t, 10**6)
+    """The Chebyshev series of one chain up to a million terms (state_at uses it only below 8N)."""
+    bound, n_terms = dynamics._chebyshev_plan(h, [t], 10**6)
+    return SiteAmplitudeState(dynamics._chebyshev_states(np.array([h.off_diagonal]), site, t, np.array([bound]), [n_terms])[0])
+
+
+def bessel_row(x, n_terms):
+    """``_bessel_rows`` of one argument."""
+    return dynamics._bessel_rows(np.array([x]), [n_terms])[0]
 
 
 class TestStateAt:
@@ -303,8 +309,7 @@ class TestStateAt:
 
     # At t = 1000, K = 2612 >> N = 9: the dense path took 0.053 ms and the
     # forced recurrence 15 ms, about 280x (one BLAS thread, 2-core host).
-    @pytest.mark.parametrize("t", [bell_time(1.0), 1000.0])
-    def test_short_chain_takes_the_dense_path_bit_for_bit(self, t, monkeypatch):
+    def test_short_chain_takes_the_dense_path_bit_for_bit(self, monkeypatch):
         calls = []
 
         def counting(h):
@@ -313,17 +318,36 @@ class TestStateAt:
 
         monkeypatch.setattr(dynamics, "eigendecompose", counting)
         h = one_excitation_hamiltonian(engineered_couplings(9, 1.0))
-        state = state_at(h, 4, t)
+        state = state_at(h, 4, 1000.0)
         assert calls == [9]
-        assert np.array_equal(state.amplitudes, evolve(eigendecompose(h), 4, t).amplitudes)
+        assert np.array_equal(state.amplitudes, evolve(eigendecompose(h), 4, 1000.0).amplitudes)
 
-    def test_size_rule_compares_terms_with_sites(self):
+    def test_size_rule_compares_terms_with_8n(self, monkeypatch):
+        # every readout at t0 takes the recurrence (K <= 7N), and K = 8N - 1 and
+        # 8N split the paths as they do for a one-time grid
+        monkeypatch.setattr(dynamics, "eigendecompose", refuse_eigensolve)
         t0 = bell_time(1.0)
-        for n, chebyshev in ((9, False), (101, False), (387, False), (389, True), (1001, True), (4001, True)):
+        for n in (3, 9, 101, 387, 389, 1001):
             h = one_excitation_hamiltonian(engineered_couplings(n, 1.0))
-            assert (dynamics._chebyshev_plan(h, [t0], n) is not None) is chebyshev
             _, n_terms = dynamics._chebyshev_plan(h, [t0], 10**6)
-            assert (n_terms < n) is chebyshev
+            assert n <= n_terms < 8 * n if n < 389 else n_terms < n
+            np.testing.assert_array_equal(state_at(h, n // 2, t0).amplitudes, chebyshev_evolve(h, n // 2, t0).amplitudes)
+        for n, t_in, t_out in ((9, 12.93, 12.94), (401, 30.18, 30.19)):
+            h = one_excitation_hamiltonian(engineered_couplings(n, 1.0))
+            assert dynamics._chebyshev_plan(h, [t_in], 10**6)[1] == 8 * n - 1
+            assert dynamics._chebyshev_plan(h, [t_out], 10**6)[1] == 8 * n
+            state_at(h, n // 2, t_in)
+            with pytest.raises(AssertionError, match="the dense path was taken"):
+                state_at(h, n // 2, t_out)
+
+    def test_recurrence_at_t0_matches_the_dense_path_on_short_chains(self):
+        t0 = bell_time(1.0)
+        for n in (3, 5, 9, 21):
+            for kind in PROFILE_KINDS:
+                h = one_excitation_hamiltonian(profile_of_kind(kind, n))
+                for site in (0, n // 2, n - 1):
+                    reference = evolve(eigendecompose(h), site, t0).amplitudes
+                    np.testing.assert_allclose(state_at(h, site, t0).amplitudes, reference, rtol=0, atol=1e-13)
 
     # grid_amplitudes on engineered chains from the center, 61 times, warm, one
     # BLAS thread, 2-core host; the recurrence against eigendecompose +
@@ -411,7 +435,7 @@ class TestStateAt:
     @pytest.mark.parametrize("x", [0.0, -7.3, 12.5, 50.0, 3143.0])
     def test_fft_bessel_row_matches_jv(self, x):
         n_terms = dynamics._series_length(x, 10**6)
-        row = dynamics._bessel_row(x, n_terms)
+        row = bessel_row(x, n_terms)
         expected = scipy.special.jv(np.arange(n_terms), x)
         np.testing.assert_allclose(row, expected, rtol=0, atol=1e-13)
         if x == 0.0:
@@ -540,7 +564,7 @@ class TestSecondExactBellChain:
         assert bell_decomposition(state_at(self.H, 3, self.T)).concurrence >= 1.0 - 1e-12
 
     def test_chebyshev_state(self):
-        state = dynamics._chebyshev_state(self.H, 3, self.T, 10**6)
+        state = chebyshev_evolve(self.H, 3, self.T)
         assert bell_decomposition(state).concurrence >= 1.0 - 1e-12
 
     def test_chebyshev_grid_matches_transition_amplitudes(self, monkeypatch):
@@ -560,9 +584,9 @@ def bits(values):
 
 
 def reference_state(h, site, t):
-    """``_chebyshev_state`` with its terms from the whole-chain recurrence."""
+    """The sum of ``_chebyshev_states`` for one chain, with its terms from the whole-chain recurrence."""
     bound, n_terms = dynamics._chebyshev_plan(h, [t], 10**6)
-    bessel = dynamics._bessel_row(bound * t, n_terms)
+    bessel = bessel_row(bound * t, n_terms)
     weights = dynamics._chebyshev_weights(bessel)
     return chebyshev_state(h.off_diagonal, site, bound, weights)
 
@@ -577,7 +601,7 @@ def reference_grid(h, row, column, times):
 def table_sums(weights, xs):
     """sum_k c_k J_k(x) as a table of J_k(x) times the complex coefficients c_k = w_k (-i)^(k mod 2)."""
     coefficients = weights * np.where(np.arange(len(weights)) % 2, -1j, 1.0)
-    table = np.array([dynamics._bessel_row(x, len(weights)) for x in xs])
+    table = np.array([bessel_row(x, len(weights)) for x in xs])
     return table @ coefficients
 
 
@@ -590,8 +614,10 @@ def table_grid(h, row, column, times):
 
 def whole_terms(h, site, bound, n_terms, row=None):
     """The half-length terms of ``_chebyshev_terms`` put on their sites: row k is T_k, +0 off its sublattice."""
-    terms = np.zeros((n_terms, h.dimension))
-    for k, s, term in dynamics._chebyshev_terms(h, site, bound, n_terms, row):
+    n = h.dimension
+    bonds = dynamics._doubled_bonds(np.array([h.off_diagonal]), np.array([bound]))
+    terms = np.zeros((n_terms, n))
+    for k, s, term in dynamics._chebyshev_terms(bonds, site, n_terms, row):
         terms[k, s::2] = term
     return terms
 
@@ -616,7 +642,7 @@ class TestLightConeRecurrence:
             # the ends, the center and its neighbour on the other sublattice
             for site in (0, n - 1, n // 2, n // 2 + 1):
                 for t in (0.4, -0.4, t0, 3.0 * t0):
-                    out = dynamics._chebyshev_state(h, site, t, 10**6).amplitudes
+                    out = chebyshev_evolve(h, site, t).amplitudes
                     assert np.array_equal(bits(out), bits(reference_state(h, site, t)))
 
     @pytest.mark.parametrize("chunk", CHUNKS)
@@ -627,7 +653,7 @@ class TestLightConeRecurrence:
         for n in (3, 5, 9):
             h = one_excitation_hamiltonian(profile_of_kind(kind, n))
             for site in (0, n - 1, 1):
-                out = dynamics._chebyshev_state(h, site, 40.0, 10**6).amplitudes
+                out = chebyshev_evolve(h, site, 40.0).amplitudes
                 assert np.array_equal(bits(out), bits(reference_state(h, site, 40.0)))
 
     @pytest.mark.parametrize("chunk", [1, 3, 10**6])
@@ -640,7 +666,7 @@ class TestLightConeRecurrence:
         bound, n_terms = dynamics._chebyshev_plan(h, [25.0], 10**6)
         for site in range(n):
             for t in (0.3, 2.0, 25.0):
-                out = dynamics._chebyshev_state(h, site, t, 10**6).amplitudes
+                out = chebyshev_evolve(h, site, t).amplitudes
                 assert np.array_equal(bits(out), bits(reference_state(h, site, t)))
             expected = [term.copy() for term in chebyshev_terms(h.off_diagonal, site, bound, n_terms)]
             terms = whole_terms(h, site, bound, n_terms)
@@ -667,10 +693,10 @@ class TestLightConeRecurrence:
                 assert np.array_equal(bits(moments), bits(chebyshev_moments(h.off_diagonal, row, site, bound, n_terms)))
 
     def test_long_chain_matches_whole_chain(self):
-        # each half-length daxpy holds above 10,000 entries, where OpenBLAS may split it over threads
+        # about 16,000 steps in 250 blocks, with windows of up to 10,000 entries per sublattice
         n = 20003
         h = one_excitation_hamiltonian(engineered_couplings(n, 1.0))
-        out = dynamics._chebyshev_state(h, n // 2, bell_time(1.0), 10**6).amplitudes
+        out = chebyshev_evolve(h, n // 2, bell_time(1.0)).amplitudes
         assert np.array_equal(bits(out), bits(reference_state(h, n // 2, bell_time(1.0))))
 
     @pytest.mark.parametrize("n_terms", [1, 2])
@@ -681,7 +707,7 @@ class TestLightConeRecurrence:
         t = 0.0 if n_terms == 1 else 1e-10 / bound
         assert dynamics._chebyshev_plan(h, [t], 10**6) == (bound, n_terms)
         for site in (0, n // 2 + 1, n - 1):
-            out = dynamics._chebyshev_state(h, site, t, 10**6).amplitudes
+            out = chebyshev_evolve(h, site, t).amplitudes
             assert np.array_equal(bits(out), bits(reference_state(h, site, t)))
             terms = whole_terms(h, site, bound, n_terms)
             expected = [term.copy() for term in chebyshev_terms(h.off_diagonal, site, bound, n_terms)]
@@ -732,6 +758,55 @@ class TestLightConeRecurrence:
             out = grid_amplitudes(h, row, column, times)
             assert np.array_equal(bits(out), bits(np.zeros(len(times), dtype=complex)))
             assert np.array_equal(bits(out), bits(reference_grid(h, row, column, times)))
+
+
+class TestBlocksOfChains:
+    """``states_at`` runs one recurrence for chains of one length; each row has the bits of its chain alone."""
+
+    def test_rows_equal_each_chain_alone(self):
+        # bounds and K differ between the chains, and a K >= 8N row takes the eigensolve
+        n, t0 = 21, bell_time(1.0)
+        rng = np.random.default_rng(4)
+        chains = [one_excitation_hamiltonian(profile_of_kind(kind, n)) for kind in PROFILE_KINDS]
+        chains += [TridiagonalHamiltonian(tuple(rng.uniform(0.2, scale, n - 1))) for scale in (0.5, 2.0, 9.0, 60.0)]
+        plans = [dynamics._chebyshev_plan(h, [t0], 8 * n) for h in chains]
+        assert len({plan[1] for plan in plans[:-1]}) > 4 and plans[-1] is None
+        for site in (0, n // 2, n - 1):
+            block = dynamics.states_at(chains, site, t0)
+            for h, amplitudes in zip(chains, block):
+                assert np.array_equal(bits(amplitudes), bits(state_at(h, site, t0).amplitudes))
+            assert np.array_equal(bits(block[-1]), bits(evolve(eigendecompose(chains[-1]), site, t0).amplitudes))
+
+    def test_chains_past_the_shared_length_run_alone_with_the_same_bits(self, monkeypatch):
+        n, t0 = 21, bell_time(1.0)
+        chains = [random_chain(n, seed) for seed in range(4)]
+        shared = dynamics.states_at(chains, n // 2, t0)
+        runs, states = [], dynamics._chebyshev_states
+
+        def counting_states(off, *args):
+            runs.append(len(off))
+            return states(off, *args)
+
+        monkeypatch.setattr(dynamics, "_chebyshev_states", counting_states)
+        monkeypatch.setattr(dynamics, "_SHARED_SITES", n - 1)
+        assert np.array_equal(bits(dynamics.states_at(chains, n // 2, t0)), bits(shared))
+        assert runs == [1, 1, 1, 1]
+
+    def test_rows_match_the_whole_chain_reference(self):
+        n, t = 41, 6.0
+        chains = [random_chain(n, seed) for seed in range(5)]
+        for site in (0, 20, 21, n - 1):
+            for h, amplitudes in zip(chains, dynamics.states_at(chains, site, t)):
+                assert np.array_equal(bits(amplitudes), bits(reference_state(h, site, t)))
+
+    @given(xs=st.lists(st.floats(min_value=-5000.0, max_value=5000.0), min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_bessel_rows_are_per_argument(self, xs):
+        n_terms = [dynamics._series_length(x, 10**6) for x in xs]
+        rows = dynamics._bessel_rows(np.array(xs), n_terms)
+        for x, k, row in zip(xs, n_terms, rows):
+            assert np.array_equal(bits(row[:k]), bits(bessel_row(x, k)))
+            assert not np.any(row[k:])
 
 
 class TestBesselQuadrature:

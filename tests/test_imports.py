@@ -67,16 +67,9 @@ def test_teleport_loads_no_scipy(tmp_path):
     assert after_cli_run(["teleport", "--n", "3"], tmp_path / "out.json") == set()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["evolve", "--n", "9", "--t-grid", "1000:1000:1"],  # K = 2612 >= 8N
-        ["perturb", "--n", "9", "--swap", "3", "4"],
-    ],
-)
-def test_dense_path_loads_no_special_functions(tmp_path, argv):
+def test_dense_path_loads_no_special_functions(tmp_path):
     # the series length that sends a short chain to the eigensolve needs no Bessel function
-    loaded = after_cli_run(argv, tmp_path / "out")
+    loaded = after_cli_run(["evolve", "--n", "9", "--t-grid", "1000:1000:1"], tmp_path / "out")  # K = 2612 >= 8N
     assert "scipy.linalg" in loaded
     assert "scipy.special" not in loaded
 
@@ -86,6 +79,12 @@ CHEBYSHEV_READOUTS = [
     ["evolve", "--n", "401", "--t-grid", "0:1:0.5"],
     ["teleport", "--n", "9"],
     ["evolve", "--n", "9", "--t-grid", "3.0:3.3:0.005"],
+    # every sweep row at t0 takes the block recurrence, summed without BLAS
+    ["perturb", "--n", "9", "--swap", "3", "4"],
+    ["perturb", "--n", "9", "--sigma", "0.01", "--trials", "20"],
+    ["perturb", "--n", "9", "--adjacent"],
+    ["perturb", "--n", "4001", "--swap", "5", "6"],
+    ["perturb", "--n", "4001", "--sigma", "0.01", "--trials", "2"],
 ]
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from bellchain.chain import (
     CouplingProfile,
     engineered_couplings,
+    TridiagonalHamiltonian,
     engineered_max_coupling,
     one_excitation_hamiltonian,
 )
@@ -339,6 +340,50 @@ class TestNoiseSweep:
             noise_sweep(engineered_couplings(5, 1.0), 1e-3, MAX_TRIALS + 1, seed=1)
 
 
+def row_bits(rows):
+    return np.array([[r.concurrence, r.residual_norm, r.expected_fidelity] for r in rows]).view(np.uint64)
+
+
+class TestRowsDoNotDependOnTheirBlock:
+    """A sweep runs one recurrence per block of trials; each row keeps the bits it has alone."""
+
+    @given(
+        n=st.sampled_from([3, 9, 21]),
+        sigma=st.sampled_from([0.0, 1e-3, 0.05, 0.3]),
+        trials=st.integers(min_value=1, max_value=10),
+        extra=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n=9, sigma=0.3, trials=10, extra=3, seed=5)
+    @settings(max_examples=30, deadline=None)
+    def test_every_block_size_and_a_longer_sweep_give_the_same_rows(self, n, sigma, trials, extra, seed):
+        profile = engineered_couplings(n, 1.0)
+        runs = []
+        with pytest.MonkeyPatch.context() as patch:
+            for rows_per_block in range(1, trials + 1):  # 1 row per block up to all rows in one
+                patch.setattr(robustness, "_BLOCK_ENTRIES", n * rows_per_block)
+                runs.append(row_bits(noise_sweep(profile, sigma, trials, seed)))
+            longer = noise_sweep(profile, sigma, trials + extra, seed)
+        assert all(np.array_equal(run, runs[0]) for run in runs)
+        assert np.array_equal(row_bits(longer[:trials]), runs[0])
+
+    def test_one_block_holds_rows_of_different_lengths_and_paths(self):
+        # sigma = 0.3 spreads the Gershgorin bounds, so the rows' K differ; sigma = 3
+        # draws couplings so large that some rows need K >= 8N and take the eigensolve
+        profile = engineered_couplings(9, 1.0)
+        for sigma, dense_rows in ((0.3, False), (3.0, True)):
+            seeds = np.random.SeedSequence(11).generate_state(40).tolist()
+            chains = [TridiagonalHamiltonian(oracles.noise_couplings(profile.couplings, sigma, s)) for s in seeds]
+            plans = [dynamics._chebyshev_plan(h, [bell_time(1.0)], 8 * 9) for h in chains]
+            assert len({plan[1] for plan in plans if plan}) > 3
+            assert (None in plans) is dense_rows
+            one_block = noise_sweep(profile, sigma, 40, 11)
+            assert_same_rows(one_block, oracles.noise_sweep(profile, sigma, 40, 11))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(robustness, "_BLOCK_ENTRIES", 9)
+                assert np.array_equal(row_bits(noise_sweep(profile, sigma, 40, 11)), row_bits(one_block))
+
+
 class TestAdjacentSwapSweep:
     def test_nine_site_pattern(self):
         rows = adjacent_swap_sweep(engineered_couplings(9, 1.0))
@@ -460,6 +505,23 @@ class TestSweepsMatchThePerTrialReference:
         expected = [min(block, 10 - k) for k in range(0, 10, block)]
         expected += [min(block, 8 - k) for k in range(0, 8, block)]
         assert shapes == [(rows, 9) for rows in expected]
+
+    @pytest.mark.parametrize("n", [9, 101])
+    def test_rows_match_the_dense_path_they_replace(self, n):
+        # every row at t0 takes the block recurrence now; the per-trial eigensolve
+        # and evolve it replaces agree to 1e-13 on every float of every row
+        profile = engineered_couplings(n, 1.0)
+        swapped = perturb(profile, SwapPerturbation(3, 4))
+        sweeps = [
+            ([sweep_row(swapped, 0, 3.0)], [oracles.sweep_row(n, 1.0, swapped.couplings, 0, 3.0, dense=True)]),
+            (noise_sweep(profile, 1e-2, 12, 7), oracles.noise_sweep(profile, 1e-2, 12, 7, dense=True)),
+            (noise_sweep(profile, 0.3, 12, 7), oracles.noise_sweep(profile, 0.3, 12, 7, dense=True)),
+            (adjacent_swap_sweep(profile), oracles.adjacent_swap_sweep(profile, dense=True)),
+        ]
+        for rows, reference in sweeps:
+            assert [(r.trial, r.param) for r in rows] == [(trial, param) for trial, param, *_ in reference]
+            got = np.array([[r.concurrence, r.residual_norm, r.expected_fidelity] for r in rows])
+            np.testing.assert_allclose(got, [values for _, _, *values in reference], rtol=0, atol=1e-13)
 
     def test_resource_kernel_rounds_like_scalar_arithmetic(self):
         # sweep end amplitudes are real or imaginary up to rounding, so the
