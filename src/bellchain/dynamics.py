@@ -50,12 +50,11 @@ single time pi/mu, the end pair of ``teleport``
 (``robustness.resource_from_profile``), which needs no other site.
 ``states_at`` serves the sweeps of ``perturb``, a block of trials at a
 time (one recurrence per trial past 3001 sites), and ``state_at`` is
-its block of one.  It multiplies each term by its chain's weight as
-the term is made, into a block of rows, and adds a block's rows to the
-running sum in order k with one ``np.add.reduce`` over the light
-cone: a product and a sum rounded apart, in an order
-that neither the blocks of steps, the other chains of the block nor the
-BLAS thread count can change.  Both take the Bessel coefficients
+its block of one.  As each term is made, it multiplies the term by its
+chain's weight and adds the product to the running sum over the light
+cone: a product and a sum rounded apart, in order k, which neither the
+blocks of steps, the other chains of the block nor the BLAS thread
+count can change.  Both take the Bessel coefficients
 J_k(Lambda t) from one trapezoidal rule: ``states_at`` forms them with
 one FFT row per chain, and the grid never forms them, but sums them against
 its moments with one folded quadrature per time (``_bessel_sums``), in
@@ -112,8 +111,8 @@ _CONE_CHUNK = 64
 
 # Longest chains that share one recurrence: past it a block of chains costs more in
 # its per-chain weight products, a short strided loop in numpy, than it saves in calls
-# (cold ``perturb --adjacent``: 12.0 s shared against 17.9 s one chain at a time at
-# N = 2001, 44.0 s against 43.1 s at N = 3001, 98.9 s against 79.6 s at N = 4001).
+# (cold ``perturb --adjacent``: 10.3 s shared against 13.3 s one chain at a time at
+# N = 2001, 32.7 s against 37.7 s at N = 3001, 77.8 s against 72.5 s at N = 4001).
 _SHARED_SITES = 3001
 
 # Largest (times x terms) a grid readout takes the recurrence for when K >= N:
@@ -469,16 +468,13 @@ def _chebyshev_states(off: np.ndarray, site: int, t: float, bounds: np.ndarray, 
     (``_chebyshev_blocks``), with its own bound Lambda and Bessel row and
     weight 0 from its own K on.  The even-k terms live on the site's
     sublattice and the odd-k terms on the other, so each sublattice
-    holds one sum.  Each step multiplies its term, over the entries of
-    its block's window, by the weights w_k into the next row of that
-    sublattice's products, and at the end of the block the products are
-    added to the sum in order k with one sequential ``np.add.reduce`` of
-    the sum and the products.  So the sum is (((0 + w_0 T_0) + w_2 T_2)
-    + ...) per entry, a product and an add rounded apart, whatever the
-    blocks, the windows and the chains around it.  The reduction takes one site past the
-    window, where every product is a zero, so it always runs across
-    entries and never along k, where numpy would sum pairwise.  The odd
-    sum is multiplied by -i once at the end.
+    holds one sum.  Each step multiplies its new term, over the entries
+    of its block's window, by the weights w_k into the step's scratch
+    window, free once the step's four ufuncs are done, and adds that
+    product to the sum.  So the sum is (((0 + w_0 T_0) + w_2 T_2) + ...)
+    per entry, a product and an add rounded apart, whatever the blocks,
+    the windows and the chains around it.  The odd sum is multiplied by
+    -i once at the end.
     """
     chains, n = off.shape[0], off.shape[1] + 1
     table = _chebyshev_weights(_bessel_rows(bounds * t, n_terms)).T  # [k][chain]
@@ -486,40 +482,30 @@ def _chebyshev_states(off: np.ndarray, site: int, t: float, bounds: np.ndarray, 
     # in a broadcast loop, which made a readout at N = 4001 about 12 % slower; np.nditer
     # makes the K 0-d views in a third of the time that indexing each row takes
     shape, weights = ((-1,), list(np.nditer(table[:, 0], order="C"))) if chains == 1 else ((-1, chains), list(table))
-    sums = np.zeros((2, ((n + 1) // 2 + 1) * chains))  # a sublattice and one site past it
     c = site & 1
     terms, blocks = _chebyshev_blocks(_doubled_bonds(off, bounds), site, max(n_terms))
+    sums = [np.zeros(term.size) for term in terms]
     for k, s in ((0, c), (1, 1 - c))[: max(n_terms)]:
-        sums[s, : terms[s].size] += (terms[s].reshape(shape) * weights[k]).ravel()
-    store = np.empty((2, (min(_CONE_CHUNK, max(n_terms)) + 1) // 2 + 1, sums.shape[1]))  # a sum and a block's products
+        sums[s] += (terms[s].reshape(shape) * weights[k]).ravel()
     for first, last, windows, views in blocks:
         lead = (c + first + 1) & 1  # the sublattice of step first; the steps alternate
-        counts = [(last - first + (s == lead)) // 2 for s in (0, 1)]
-        rows = [store[s, : counts[s] + 1, : b - a + chains] for s, (a, b) in enumerate(windows)]
-        targets = [None] * (last - first)  # step k's product row
-        for s, (a, b) in enumerate(windows):
-            if counts[s]:
-                rows[s][1:, b - a :] = 0.0  # the products one site past the window
-                targets[s != lead :: 2] = rows[s][1:, : b - a].reshape(counts[s], *shape)
         steps = zip(
-            itertools.cycle([(*views[s], views[s][4].reshape(shape)) for s in (lead, 1 - lead)]),
+            itertools.cycle(
+                [(*views[s], views[s][4].reshape(shape), views[s][5].reshape(shape), sums[s][slice(*windows[s])])
+                 for s in (lead, 1 - lead)]
+            ),
             weights[first + 1 : last + 1],
-            targets,
         )
-        for (right, cur_right, left, cur_left, prev, tmp, term), w, product in steps:
+        for (right, cur_right, left, cur_left, prev, tmp, term, product, total), w in steps:
             np.multiply(right, cur_right, tmp)
             np.subtract(tmp, prev, prev)
             np.multiply(left, cur_left, tmp)
             np.add(prev, tmp, prev)
             np.multiply(term, w, product)
-        for s, (a, b) in enumerate(windows):
-            if counts[s]:
-                rows[s][0] = sums[s, a : b + chains]
-                np.add.reduce(rows[s], axis=0, out=sums[s, a : b + chains])
-    sums = sums.reshape(2, -1, chains)
+            np.add(total, tmp, total)
     even, odd = np.zeros((2, chains, n))
-    even[:, c::2] = sums[c, : (n + 1 - c) // 2].T
-    odd[:, 1 - c :: 2] = sums[1 - c, : (n + c) // 2].T
+    even[:, c::2] = sums[c].reshape(-1, chains).T
+    odd[:, 1 - c :: 2] = sums[1 - c].reshape(-1, chains).T
     return even - 1j * odd
 
 

@@ -44,7 +44,8 @@ from .dynamics import EigenSystem, _spectral_sums, eigendecompose
 
 CONVERGED_TOL = 1e-10
 
-# Most restarts one search accepts: about 10 minutes at N = 5 on a 2-core host.
+# Most restarts one search accepts: about 6.5 minutes at N = 5 on a 2-core host
+# (19 s per 500 restarts with the default window).
 MAX_RESTARTS = 10_000
 
 _SCAN_POINTS = 257

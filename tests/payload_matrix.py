@@ -55,6 +55,7 @@ COMMANDS = [
     ["evolve", "--n", "4003", "--t-grid", "3.0:3.3:0.005"],
     ["couplings", "--n", "9", "--format", "csv"],
     ["feasibility", "--mu", "1", "--gmax", "0.3"],
+    ["perturb", "--n", "4001", "--sigma", "0.001", "--trials", "4", "--seed", "7"],
 ]
 
 FORMAT = {"evolve": "csv", "perturb": "csv"}

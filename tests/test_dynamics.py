@@ -4,6 +4,7 @@ import cmath
 import fractions
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -698,6 +699,19 @@ class TestLightConeRecurrence:
         h = one_excitation_hamiltonian(engineered_couplings(n, 1.0))
         out = chebyshev_evolve(h, n // 2, bell_time(1.0)).amplitudes
         assert np.array_equal(bits(out), bits(reference_state(h, n // 2, bell_time(1.0))))
+
+    def test_state_readout_memory_is_linear_in_the_chain(self):
+        # 16 N bytes is one complex amplitude per site, the row the readout returns;
+        # the buffers, sums and Bessel samples together stay within 20 such rows
+        n = 20001
+        h = one_excitation_hamiltonian(engineered_couplings(n, 1.0))
+        tracemalloc.start()
+        try:
+            dynamics.states_at([h], n // 2, bell_time(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 16 * n, peak / (16 * n)
 
     @pytest.mark.parametrize("n_terms", [1, 2])
     def test_one_and_two_terms(self, n_terms):
